@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from aoikit.trace import AgeTrace
@@ -54,3 +56,12 @@ def periodic_trace(n: int, period_s: float = 1.0, delay_s: float = 0.5) -> AgeTr
     gen = (np.arange(1, n + 1, dtype=np.int64)) * int(round(period_s * 1e9))
     recv = gen + int(round(delay_s * 1e9))
     return AgeTrace.from_arrays(np.arange(n), gen, recv)
+
+
+def sha256_of(*parts) -> str:
+    """Digest of arrays (raw int64 bytes) and strings, in order: the
+    fingerprint golden tests pin a run's outputs with."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()

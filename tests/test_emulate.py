@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from aoikit.cli import parse_emulated
 from aoikit.emulate import (
     EmulatedChannel,
     EmulatedChannelSpec,
+    decision_csv,
     estimate_offset_emulated,
     offset_from_exchanges,
     rtt_age_bound,
@@ -13,6 +15,8 @@ from aoikit.emulate import (
 from aoikit.errors import ConfigError
 from aoikit.metrics import age_floor, average_age_by_reception, mean_delay
 from aoikit.policies import AcpState
+
+from helpers import sha256_of
 
 
 def test_zero_impairment_channel_is_transparent():
@@ -215,3 +219,52 @@ def test_acp_rate_positive_and_finite_after_init():
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
         run_rate_policy("bang", EmulatedChannelSpec(), 1.0)
+
+
+# ------------------------------------------------------------ golden digests
+
+
+def _golden_sampler_runs():
+    # a 100 packets/s bottleneck loaded past capacity in every run, so
+    # the backlog grows, overflows or switches loss regime
+    bottleneck = dict(fwd_delay_s=0.01, bwd_delay_s=0.01, capacity_hz=100.0, seed=1)
+    return {
+        "infinite": (EmulatedChannelSpec(**bottleneck), [(300.0, 3.0)]),
+        "buffer": (EmulatedChannelSpec(buffer=5, jitter_s=0.002, **bottleneck),
+                   [(150.0, 3.0)]),
+        "loss-schedule": (EmulatedChannelSpec(loss_onset_load=0.6, **bottleneck),
+                          [(40.0, 2.0), (80.0, 2.0), (150.0, 2.0), (50.0, 2.0)]),
+        "capacity-step": (EmulatedChannelSpec(capacity_step_at_s=1.5,
+                                              capacity_step_factor=0.25,
+                                              loss_p=0.05, **bottleneck),
+                          [(60.0, 4.0)]),
+    }
+
+
+def test_emulated_golden_digests():
+    # sha256 of the echo and truth traces, pinned before the bottleneck
+    # backlog was rewritten
+    got = {}
+    for name, (spec, schedule) in _golden_sampler_runs().items():
+        res = run_sampler_emulated(spec, schedule)
+        got[name] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
+                              res.truth_trace.recv_ns, f"{res.sent},{res.received}")
+    preset = parse_emulated("capacity_step", 0)
+    res = run_rate_policy("acp", preset, 30.0, acp=AcpState())
+    got["acp/capacity_step"] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
+                                         decision_csv(res.decisions))
+    assert got == EMULATED_GOLDEN
+
+
+EMULATED_GOLDEN = {
+    "infinite":
+        "b311e7620f4f9c1220cd0bbb5efed40063bd1d13b4252e308fe28604d328515c",
+    "buffer":
+        "3e0c4e49249e024a4c50d5011682fc2a9afb9fb4e2997f057c5e1a3d9e52edf1",
+    "loss-schedule":
+        "9738a62b3ee5ee685b00e069dcc0a8272de5b20a089bc2b0b072fa216d77e6e2",
+    "capacity-step":
+        "dde31eb5da8905cecb939e1c18cee16e913668bcd7807712ff72c47372bdffe8",
+    "acp/capacity_step":
+        "c8072bd00829eb1bce0e15cedd708bb851f9974f019ebfc857243b13d9acb75a",
+}

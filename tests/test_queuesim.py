@@ -15,6 +15,8 @@ from aoikit.queuesim import (
     sweep_rate,
 )
 
+from helpers import sha256_of
+
 
 def mm1(rho, n=100_000, seed=0, **kw):
     return SimConfig(
@@ -232,3 +234,231 @@ def test_bad_configs_rejected():
                   discipline="lifo")
     with pytest.raises(ConfigError):
         ArrivalSpec("at-will")
+
+
+# ------------------------------------------------------------ golden digests
+
+
+def _golden_sim_configs() -> dict[str, SimConfig]:
+    """A grid that reaches every branch of the simulator: each arrival
+    kind, discipline, buffer size and loss mode, a delivery offset, and
+    bottleneck points on each side of the loss onset and of load 1."""
+    arrivals = {
+        "poisson": ArrivalSpec("poisson", 1.3),
+        "deterministic": ArrivalSpec("deterministic", 0.9),
+        "zero-wait": ArrivalSpec("zero-wait"),
+        # waits of -0.3 (clamped to 0), 0, 0.3 and 0.6 s in turn
+        "at-will": ArrivalSpec("at-will", hook=lambda i, t: 0.3 * (i % 4 - 1)),
+    }
+    losses = {"clean": (0.0, False), "loss": (0.2, False), "retx": (0.2, True)}
+    configs = {}
+    for a_name, arrival in arrivals.items():
+        for discipline in ("fcfs", "lcfs1"):
+            for capacity in (None, 0, 3):
+                for l_name, (loss_p, retransmit) in losses.items():
+                    name = f"{a_name}/{discipline}/cap={capacity}/{l_name}"
+                    configs[name] = SimConfig(
+                        arrival, ServiceSpec("exponential", 1.0),
+                        discipline=discipline, capacity=capacity,
+                        loss_p=loss_p, retransmit=retransmit,
+                        horizon=1500, seed=17,
+                    )
+    for name, loss_p in (("lindley", 0.0), ("events", 0.1)):
+        configs[f"offset/{name}"] = SimConfig(
+            ArrivalSpec("poisson", 0.7), ServiceSpec("deterministic", 1.0),
+            loss_p=loss_p, delivery_offset_s=0.0125, horizon=1500, seed=5,
+        )
+    model = ChannelModel(base_rtt_s=0.02)
+    for load in (0.3, 0.8, 1.0, 1.5):
+        rate = load * model.capacity_hz
+        for variant, kw in (("fcfs", {}), ("lcfs1", {"discipline": "lcfs1"}),
+                            ("retx", {"retransmit": True})):
+            configs[f"bottleneck/{load}/{variant}"] = model.sim_config(
+                rate, 1500, 23, **kw)
+    return configs
+
+
+def test_simulate_golden_digests():
+    # sha256 of gen_ns, recv_ns and the .meta text, pinned before the
+    # event loop was rewritten: any change to a trace shows here
+    got = {}
+    for name, cfg in _golden_sim_configs().items():
+        run = simulate(cfg)
+        got[name] = sha256_of(run.trace.gen_ns, run.trace.recv_ns, run.meta_lines())
+    assert got == SIM_GOLDEN
+
+
+SIM_GOLDEN = {
+    "poisson/fcfs/cap=None/clean":
+        "8fb885cd7253f49676d9a5e2af549db708ad019b6030ca1de25f5caff75c1fb9",
+    "poisson/fcfs/cap=None/loss":
+        "21c62d01c583ed41ba5b1c1ffc4205fb47ac15219f7db7a4643dadd5caef3578",
+    "poisson/fcfs/cap=None/retx":
+        "66b1a2800779276c6340fb8d517fb546aa75dea09980d6f978b544bd6d6134ad",
+    "poisson/fcfs/cap=0/clean":
+        "ed02f0ecc2eae4da180d5ae1d5ac9ed4d5d17be45763f672eb93934830caab23",
+    "poisson/fcfs/cap=0/loss":
+        "751401b02ccd7ce2ddb049542c617e3757a46946e179d8e5442eb4354df5db39",
+    "poisson/fcfs/cap=0/retx":
+        "fd708fb7be688be92c83c68f80ecc654732e2238f0457647d81888e1b58d2ae1",
+    "poisson/fcfs/cap=3/clean":
+        "441a220883ef02c181bb83e4dc9b9bd5bbaaa94bf030a922ee2385ecefc3613d",
+    "poisson/fcfs/cap=3/loss":
+        "08fb2b041ec95e86e88a6b01c3bab5fab5fa6b09e2ea80b62bf2383c73fc11f4",
+    "poisson/fcfs/cap=3/retx":
+        "57128e89bd648892d95fbdf8fdd61026d722e60c8141cb2bed35cd6b070cf827",
+    "poisson/lcfs1/cap=None/clean":
+        "0d69fa3384561da9abe9d86abdc37325499564bd2ea9b950b69114db73352492",
+    "poisson/lcfs1/cap=None/loss":
+        "4cffff77633ce9da6788e5a64936185cd839bbf376928056e1f20ddbbc009802",
+    "poisson/lcfs1/cap=None/retx":
+        "3c708c3655306c973c12d26bbfe8c29d451eff4f57adeaf0d7142f8449eb8c33",
+    "poisson/lcfs1/cap=0/clean":
+        "a74ab33b6602cb39aa5502c4a811a21d470f23a084ef255ec0c2f1e8c2bbc15f",
+    "poisson/lcfs1/cap=0/loss":
+        "c5cfafeff320613c7a4e06b806bdd3e0c26a6a1eb49897926d94f1fa4295dbf1",
+    "poisson/lcfs1/cap=0/retx":
+        "d4842770aa80771963644d849b6ff0e8a22c1a4d66544e56cb7f897f7d778e20",
+    "poisson/lcfs1/cap=3/clean":
+        "1b2ffba3c6cb53013a9514d96fbf7ea90ae1c28ff97d587930dee662573ffc9e",
+    "poisson/lcfs1/cap=3/loss":
+        "a8bda1db8ec5281cc9125066ebeb4306b43666b74b101dedfe599802c50fed1b",
+    "poisson/lcfs1/cap=3/retx":
+        "859a8e5d54daae99d707cda9b48097095323bc851673abd6f1dcc5f3e08c42ba",
+    "deterministic/fcfs/cap=None/clean":
+        "d7ce1e9ddc5de819b5f5b4898a0fd749e7f3d10c743c89677e502d1aed8bc29e",
+    "deterministic/fcfs/cap=None/loss":
+        "9ee23e4477d03adcfe6dd419fa10540ac81f67dfa433913bba514e5350737c33",
+    "deterministic/fcfs/cap=None/retx":
+        "065feea31c967450c6baed727db9b5596625775eef9a2a894320ed7528a98a15",
+    "deterministic/fcfs/cap=0/clean":
+        "586fdbc7961cf4faba7c09286013ac2e3d739d92a472b430e059c32004ca6d8f",
+    "deterministic/fcfs/cap=0/loss":
+        "680ea15b223354823cdeba85444e4f40d6da525af44f83de187db16f94a514c6",
+    "deterministic/fcfs/cap=0/retx":
+        "6c92fba8b68ba15b5f78bd54711661566c525c9d6dbde399517888134cfbf2cd",
+    "deterministic/fcfs/cap=3/clean":
+        "09233dcfa74c78384c47ced81fe578370795302a4d55144a7c9c5aed8f60338a",
+    "deterministic/fcfs/cap=3/loss":
+        "3ba24de6486e381c21044d2c1f8bd14d61af4dadb4b8f34aa31cbfbce9473976",
+    "deterministic/fcfs/cap=3/retx":
+        "2a5b616911471a120dc4e9f193ffac4b7af8b8ef7465dd8c1d820d3063955fd2",
+    "deterministic/lcfs1/cap=None/clean":
+        "a10547081da842754dec8f47bf4fbc6fb9588d53e1c955c660b08d097e655b2c",
+    "deterministic/lcfs1/cap=None/loss":
+        "9b78f5ccc599b710cf359bd5c0098df09bd841298578f508b135727281ed79fc",
+    "deterministic/lcfs1/cap=None/retx":
+        "ce554a255716d14e4d535d8047f7fb6a6ffe6d7d554f9adac50ee26424b55669",
+    "deterministic/lcfs1/cap=0/clean":
+        "704e7a21d824cf1ffdab8f75e944b1f46f9e3ca88c8bdd01c62d71290a0ede91",
+    "deterministic/lcfs1/cap=0/loss":
+        "0b0bb7ac3b6a81fc5edce1aee29db48517e1aa616e14ba85b466b5ab82e31a0c",
+    "deterministic/lcfs1/cap=0/retx":
+        "39ab8292ba66bc1acbab2f17d5b9d842ad3d54a37561a42697c9faa878a4d81c",
+    "deterministic/lcfs1/cap=3/clean":
+        "efb6fcc635051199f1ecce00423a5fb99c1f3e30c25fda1ce0978f6d74f23bbe",
+    "deterministic/lcfs1/cap=3/loss":
+        "ad7de75c21a8ad2e5f9855f9f5c54bb889ad8cf9020014a4d93d02eb2b0ae06f",
+    "deterministic/lcfs1/cap=3/retx":
+        "2240fd2bb2975169e9c72bdc31f60f73c020979cc7ec22e1998e04c615b73f6a",
+    "zero-wait/fcfs/cap=None/clean":
+        "ef1680b30c9e309e50005181c800360f5145211819d8d1a8055488f01ebb5ee5",
+    "zero-wait/fcfs/cap=None/loss":
+        "22145bd6116f2e55916bfb05e5b748e7ce7eb681ae47d199e6a37a0a7d476ab6",
+    "zero-wait/fcfs/cap=None/retx":
+        "6d52666ecf966e6e8a3e62a6ff2f9b73ee311896de03fe465ab0bf16e4a5187d",
+    "zero-wait/fcfs/cap=0/clean":
+        "c388b494cf39d5b64342ca059bdc74554548125e01f10c983a27744c0ef18ba4",
+    "zero-wait/fcfs/cap=0/loss":
+        "f0162ff6d2738f138089755a0c0d9ba06a4c9f5c2083275a7b4c89be5780adbe",
+    "zero-wait/fcfs/cap=0/retx":
+        "71817391bfd36a9dd5988d92b5e5dfdd659206e693bc31cf1d7606111eab6c28",
+    "zero-wait/fcfs/cap=3/clean":
+        "756bcd90c73eb4698a026f2391dd6b9ab53036455bd0f9b2f7f81b321a366cad",
+    "zero-wait/fcfs/cap=3/loss":
+        "a50afbaacc3c989546bbe745c27fac59b31f777193973d98feb36960948336d8",
+    "zero-wait/fcfs/cap=3/retx":
+        "43b745c4ef7854baecefd502955998482f9c74fb51c2b8ef49c2b5f2d1b56f73",
+    "zero-wait/lcfs1/cap=None/clean":
+        "4d8c1026aae78af7c4d2249cb7d4af0a76d2d047f023d921de3d5d56c5fdf311",
+    "zero-wait/lcfs1/cap=None/loss":
+        "58ba34db8473b960cb1a07af7e4810adbb3186a4d3bdc0da814298194303b1af",
+    "zero-wait/lcfs1/cap=None/retx":
+        "b9541a981719f091069329d521c67c88539fb9455f0e62c0ecf6f8c0f945fe15",
+    "zero-wait/lcfs1/cap=0/clean":
+        "924dd57b3712901fe640b6f25308268648426fc69bdcd10018ee76dcb31d0782",
+    "zero-wait/lcfs1/cap=0/loss":
+        "284090d420912fe2a3889fa0ae8519938f6ac83281f1e67298d51d4845231668",
+    "zero-wait/lcfs1/cap=0/retx":
+        "6200404b9253c810457eadedb5beb62dd320756231174237a0aa312533fcbc9b",
+    "zero-wait/lcfs1/cap=3/clean":
+        "fbffa4c4836cae68cbaaa2e02744118d699474bdc2add2aa56c91e07f9e06040",
+    "zero-wait/lcfs1/cap=3/loss":
+        "2e3b6d455d04afe738740912ce4e906716260b24fda2481980ebf24df544d4f0",
+    "zero-wait/lcfs1/cap=3/retx":
+        "85b5f4d598b02c4a0458805ee8115f7bf3f1a9cea06ac63c0c1f4282760caf6a",
+    "at-will/fcfs/cap=None/clean":
+        "2c5c0220aefceaff7dbb7d9a15cba36e22633b719ce5073b10827c2a8ec622da",
+    "at-will/fcfs/cap=None/loss":
+        "6b57921bfb91c8f8e02d56bbcbbf4f16bca031ffc2ce43e836ee131f6c67e38f",
+    "at-will/fcfs/cap=None/retx":
+        "2dc43ba64daa87759b138204f0e4584082c2b571b83ec0c85503b487a981a51b",
+    "at-will/fcfs/cap=0/clean":
+        "7fca3050f063e0a244549025013274cc691d74d73db7654d164d17d75f6dffde",
+    "at-will/fcfs/cap=0/loss":
+        "21a773bc30408d5dba7cfc3ff2a7b6dcc9e37f21f4d02072660a7fabb85fc659",
+    "at-will/fcfs/cap=0/retx":
+        "9cbab5cc13cac1af470a0c79858811b4d3e7ca5be89eee9cc90e35568fa5b5fa",
+    "at-will/fcfs/cap=3/clean":
+        "d69adbd57aafeb60813e676192c9dde0b8ffbb87b30175c19343cf76aa527e1e",
+    "at-will/fcfs/cap=3/loss":
+        "fc98dffe64c47752a4d87c1977a2519ff4593155bc9b90e9263bba0b4c59879d",
+    "at-will/fcfs/cap=3/retx":
+        "f5ac2af7a8306ccaa83b807925338b068b4d264befbb1bea0ad3756c26e88860",
+    "at-will/lcfs1/cap=None/clean":
+        "67f24d6ed5aef8a9c706ecde48f5eac128e34b325d3d5b0d31e396181125fb80",
+    "at-will/lcfs1/cap=None/loss":
+        "83f8767b4a6707a7a86ef7ec41e3db473312bdbc840917e6952f1ca7f40c8e31",
+    "at-will/lcfs1/cap=None/retx":
+        "ac4f9fe35675faad560601bbf03333a053c8744913822dc794414ff04d8df029",
+    "at-will/lcfs1/cap=0/clean":
+        "1dc8c4b92fddad4d2a84bc25163ddbcaa320e98d2c17b0c5d71044cc355defd2",
+    "at-will/lcfs1/cap=0/loss":
+        "227013fc1a9bb8ffc4735f57024f0a86532b1daa4f567e4a9bf9ebe24c1a7c04",
+    "at-will/lcfs1/cap=0/retx":
+        "13fbf7ac3bcdf2b13abd8bdfb0320944de81c4598479a8ae5c7ffbd5e8ad02ac",
+    "at-will/lcfs1/cap=3/clean":
+        "8bd3244e4dc62c758151afe0e33f4a115dbc96f7e8ccebdf2a25b53a3155d210",
+    "at-will/lcfs1/cap=3/loss":
+        "8fa99437079677313c9b9a3dd5458caebdcf35838d7cb1a965f0661ed394de9f",
+    "at-will/lcfs1/cap=3/retx":
+        "a2dce1d5e7c23474b9967675f62ce3b5ce6a85bccfbf91c583b908d9e00bf8c6",
+    "offset/lindley":
+        "7791e290b2e8442da46628d7163685127a2675abe7e71b5cd929d1e8b9ebb548",
+    "offset/events":
+        "acd51abb0da08caf773315770d0db98dc8de6bd6fe4f85aad3c4915c776384cd",
+    "bottleneck/0.3/fcfs":
+        "79a786fe5df0e919c037a541e39f8cca0a97ffa705860071ebc47acb54fb01c5",
+    "bottleneck/0.3/lcfs1":
+        "1317931e33fbd676bef4accda51a7b0767feb87b85bf8f317b79aca133097c34",
+    "bottleneck/0.3/retx":
+        "e025445bc4df0481de4cf72787a7eec66b791f9bbb0b7c7e4e43d107661d301c",
+    "bottleneck/0.8/fcfs":
+        "2c1507652d7b0b4c5b1a4f931191d6f64df81a3f7dcd5bafb151f9c72aeb70ae",
+    "bottleneck/0.8/lcfs1":
+        "c60b8849577d4cc499d22652b05b9673e50bd2e07f30de2b8df387cbb44bace6",
+    "bottleneck/0.8/retx":
+        "f4247d2529badd49acb857b785dc115b95f1552426afe475968e4eb7ef98f915",
+    "bottleneck/1.0/fcfs":
+        "e4993e660ba6157a2c87d12cd2af3b682d28c01a12ff4dbc96b05e50e67f30e4",
+    "bottleneck/1.0/lcfs1":
+        "8a6005ed6ff184ad87264c49853b6641cbfac5ca6670634a8e907efa7fb12dfa",
+    "bottleneck/1.0/retx":
+        "1f0298107dcc8c0e5c22c1fb4d9f0375acbf0974d5e3cf835e854a9cf6e1dc4a",
+    "bottleneck/1.5/fcfs":
+        "d6b493e25960f001e44dab3906c2fa22866e8ab98809d942fb7ca3a473aa842b",
+    "bottleneck/1.5/lcfs1":
+        "1b71261ab8273204cc67c63e7a1f0954baa1c34e60e437a9a678a2d4c7f993af",
+    "bottleneck/1.5/retx":
+        "6d27a55e312d848fda42f3c987d5f7f12b7f470a8d16c72e1ad70eacea3fb53d",
+}
