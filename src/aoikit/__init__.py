@@ -36,11 +36,10 @@ from .queuesim import (
     sweep_rate,
 )
 from .scheduler import SchedulerConfig, simulate_scheduler
-from .policies import AcpState, QAgent, ZeroWaitPolicy, acp_epoch_update, lazy_rate
+from .policies import AcpState, QAgent, acp_epoch_update, lazy_rate
 from .emulate import (
     EmulatedChannelSpec,
     estimate_offset_emulated,
-    rtt_age_bound,
     run_rate_policy,
     run_sampler_emulated,
 )
@@ -82,12 +81,10 @@ __all__ = [
     "simulate_scheduler",
     "AcpState",
     "QAgent",
-    "ZeroWaitPolicy",
     "acp_epoch_update",
     "lazy_rate",
     "EmulatedChannelSpec",
     "estimate_offset_emulated",
-    "rtt_age_bound",
     "run_rate_policy",
     "run_sampler_emulated",
     "EchoServer",

@@ -40,7 +40,7 @@ from .queuesim import (
     sweep_csv,
     sweep_rate,
 )
-from .trace import read_csv
+from .trace import read_csv, seconds_to_ns
 from . import udp, wire
 
 _UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
@@ -225,8 +225,9 @@ def cmd_sweep(args, argv) -> int:
             retransmit=args.retransmit, discipline=args.discipline,
         )
     else:
+        # the template's rate is a placeholder: each point sets its own
         cfg = SimConfig(
-            arrival=ArrivalSpec(args.arrival, rates[0]),
+            arrival=ArrivalSpec(args.arrival, 1.0),
             service=ServiceSpec(args.service, args.mu),
             discipline=args.discipline,
             capacity=args.capacity,
@@ -260,7 +261,7 @@ def cmd_sweep(args, argv) -> int:
 def cmd_analyze(args, argv) -> int:
     trace = read_csv(args.trace)
     if args.bias is not None:
-        trace = apply_bias(trace, BiasModel(int(round(args.bias * 1e9))))
+        trace = apply_bias(trace, BiasModel(seconds_to_ns(args.bias)))
     spec = None
     if args.penalty is not None:
         spec = PenaltySpec(args.penalty, args.alpha)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,11 +25,8 @@ from .policies import (
     PolicyObservation,
     acp_epoch_update,
 )
-from .trace import AgeTrace
-
-
-def _ns(t_s: float) -> int:
-    return int(round(t_s * 1e9))
+from .queuesim import regime_loss_p
+from .trace import AgeTrace, seconds_to_ns
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,10 @@ class EmulatedChannelSpec:
     capacity_hz: Optional[float] = None
     buffer: Optional[int] = None
     loss_p: float = 0.0
-    # load-threshold loss schedule: once the observed send rate passes
-    # loss_onset_load * capacity the channel drops busy_loss_p of the
-    # packets, and panicked_loss_p beyond capacity; loss therefore
-    # rises before queueing delay does
+    # load-threshold loss schedule (queuesim.load_regime): once the
+    # observed send rate passes loss_onset_load * capacity the channel
+    # drops busy_loss_p of the packets, and panicked_loss_p at or
+    # beyond capacity; loss therefore rises before queueing delay does
     loss_onset_load: Optional[float] = None
     busy_loss_p: float = 0.02
     panicked_loss_p: float = 0.15
@@ -110,7 +108,8 @@ class EmulatedChannel:
         self._delay_rng = np.random.Generator(np.random.PCG64(ss[0]))
         self._loss_rng = np.random.Generator(np.random.PCG64(ss[1]))
         self._server_free_at = 0.0
-        self._in_system: list[float] = []  # bottleneck departure times
+        # bottleneck departure times, non-decreasing (FIFO service)
+        self._in_system: deque[float] = deque()
         self._last_send_s: Optional[float] = None
         self._rate_est_hz: Optional[float] = None  # smoothed send rate
 
@@ -153,11 +152,10 @@ class EmulatedChannel:
                     self._rate_est_hz += 0.2 * (inst - self._rate_est_hz)
             self._last_send_s = send_s
             if self._rate_est_hz is not None:
-                load = self._rate_est_hz / self._capacity_at(send_s)
-                if load >= 1.0:
-                    p = max(p, spec.panicked_loss_p)
-                elif load >= spec.loss_onset_load:
-                    p = max(p, spec.busy_loss_p)
+                p = max(p, regime_loss_p(
+                    self._rate_est_hz / self._capacity_at(send_s),
+                    spec.loss_onset_load, spec.busy_loss_p, spec.panicked_loss_p,
+                ))
         return p
 
     def transit(self, send_s: float) -> ChannelTransit:
@@ -167,7 +165,8 @@ class EmulatedChannel:
         # bottleneck stage
         depart = send_s
         if spec.capacity_hz is not None:
-            self._in_system = [d for d in self._in_system if d > send_s]
+            while self._in_system and self._in_system[0] <= send_s:
+                self._in_system.popleft()
             if spec.buffer is not None and len(self._in_system) > spec.buffer:
                 return ChannelTransit(send_s, None, None)
             start = max(send_s, self._server_free_at)
@@ -232,9 +231,9 @@ def run_sampler_emulated(
     received = 0
     for s in send_times:
         tr = channel.transit(s)
-        gen.append(_ns(s))
-        fwd.append(None if tr.arrive_fwd_s is None else _ns(tr.arrive_fwd_s))
-        ack.append(None if tr.ack_s is None else _ns(tr.ack_s))
+        gen.append(seconds_to_ns(s))
+        fwd.append(None if tr.arrive_fwd_s is None else seconds_to_ns(tr.arrive_fwd_s))
+        ack.append(None if tr.ack_s is None else seconds_to_ns(tr.ack_s))
         if tr.ack_s is not None:
             received += 1
     ids = np.arange(len(gen), dtype=np.int64)
@@ -242,16 +241,6 @@ def run_sampler_emulated(
     trace = AgeTrace.from_arrays(ids, gen, ack, sizes, t_start_ns=0)
     truth = AgeTrace.from_arrays(ids, gen, fwd, sizes, t_start_ns=0)
     return EmulatedSamplerResult(trace, truth, len(gen), received)
-
-
-def rtt_age_bound(trace: AgeTrace) -> float:
-    """Age estimate built from acknowledgement round trips alone: the
-    sawtooth that resets to the full round-trip time at each ack. On
-    a one-way flow this bounds the true age from above because the
-    return leg inflates every reset."""
-    from .metrics import average_age_by_reception
-
-    return average_age_by_reception(trace)
 
 
 # ------------------------------------------------------- offset estimation
@@ -298,7 +287,7 @@ def estimate_offset_emulated(
         attempts += 1
         peer_stamp, ack = channel.ping(t)
         if ack is not None:
-            samples.append((_ns(t), _ns(peer_stamp), ack - t))
+            samples.append((seconds_to_ns(t), seconds_to_ns(peer_stamp), ack - t))
         t += spacing_s
     return offset_from_exchanges(samples)
 
@@ -426,7 +415,7 @@ def run_rate_policy(
     def send_packet(now: float):
         st.sent += 1
         tr = channel.transit(now)
-        gen_ns.append(_ns(now))
+        gen_ns.append(seconds_to_ns(now))
         ack_ns.append(None)
         if tr.ack_s is not None and tr.ack_s <= duration_s:
             push(tr.ack_s, _ACK, now, float(len(gen_ns) - 1))
@@ -459,7 +448,7 @@ def run_rate_policy(
                 push(now + 1.0 / rate_hz, _SEND)
         elif kind == _ACK:
             sent_at, idx = a, int(b)
-            ack_ns[idx] = _ns(now)
+            ack_ns[idx] = seconds_to_ns(now)
             st.acked += 1
             st.epoch_acks += 1
             st.last_rtt = now - sent_at
@@ -497,7 +486,7 @@ def run_rate_policy(
             backlog = st.sent - st.acked
             if policy == "acp":
                 obs = PolicyObservation(
-                    now_ns=_ns(now),
+                    now_ns=seconds_to_ns(now),
                     last_ack_rtt_s=st.last_rtt,
                     ewma_rtt_s=st.ewma_rtt.value,
                     ewma_inter_ack_s=st.ewma_inter_ack.value,
@@ -541,7 +530,7 @@ def run_rate_policy(
 
     ids = np.arange(len(gen_ns), dtype=np.int64)
     trace = AgeTrace.from_arrays(
-        ids, gen_ns, ack_ns, t_start_ns=0, t_end_ns=_ns(duration_s)
+        ids, gen_ns, ack_ns, t_start_ns=0, t_end_ns=seconds_to_ns(duration_s)
     )
 
     median = _median_age(trace, median_grid_s)
@@ -566,7 +555,7 @@ def _median_age(trace: AgeTrace, grid_s: float) -> float:
     if len(gen) < 2:
         return float("nan")
     t0, t1 = int(recv[0]), int(recv[-1])
-    step = max(1, _ns(grid_s))
+    step = max(1, seconds_to_ns(grid_s))
     ts = np.arange(t0, t1 + 1, step, dtype=np.int64)
     idx = np.searchsorted(recv, ts, side="right") - 1
     ages = (ts - gen[idx]).astype(float) / 1e9

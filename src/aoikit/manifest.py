@@ -48,9 +48,3 @@ class RunManifest:
                 os.unlink(tmp)
             raise
         return path
-
-
-def read_manifest(path: str) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    return RunManifest(**raw)

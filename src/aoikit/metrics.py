@@ -9,6 +9,7 @@ agree exactly on finite traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +143,28 @@ def mean_delay(trace: AgeTrace) -> float:
     return float(np.mean((recv - gen).astype(float))) / 1e9
 
 
+def _finite_sum(areas: np.ndarray, recv: np.ndarray) -> float:
+    """Sum of per-interval penalty areas; interval k lies between
+    receptions k and k+1. A non-finite sum (the penalty overflowed)
+    raises RangeError naming the first interval where the running sum
+    stops being finite."""
+    total = float(np.sum(areas))
+    if not math.isfinite(total):
+        k = int(np.argmax(~np.isfinite(np.cumsum(areas))))
+        raise RangeError(
+            f"penalty is not finite over interval {k}, between the receptions "
+            f"at {int(recv[k])} ns and {int(recv[k + 1])} ns"
+        )
+    return total
+
+
 def penalty_average(trace: AgeTrace, spec: PenaltySpec) -> float:
     """Time average of f(age) over the observation window, computed in
     closed form per inter-reception interval via the antiderivative."""
     gen, recv = _delivered_or_raise(trace)
     beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
     theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
-    total = float(np.sum(spec.F(theta) - spec.F(beta)))
-    return total / _window_s(recv)
+    return _finite_sum(spec.F(theta) - spec.F(beta), recv) / _window_s(recv)
 
 
 def apply_bias(trace: AgeTrace, bias: BiasModel) -> AgeTrace:
@@ -191,10 +206,8 @@ def penalty_bias(trace: AgeTrace, bias: BiasModel, spec: PenaltySpec) -> float:
     gen, recv = _delivered_or_raise(trace)
     beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
     theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
-    total = float(
-        np.sum(spec.F(theta + b) - spec.F(beta + b) - spec.F(theta) + spec.F(beta))
-    )
-    return total / _window_s(recv)
+    areas = spec.F(theta + b) - spec.F(beta + b) - spec.F(theta) + spec.F(beta)
+    return _finite_sum(areas, recv) / _window_s(recv)
 
 
 def age_floor(rtt_s: float, rate_hz: float) -> float:
@@ -204,19 +217,6 @@ def age_floor(rtt_s: float, rate_hz: float) -> float:
     if rate_hz <= 0:
         raise ConfigError("rate must be positive")
     return rtt_s + 1.0 / (2.0 * rate_hz)
-
-
-def _ns(seconds: float) -> int:
-    return int(round(seconds * 1e9))
-
-
-def trace_from_seconds(gen_s, recv_s, start_id: int = 0) -> AgeTrace:
-    """Convenience builder for tests and docs: float-second stamp lists
-    to an integer-nanosecond trace."""
-    ids = list(range(start_id, start_id + len(gen_s)))
-    gen = [_ns(g) for g in gen_s]
-    recv = [None if r is None else _ns(r) for r in recv_s]
-    return AgeTrace.from_arrays(ids, gen, recv)
 
 
 def summary(trace: AgeTrace, spec: PenaltySpec | None = None) -> dict[str, float]:

@@ -60,27 +60,12 @@ class EwmaEstimator:
         return self.value
 
 
-class ZeroWaitPolicy:
-    """Generate a fresh update the instant the channel goes idle."""
-
-    def should_send(self, obs: PolicyObservation) -> bool:
-        return obs.backlog == 0
-
-
 def lazy_rate(obs: PolicyObservation) -> float:
     """Sending rate that keeps about one packet in flight: the
     reciprocal of the smoothed round-trip time."""
     if obs.ewma_rtt_s is None or obs.ewma_rtt_s <= 0:
         raise NotReadyError("round-trip estimator not initialized")
     return 1.0 / obs.ewma_rtt_s
-
-
-class LazyPolicy:
-    """Stateless wrapper so the closed-loop runner can treat Lazy like
-    the other rate policies."""
-
-    def rate(self, obs: PolicyObservation) -> float:
-        return lazy_rate(obs)
 
 
 # ------------------------------------------------------------------ epochs

@@ -10,14 +10,15 @@ on a given platform.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .trace import AgeTrace
+from .trace import AgeTrace, seconds_to_ns
 
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
 SERVICE_KINDS = ("exponential", "deterministic")
@@ -132,12 +133,6 @@ def _draw_services(spec: ServiceSpec, n: int, rng: np.random.Generator) -> np.nd
     return np.full(n, 1.0 / spec.mu)
 
 
-def _to_ns(t: np.ndarray | float) -> np.ndarray | int:
-    if isinstance(t, np.ndarray):
-        return np.rint(t * 1e9).astype(np.int64)
-    return int(round(t * 1e9))
-
-
 def simulate(cfg: SimConfig) -> SimRun:
     """Run one flow through the configured queue and return the trace.
 
@@ -190,7 +185,7 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
     if cfg.delivery_offset_s:
         dep = dep + cfg.delivery_offset_s
     trace = AgeTrace.from_arrays(
-        np.arange(n, dtype=np.int64), _to_ns(arr), _to_ns(dep),
+        np.arange(n, dtype=np.int64), seconds_to_ns(arr), seconds_to_ns(dep),
         t_start_ns=0,
     )
     meta = {
@@ -207,38 +202,40 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
     return SimRun(trace, meta)
 
 
-_ARR, _DEP = 0, 1
+_NEVER = (math.inf, 0)  # no event pending
 
 
 def _simulate_events(cfg: SimConfig) -> SimRun:
-    """General event loop: one heap keyed by (time, insertion seq)
-    covering bounded buffers, transmission loss, retransmission, the
-    single-slot freshest-only queue, and generate-at-will sources."""
+    """General event loop covering bounded buffers, transmission loss,
+    retransmission, the single-slot freshest-only queue, and
+    generate-at-will sources.
+
+    A single server has at most two pending events: the next arrival
+    and the current departure. Each is a (time, insertion seq) pair
+    and the smaller pair fires first, so simultaneous events run in
+    the order they were scheduled."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n = cfg.horizon
     exogenous = cfg.arrival.kind in ("poisson", "deterministic")
     if exogenous:
-        arrivals = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))
+        arrivals = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng)).tolist()
+    seq = 0
+
+    def at(t: float) -> tuple[float, int]:
+        nonlocal seq
+        seq += 1
+        return (t, seq)
+
+    def service_time() -> float:
+        return float(_draw_services(cfg.service, 1, service_rng)[0])
 
     gen_times: list[float] = []
     recv_times: list[Optional[float]] = []
-
-    heap: list[tuple[float, int, int, int]] = []  # (time, seq, kind, packet)
-    seq = 0
-
-    def push(t: float, kind: int, packet: int):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, packet))
-        seq += 1
-
-    def record_arrival(t: float) -> int:
-        gen_times.append(t)
-        recv_times.append(None)
-        return len(gen_times) - 1
-
-    queue: list[int] = []  # FCFS waiting line (fcfs) or [freshest] (lcfs1)
+    queue: deque[int] = deque()  # FCFS waiting line, or [freshest] for lcfs1
     in_service: Optional[int] = None
-    generated = 0
+    next_arrival = at(arrivals[0] if exogenous else 0.0)
+    departure = _NEVER
+    generated = 1
     delivered = 0
     lost_channel = 0
     lost_overflow = 0
@@ -246,75 +243,60 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     retransmissions = 0
     max_waiting = 0
 
-    def start_service(packet: int, now: float):
-        nonlocal in_service
-        in_service = packet
-        svc = float(_draw_services(cfg.service, 1, service_rng)[0])
-        push(now + svc, _DEP, packet)
-
-    def schedule_next_generation(now: float, delivery_index: int):
-        nonlocal generated
-        if generated >= n:
-            return
-        if cfg.arrival.kind == "zero-wait":
-            wait = 0.0
-        else:
-            wait = float(cfg.arrival.hook(delivery_index, now))
-        push(now + max(0.0, wait), _ARR, generated)
-        generated += 1
-
-    # bootstrap
-    if exogenous:
-        push(float(arrivals[0]), _ARR, 0)
-        generated = 1
-    else:
-        push(0.0, _ARR, 0)
-        generated = 1
-
-    while heap:
-        now, _, kind, packet = heapq.heappop(heap)
-        if kind == _ARR:
-            idx = record_arrival(now)
+    while True:
+        if next_arrival < departure:
+            now = next_arrival[0]
+            idx = len(gen_times)
+            gen_times.append(now)
+            recv_times.append(None)
+            next_arrival = _NEVER
             if exogenous and generated < n:
-                push(float(arrivals[generated]), _ARR, generated)
+                next_arrival = at(arrivals[generated])
                 generated += 1
             if in_service is None:
-                start_service(idx, now)
+                in_service = idx
+                departure = at(now + service_time())
             elif cfg.discipline == "lcfs1":
                 if queue:
                     discarded += 1
                     queue.clear()
                 queue.append(idx)
+            elif cfg.capacity is None or len(queue) < cfg.capacity:
+                queue.append(idx)
             else:
-                if cfg.capacity is None or len(queue) < cfg.capacity:
-                    queue.append(idx)
-                else:
-                    lost_overflow += 1
+                lost_overflow += 1
             max_waiting = max(max_waiting, len(queue))
-        else:  # departure
-            idx = in_service
-            if cfg.loss_p > 0.0 and loss_rng.random() < cfg.loss_p:
-                if cfg.retransmit:
-                    retransmissions += 1
-                    start_service(idx, now)
-                    continue
-                lost_channel += 1
-            else:
-                recv_times[idx] = now + cfg.delivery_offset_s
-                delivered += 1
-            in_service = None
-            if not exogenous:
-                # the channel is idle again; let the source decide when
-                # to generate the next update
-                schedule_next_generation(now, idx)
-            if queue:
-                start_service(queue.pop(0), now)
+            continue
+        if departure is _NEVER:
+            break
+        now = departure[0]
+        departure = _NEVER
+        if cfg.loss_p > 0.0 and loss_rng.random() < cfg.loss_p:
+            if cfg.retransmit:
+                retransmissions += 1
+                departure = at(now + service_time())
+                continue
+            lost_channel += 1
+        else:
+            recv_times[in_service] = now + cfg.delivery_offset_s
+            delivered += 1
+        if not exogenous and generated < n:
+            # the channel is idle again; let the source decide when
+            # to generate the next update
+            wait = 0.0 if cfg.arrival.kind == "zero-wait" \
+                else float(cfg.arrival.hook(in_service, now))
+            next_arrival = at(now + max(0.0, wait))
+            generated += 1
+        in_service = None
+        if queue:
+            in_service = queue.popleft()
+            departure = at(now + service_time())
 
     ids = np.arange(len(gen_times), dtype=np.int64)
     trace = AgeTrace.from_arrays(
         ids,
-        _to_ns(np.asarray(gen_times)),
-        [None if r is None else _to_ns(r) for r in recv_times],
+        seconds_to_ns(np.asarray(gen_times)),
+        [None if r is None else seconds_to_ns(r) for r in recv_times],
         t_start_ns=0,
     )
     total_loss = lost_channel + lost_overflow + discarded
@@ -347,9 +329,10 @@ class SweepRow:
 SWEEP_HEADER = "rate_hz,avg_age_s,peak_age_s,loss,avg_delay_s"
 
 
-def sweep_rate(cfg: SimConfig, rates) -> list[SweepRow]:
-    """One independent run per rate, each starting from an empty queue
-    with its own derived seed."""
+def _sweep(rates, seed: int, point: Callable[[float, int], SimConfig]) -> list[SweepRow]:
+    """One independent run per rate, each starting from an empty queue:
+    `point(rate, child_seed)` builds the run's config, with the child
+    seed derived from (seed, point index)."""
     from .metrics import average_age_by_reception, mean_delay, peak_age
 
     rates = list(rates)
@@ -357,19 +340,8 @@ def sweep_rate(cfg: SimConfig, rates) -> list[SweepRow]:
         raise ConfigError("sweep needs at least one rate")
     rows = []
     for k, rate in enumerate(rates):
-        child = int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0])
-        point = SimConfig(
-            arrival=ArrivalSpec(cfg.arrival.kind, rate),
-            service=cfg.service,
-            discipline=cfg.discipline,
-            capacity=cfg.capacity,
-            loss_p=cfg.loss_p,
-            retransmit=cfg.retransmit,
-            delivery_offset_s=cfg.delivery_offset_s,
-            horizon=cfg.horizon,
-            seed=child,
-        )
-        run = simulate(point)
+        child = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
+        run = simulate(point(rate, child))
         rows.append(
             SweepRow(
                 rate_hz=rate,
@@ -380,6 +352,12 @@ def sweep_rate(cfg: SimConfig, rates) -> list[SweepRow]:
             )
         )
     return rows
+
+
+def sweep_rate(cfg: SimConfig, rates) -> list[SweepRow]:
+    """Sweep the arrival rate of `cfg`; every other field is kept."""
+    return _sweep(rates, cfg.seed, lambda rate, child: replace(
+        cfg, arrival=replace(cfg.arrival, rate=rate), seed=child))
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -395,26 +373,46 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 # ------------------------------------------------------- bottleneck channel
 
 
+def load_regime(load: float, loss_onset_load: float) -> str:
+    """Regime of a bottleneck at an offered load (arrival rate over
+    capacity): "relaxed" below the loss onset, "busy" below load 1 and
+    "panicked" at load 1 or above. Loss steps up before queueing delay
+    does, which starts at load 1."""
+    if load < loss_onset_load:
+        return "relaxed"
+    if load < 1.0:
+        return "busy"
+    return "panicked"
+
+
+def regime_loss_p(load: float, loss_onset_load: float,
+                  busy_loss_p: float, panicked_loss_p: float) -> float:
+    """Loss probability of the load regime: none when relaxed."""
+    return {
+        "relaxed": 0.0,
+        "busy": busy_loss_p,
+        "panicked": panicked_loss_p,
+    }[load_regime(load, loss_onset_load)]
+
+
 @dataclass(frozen=True)
 class ChannelModel:
-    """Load-regime model of a bottleneck path: loss steps up at
-    loss_onset_load, queueing delay grows once the offered load passes
-    delay_onset_load. The ordering loss-before-delay is contractual;
-    the particular loss values are free parameters."""
+    """Load-regime model of a bottleneck path (see `load_regime`):
+    loss steps up to busy_loss_p at loss_onset_load and to
+    panicked_loss_p at load 1, where queueing delay starts to grow.
+    The ordering loss-before-delay is contractual; the particular
+    loss values are free parameters."""
 
     base_rtt_s: float = 0.0
     bandwidth_bps: float = 130_000.0
     packet_bytes: int = 1058
     loss_onset_load: float = 0.6
-    delay_onset_load: float = 1.0
     busy_loss_p: float = 0.02
     panicked_loss_p: float = 0.15
 
     def __post_init__(self):
-        if not (0.0 < self.loss_onset_load <= self.delay_onset_load <= 1.0):
-            raise ConfigError(
-                "regime thresholds must be ordered and lie in (0, 1]"
-            )
+        if not (0.0 < self.loss_onset_load <= 1.0):
+            raise ConfigError("loss onset load must be in (0, 1]")
         if self.bandwidth_bps <= 0 or self.packet_bytes <= 0:
             raise ConfigError("bandwidth and packet size must be positive")
 
@@ -424,19 +422,11 @@ class ChannelModel:
         return self.bandwidth_bps / (8.0 * self.packet_bytes)
 
     def regime(self, rate_hz: float) -> str:
-        load = rate_hz / self.capacity_hz
-        if load < self.loss_onset_load:
-            return "relaxed"
-        if load < self.delay_onset_load:
-            return "busy"
-        return "panicked"
+        return load_regime(rate_hz / self.capacity_hz, self.loss_onset_load)
 
     def loss_for_rate(self, rate_hz: float) -> float:
-        return {
-            "relaxed": 0.0,
-            "busy": self.busy_loss_p,
-            "panicked": self.panicked_loss_p,
-        }[self.regime(rate_hz)]
+        return regime_loss_p(rate_hz / self.capacity_hz, self.loss_onset_load,
+                             self.busy_loss_p, self.panicked_loss_p)
 
     def sim_config(
         self,
@@ -472,22 +462,8 @@ def bottleneck_sweep(
 ) -> list[SweepRow]:
     """Fresh bottleneck per rate point, as in a sweep that restarts
     with empty buffers each iteration."""
-    from .metrics import average_age_by_reception, mean_delay, peak_age
-
-    rows = []
-    for k, rate in enumerate(rates):
-        child = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
-        run = simulate(model.sim_config(rate, horizon, child, retransmit, discipline))
-        rows.append(
-            SweepRow(
-                rate_hz=rate,
-                avg_age_s=average_age_by_reception(run.trace),
-                peak_age_s=peak_age(run.trace),
-                loss=int(run.meta["loss"]),
-                avg_delay_s=mean_delay(run.trace),
-            )
-        )
-    return rows
+    return _sweep(rates, seed, lambda rate, child: model.sim_config(
+        rate, horizon, child, retransmit, discipline))
 
 
 def geometric_rates(lo_hz: float, hi_hz: float, points: int) -> list[float]:

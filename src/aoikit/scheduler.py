@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .trace import AgeTrace
+from .trace import AgeTrace, seconds_to_ns
 
 POLICIES = ("round-robin", "greedy", "max-weight")
 
@@ -108,7 +108,7 @@ def simulate_scheduler(
 
     traces = []
     if keep_traces:
-        frame_ns = int(round(frame * 1e9))
+        frame_ns = seconds_to_ns(frame)
         for i in range(n):
             ks = np.asarray(deliveries[i], dtype=np.int64)
             traces.append(

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,15 @@ CSV_HEADER = ("id", "gen_ns", "recv_ns", "size_bytes")
 
 _LOST = -1  # internal sentinel for "no reception stamp"
 _I64_MAX = 2**63 - 1
+
+
+def seconds_to_ns(t_s):
+    """Float seconds to integer nanoseconds, rounded half to even; an
+    array gives an int64 array. Every stamp a simulated or emulated
+    run produces goes through this one conversion."""
+    if isinstance(t_s, np.ndarray):
+        return np.rint(t_s * 1e9).astype(np.int64)
+    return int(round(t_s * 1e9))
 
 
 @dataclass(frozen=True)
@@ -113,24 +123,6 @@ class AgeTrace:
             t_start_ns, t_end_ns, initial_age_ns, bias_declared,
         )
 
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[PacketRecord],
-        t_start_ns: Optional[int] = None,
-        t_end_ns: Optional[int] = None,
-        initial_age_ns: int = 0,
-        bias_declared: bool = False,
-    ) -> "AgeTrace":
-        recs = list(records)
-        return cls.from_arrays(
-            [r.id for r in recs],
-            [r.gen_ns for r in recs],
-            [r.recv_ns for r in recs],
-            [r.size for r in recs],
-            t_start_ns, t_end_ns, initial_age_ns, bias_declared,
-        )
-
     def _validate(self) -> None:
         if len(self.ids) and np.any(np.diff(self.ids) <= 0):
             raise ValueError("packet ids must be strictly increasing")
@@ -215,7 +207,7 @@ class AgeTrace:
     def write_csv(self, path_or_file) -> None:
         """Write `id,gen_ns,recv_ns,size_bytes` rows, LF endings,
         empty recv_ns for lost packets."""
-        own = isinstance(path_or_file, (str, bytes))
+        own = isinstance(path_or_file, (str, bytes, os.PathLike))
         f = open(path_or_file, "w", encoding="utf-8", newline="\n") if own \
             else path_or_file
         try:
@@ -233,7 +225,7 @@ class AgeTrace:
 def read_csv(path_or_file, bias_declared: bool = False) -> AgeTrace:
     """Parse a trace CSV, aborting with the line number on any
     malformed row."""
-    own = isinstance(path_or_file, (str, bytes))
+    own = isinstance(path_or_file, (str, bytes, os.PathLike))
     f = open(path_or_file, "r", encoding="utf-8", newline="") if own \
         else path_or_file
     try:

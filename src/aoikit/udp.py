@@ -20,7 +20,7 @@ import numpy as np
 
 from .emulate import OffsetEstimate, offset_from_exchanges
 from .errors import AoiError, ConfigError, MalformedPacketError
-from .trace import AgeTrace
+from .trace import AgeTrace, seconds_to_ns
 from . import wire
 
 RECV_BUF = 65536
@@ -181,7 +181,7 @@ def run_sampler(
         for rate, duration in schedule:
             period_ns = int(round(1e9 / rate))
             seg_start = time.monotonic_ns()
-            seg_end = seg_start + int(round(duration * 1e9))
+            seg_end = seg_start + seconds_to_ns(duration)
             next_send = seg_start + period_ns
             while next_send <= seg_end:
                 delay = next_send - time.monotonic_ns()

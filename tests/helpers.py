@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 
-from aoikit.trace import AgeTrace
+from aoikit.trace import AgeTrace, seconds_to_ns
 
 
 US = 1_000  # ns per microsecond
@@ -56,6 +56,15 @@ def periodic_trace(n: int, period_s: float = 1.0, delay_s: float = 0.5) -> AgeTr
     gen = (np.arange(1, n + 1, dtype=np.int64)) * int(round(period_s * 1e9))
     recv = gen + int(round(delay_s * 1e9))
     return AgeTrace.from_arrays(np.arange(n), gen, recv)
+
+
+def trace_from_seconds(gen_s, recv_s, start_id: int = 0) -> AgeTrace:
+    """Float-second stamp lists (None for a lost packet) to an
+    integer-nanosecond trace."""
+    ids = list(range(start_id, start_id + len(gen_s)))
+    gen = [seconds_to_ns(g) for g in gen_s]
+    recv = [None if r is None else seconds_to_ns(r) for r in recv_s]
+    return AgeTrace.from_arrays(ids, gen, recv)
 
 
 def sha256_of(*parts) -> str:

@@ -129,6 +129,18 @@ def test_analyze_with_bias_and_penalty(tmp_path, capsys):
     assert float(kv(stdout)["penalty_avg"]) == pytest.approx(3.0)
 
 
+def test_analyze_non_finite_penalty_exits_3(tmp_path, capsys):
+    # a 900 s gap overflows the exponential penalty at alpha = 1
+    path = tmp_path / "gap.csv"
+    path.write_text(GOLDEN_TWO_PACKET + "2,901000000000,902000000000,100\n")
+    code, stdout, err = run_cli(
+        capsys, "analyze", str(path), "--penalty", "exponential", "--alpha", "1"
+    )
+    assert code == 3
+    assert "penalty_avg" not in stdout
+    assert "error: penalty is not finite over interval 1," in err
+
+
 def test_analyze_malformed_row_reports_line_and_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,gen_ns,recv_ns,size_bytes\n0,0,10,0\n1,oops,20,0\n")
@@ -189,6 +201,15 @@ def test_sweep_without_rates_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--bottleneck-kbps", "130"]])
+def test_sweep_empty_rate_list_is_config_error(tmp_path, capsys, extra):
+    code, _, err = run_cli(
+        capsys, "sweep", "--rates", ",", "--out", str(tmp_path / "x.csv"), *extra
+    )
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_measure_sampler_emulated(tmp_path, capsys):

@@ -16,11 +16,10 @@ from aoikit.metrics import (
     peak_age,
     penalty_average,
     penalty_bias,
-    trace_from_seconds,
 )
 from aoikit.trace import AgeTrace
 
-from helpers import periodic_trace, random_inorder_trace
+from helpers import periodic_trace, random_inorder_trace, trace_from_seconds
 
 S = 1_000_000_000  # ns per second
 
@@ -171,6 +170,18 @@ def test_logarithmic_penalty_matches_grid():
         assert penalty_average(trace, spec) == pytest.approx(
             grid_penalty_average(trace, spec), rel=1e-6
         )
+
+
+def test_non_finite_penalty_raises_naming_the_interval():
+    # exp(900) overflows a double: the 900 s gap between the second
+    # and third receptions makes the exponential penalty infinite
+    trace = trace_from_seconds([0.0, 1.0, 901.0, 902.0], [0.5, 1.5, 901.5, 902.5])
+    spec = PenaltySpec("exponential", 1.0)
+    with pytest.raises(RangeError, match="interval 1, between the receptions at "
+                                         "1500000000 ns and 901500000000 ns"):
+        penalty_average(trace, spec)
+    with pytest.raises(RangeError, match="interval 1,"):
+        penalty_bias(trace, BiasModel(S // 1000), spec)
 
 
 def test_unknown_penalty_kind_rejected():

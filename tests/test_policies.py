@@ -12,11 +12,9 @@ from aoikit.policies import (
     ACTION_RESUME,
     AcpState,
     EwmaEstimator,
-    LazyPolicy,
     PauseResumeEnv,
     PolicyObservation,
     QAgent,
-    ZeroWaitPolicy,
     acp_epoch_update,
     age_cost,
     lazy_rate,
@@ -30,22 +28,12 @@ def obs(**kw):
     return PolicyObservation(**defaults)
 
 
-# ---------------------------------------------------------------- zero wait
-
-
-def test_zero_wait_sends_only_when_idle():
-    zw = ZeroWaitPolicy()
-    assert zw.should_send(obs(backlog=0))
-    assert not zw.should_send(obs(backlog=1))
-
-
 # -------------------------------------------------------------------- lazy
 
 
 def test_lazy_rate_is_reciprocal_rtt():
     assert lazy_rate(obs(ewma_rtt_s=0.1)) == pytest.approx(10.0)
     assert lazy_rate(obs(ewma_rtt_s=1.0)) == pytest.approx(1.0)
-    assert LazyPolicy().rate(obs(ewma_rtt_s=0.25)) == pytest.approx(4.0)
 
 
 def test_lazy_rate_not_ready_without_rtt():

@@ -206,8 +206,9 @@ def test_channel_regimes_loss_rises_before_delay():
 
 
 def test_channel_threshold_ordering_enforced():
+    # the loss onset must come at or before load 1, where delay starts
     with pytest.raises(ConfigError):
-        ChannelModel(loss_onset_load=0.9, delay_onset_load=0.5)
+        ChannelModel(loss_onset_load=1.5)
     with pytest.raises(ConfigError):
         ChannelModel(loss_onset_load=0.0)
 

@@ -32,6 +32,17 @@ def test_csv_round_trip_with_losses():
     assert recs[1] == PacketRecord(2, 20, None, 100)
 
 
+def test_csv_round_trip_through_pathlib_path(tmp_path):
+    trace = random_reordered_trace(np.random.default_rng(3), 50, loss_p=0.2)
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    back = read_csv(path)
+    assert np.array_equal(back.ids, trace.ids)
+    assert np.array_equal(back.gen_ns, trace.gen_ns)
+    assert np.array_equal(back.recv_ns, trace.recv_ns)
+    assert np.array_equal(back.sizes, trace.sizes)
+
+
 def test_csv_bad_header_reports_line_one():
     with pytest.raises(TraceFormatError) as exc:
         read_csv(io.StringIO("id,gen,recv\n"))
