@@ -305,27 +305,28 @@ def cmd_measure_sampler(args, argv) -> int:
         spec = parse_emulated(args.emulated, seed)
         res = run_sampler_emulated(spec, schedule, args.size)
         manifest_cfg = {"emulated": args.emulated}
-        received, sent = res.received, res.sent
-        trace = res.trace
+        aborted = False  # the emulated channel raises no socket errors
     else:
         if not args.dest:
             raise ConfigError("give --dest host:port or --emulated SPEC")
         host, _, port = args.dest.partition(":")
         res = udp.run_sampler((host, int(port)), schedule, args.size)
         manifest_cfg = {"dest": args.dest}
-        received, sent = res.received, res.sent
-        trace = res.trace
+        aborted = res.aborted
     manifest = RunManifest("measure-sampler", argv, manifest_cfg, seed)
-    _write_trace_outputs(trace, args.out, None, manifest)
-    pairs = [("trace", args.out), ("sent", sent), ("received", received)]
+    _write_trace_outputs(res.trace, args.out, None, manifest)
+    pairs = [("trace", args.out), ("sent", res.sent), ("received", res.received)]
     try:
-        stats = summary(trace)
+        stats = summary(res.trace)
         pairs += [(k, f"{v:.9g}") for k, v in stats.items()]
     except AoiError:
         pairs.append(("note", "too few deliveries for age statistics"))
     _print_kv(pairs)
     if args.gnuplot_hints:
         print(_gnuplot_hint("trace", args.out))
+    if aborted:  # the partial trace is kept, but the run did not finish
+        print(f"error: sampler aborted after {res.sent} packets", file=sys.stderr)
+        return 3
     return 0
 
 

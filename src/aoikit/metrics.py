@@ -164,7 +164,10 @@ def penalty_average(trace: AgeTrace, spec: PenaltySpec) -> float:
     gen, recv = _delivered_or_raise(trace)
     beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
     theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
-    return _finite_sum(spec.F(theta) - spec.F(beta), recv) / _window_s(recv)
+    # an overflow is reported by _finite_sum, which names the interval
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = spec.F(theta) - spec.F(beta)
+    return _finite_sum(areas, recv) / _window_s(recv)
 
 
 def apply_bias(trace: AgeTrace, bias: BiasModel) -> AgeTrace:
@@ -206,7 +209,8 @@ def penalty_bias(trace: AgeTrace, bias: BiasModel, spec: PenaltySpec) -> float:
     gen, recv = _delivered_or_raise(trace)
     beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
     theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
-    areas = spec.F(theta + b) - spec.F(beta + b) - spec.F(theta) + spec.F(beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # see penalty_average
+        areas = spec.F(theta + b) - spec.F(beta + b) - spec.F(theta) + spec.F(beta)
     return _finite_sum(areas, recv) / _window_s(recv)
 
 

@@ -22,6 +22,8 @@ CSV_HEADER = ("id", "gen_ns", "recv_ns", "size_bytes")
 
 _LOST = -1  # internal sentinel for "no reception stamp"
 _I64_MAX = 2**63 - 1
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_WRITE_CHUNK = 8192  # rows formatted per write; bounds the writer's memory
 
 
 def seconds_to_ns(t_s):
@@ -211,12 +213,15 @@ class AgeTrace:
         f = open(path_or_file, "w", encoding="utf-8", newline="\n") if own \
             else path_or_file
         try:
-            f.write(",".join(CSV_HEADER) + "\n")
-            recv = self.recv_ns
-            for i in range(len(self.ids)):
-                r = "" if recv[i] == _LOST else str(int(recv[i]))
-                f.write(f"{int(self.ids[i])},{int(self.gen_ns[i])},{r},"
-                        f"{int(self.sizes[i])}\n")
+            f.write(_HEADER_LINE)
+            for lo in range(0, len(self.ids), _WRITE_CHUNK):
+                hi = lo + _WRITE_CHUNK
+                rows = np.column_stack((self.ids[lo:hi], self.gen_ns[lo:hi],
+                                        self.recv_ns[lo:hi], self.sizes[lo:hi]))
+                fields = rows.ravel().tolist()
+                for i in np.flatnonzero(rows[:, 2] == _LOST).tolist():
+                    fields[4 * i + 2] = ""
+                f.write("%d,%d,%s,%d\n" * len(rows) % tuple(fields))
         finally:
             if own:
                 f.close()
@@ -224,58 +229,101 @@ class AgeTrace:
 
 def read_csv(path_or_file, bias_declared: bool = False) -> AgeTrace:
     """Parse a trace CSV, aborting with the line number on any
-    malformed row."""
-    own = isinstance(path_or_file, (str, bytes, os.PathLike))
-    f = open(path_or_file, "r", encoding="utf-8", newline="") if own \
-        else path_or_file
+    malformed row.
+
+    The input is read whole. Plain rows parse in bulk; anything else,
+    from CRLF endings to a malformed row, goes to the row parser, which
+    alone reports line numbers.
+    """
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
+        with open(path_or_file, "rb") as f:
+            data = f.read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    else:
+        content = path_or_file.read()
+        data = content.encode("ascii") if content.isascii() else b""
+        text = io.StringIO(content, newline="")
+    trace = _read_plain(data, bias_declared)
+    return trace if trace is not None else _read_rows(text, bias_declared)
+
+
+def _read_plain(data: bytes, bias_declared: bool) -> Optional[AgeTrace]:
+    """The trace in `data` if it is the exact header followed by
+    newline-terminated rows of four decimal fields, only `recv_ns`
+    possibly empty, that form a valid trace; otherwise None."""
+    header = _HEADER_LINE.encode("ascii")
+    if not data.startswith(header) or not data.endswith(b"\n"):
+        return None
+    body = data[len(header):]
+    # no row, or a blank first line, is left to the row parser: loadtxt
+    # warns on input that holds no row
+    if body[:1] in (b"", b"\n") or body.translate(None, b"0123456789,\n"):
+        return None
     try:
-        reader = csv.reader(f)
+        # values beyond int64 raise ValueError. With digits only, -1 can
+        # come only from an empty gen_ns or recv_ns (the first and last
+        # fields stay empty and fail), and from_arrays refuses gen_ns < 0
+        rows = np.loadtxt(io.BytesIO(body.replace(b",,", b",-1,")),
+                          dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (body.count(b"\n"), 4):  # loadtxt skips blank lines
+        return None
+    ids, gen, recv, sizes = rows.T.copy()
+    try:
+        return AgeTrace.from_arrays(ids, gen, recv, sizes,
+                                    bias_declared=bias_declared)
+    except ValueError:  # ids not increasing, gen_ns < 0, recv before gen
+        return None
+
+
+def _read_rows(f, bias_declared: bool) -> AgeTrace:
+    """Parse CSV lines one at a time, raising TraceFormatError with the
+    number of the first malformed line."""
+    reader = csv.reader(f)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError(1, "empty file") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise TraceFormatError(1, f"expected header {','.join(CSV_HEADER)}")
+    ids: list[int] = []
+    gen: list[int] = []
+    recv: list[int] = []
+    sizes: list[int] = []
+    prev_id = -1
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise TraceFormatError(line_no, f"expected 4 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(1, "empty file") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise TraceFormatError(1, f"expected header {','.join(CSV_HEADER)}")
-        ids: list[int] = []
-        gen: list[int] = []
-        recv: list[int] = []
-        sizes: list[int] = []
-        prev_id = -1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(line_no, f"expected 4 fields, got {len(row)}")
-            try:
-                pid = int(row[0])
-                g = int(row[1])
-                r = _LOST if row[2].strip() == "" else int(row[2])
-                s = int(row[3])
-            except ValueError as exc:
-                raise TraceFormatError(line_no, str(exc)) from None
-            if pid < 0 or g < 0 or s < 0 or (r != _LOST and r < 0):
-                raise TraceFormatError(line_no, "negative field")
-            # the format allows unsigned 64-bit decimals, but stamps
-            # beyond signed-64 range (year 2262 in epoch nanoseconds)
-            # exceed the internal representation
-            if max(pid, g, r, s) > _I64_MAX:
-                raise TraceFormatError(line_no, "value exceeds signed 64-bit range")
-            if pid <= prev_id:
-                raise TraceFormatError(line_no, "ids must strictly increase")
-            if not bias_declared and r != _LOST and r < g:
-                raise TraceFormatError(line_no, "reception before generation")
-            prev_id = pid
-            ids.append(pid)
-            gen.append(g)
-            recv.append(r)
-            sizes.append(s)
-        return AgeTrace.from_arrays(
-            ids, gen, np.array(recv, dtype=np.int64), sizes,
-            bias_declared=bias_declared,
-        )
-    finally:
-        if own:
-            f.close()
+            pid = int(row[0])
+            g = int(row[1])
+            r = _LOST if row[2].strip() == "" else int(row[2])
+            s = int(row[3])
+        except ValueError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
+        if pid < 0 or g < 0 or s < 0 or (r != _LOST and r < 0):
+            raise TraceFormatError(line_no, "negative field")
+        # the format allows unsigned 64-bit decimals, but stamps
+        # beyond signed-64 range (year 2262 in epoch nanoseconds)
+        # exceed the internal representation
+        if max(pid, g, r, s) > _I64_MAX:
+            raise TraceFormatError(line_no, "value exceeds signed 64-bit range")
+        if pid <= prev_id:
+            raise TraceFormatError(line_no, "ids must strictly increase")
+        if not bias_declared and r != _LOST and r < g:
+            raise TraceFormatError(line_no, "reception before generation")
+        prev_id = pid
+        ids.append(pid)
+        gen.append(g)
+        recv.append(r)
+        sizes.append(s)
+    return AgeTrace.from_arrays(
+        ids, gen, np.array(recv, dtype=np.int64), sizes,
+        bias_declared=bias_declared,
+    )
 
 
 def trace_from_csv_text(text: str, bias_declared: bool = False) -> AgeTrace:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,23 @@ def test_analyze_non_finite_penalty_exits_3(tmp_path, capsys):
     assert "error: penalty is not finite over interval 1," in err
 
 
+def test_analyze_overflowing_penalty_writes_one_error_line(tmp_path):
+    # numpy's overflow warnings must not reach stderr ahead of the error
+    import subprocess
+    import sys
+
+    path = tmp_path / "gap.csv"
+    path.write_text(GOLDEN_TWO_PACKET + "2,901000000000,902000000000,100\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoikit.cli", "analyze", str(path),
+         "--penalty", "exponential", "--alpha", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: penalty is not finite over interval 1,")
+
+
 def test_analyze_malformed_row_reports_line_and_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,gen_ns,recv_ns,size_bytes\n0,0,10,0\n1,oops,20,0\n")
@@ -221,6 +239,34 @@ def test_measure_sampler_emulated(tmp_path, capsys):
     assert code == 0
     stats = kv(stdout)
     assert float(stats["avg_age_recv_form_s"]) == pytest.approx(0.016071, rel=0.02)
+    assert os.path.exists(out + ".manifest.json")
+
+
+def test_measure_sampler_abort_exits_3_and_keeps_the_partial_trace(
+        tmp_path, capsys, monkeypatch):
+    from aoikit import udp
+    from aoikit.trace import AgeTrace
+
+    partial = AgeTrace.from_arrays([0, 1, 2], [0, 10**8, 2 * 10**8],
+                                   [5 * 10**7, 15 * 10**7, None])
+
+    def aborted_run(dest, schedule, size):
+        return udp.SamplerResult(partial, sent=3, received=2, duplicates=0,
+                                 unmatched=0, aborted=True)
+
+    monkeypatch.setattr(udp, "run_sampler", aborted_run)
+    out = str(tmp_path / "m.csv")
+    code, stdout, err = run_cli(
+        capsys, "measure", "sampler", "--dest", "127.0.0.1:9",
+        "--rate", "10", "--duration", "1", "--out", out,
+    )
+    assert code == 3
+    assert err == "error: sampler aborted after 3 packets\n"
+    stats = kv(stdout)
+    assert stats["sent"] == "3" and stats["received"] == "2"
+    assert "avg_age_recv_form_s" in stats
+    assert Path(out).read_text().splitlines()[1:] == [
+        "0,0,50000000,0", "1,100000000,150000000,0", "2,200000000,,0"]
     assert os.path.exists(out + ".manifest.json")
 
 

@@ -1,12 +1,17 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoikit import trace as trace_module
 from aoikit.errors import RangeError, TraceFormatError
-from aoikit.trace import AgeTrace, PacketRecord, read_csv, trace_from_csv_text
+from aoikit.trace import (
+    _WRITE_CHUNK, AgeTrace, PacketRecord, _read_plain, _read_rows, read_csv,
+    trace_from_csv_text,
+)
 
 from helpers import random_reordered_trace
 
@@ -183,3 +188,167 @@ def test_csv_semantic_violations_report_their_line():
     # the same row parses when a clock bias is declared
     trace = read_csv(io.StringIO(header + "0,100,90,0\n"), bias_declared=True)
     assert trace.arrivals == 1
+
+
+# -- bulk read path against the row parser ---------------------------
+
+HEADER = "id,gen_ns,recv_ns,size_bytes\n"
+I64_MAX = 2**63 - 1
+
+
+def read_through_path_and_buffer(directory, text, bias_declared=False):
+    """`read_csv` of `text` once from a file and once from a StringIO."""
+    path = directory / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return [read_csv(path, bias_declared=bias_declared),
+            read_csv(io.StringIO(text), bias_declared=bias_declared)]
+
+
+def assert_same_trace(a, b):
+    for column in ("ids", "gen_ns", "recv_ns", "sizes"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        assert getattr(a, column).dtype == np.int64
+    assert (a.t_start_ns, a.t_end_ns) == (b.t_start_ns, b.t_end_ns)
+    assert a.loss_count == b.loss_count
+    assert a.obsolete_count == b.obsolete_count
+
+
+@st.composite
+def valid_traces(draw):
+    bias = draw(st.booleans())
+    ids = sorted(draw(st.lists(st.integers(0, I64_MAX), unique=True, max_size=30)))
+    gen, recv, sizes = [], [], []
+    for _ in ids:
+        g = draw(st.integers(0, I64_MAX))
+        gen.append(g)
+        recv.append(draw(st.one_of(
+            st.none(), st.integers(0 if bias else g, I64_MAX))))
+        sizes.append(draw(st.one_of(st.just(0), st.integers(0, I64_MAX))))
+    return AgeTrace.from_arrays(ids, gen, recv, sizes, bias_declared=bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=valid_traces())
+def test_read_csv_matches_row_parser_on_valid_traces(trace, tmp_path_factory):
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    text = buf.getvalue()
+    bias = trace.bias_declared
+    if len(trace):  # the row parser reads a bare header
+        assert _read_plain(text.encode("ascii"), bias) is not None
+    expected = _read_rows(io.StringIO(text), bias)
+    for back in read_through_path_and_buffer(tmp_path_factory.mktemp("t"), text, bias):
+        assert_same_trace(back, expected)
+        assert_same_trace(back, trace)
+
+
+PLAIN = "0,5,7,1\n2,6,,3\n9,8,20,0\n"
+
+
+def test_plain_input_does_not_reach_the_row_parser(tmp_path, monkeypatch):
+    def refuse(f, bias_declared):
+        raise AssertionError("row parser called on plain input")
+
+    monkeypatch.setattr(trace_module, "_read_rows", refuse)
+    for back in read_through_path_and_buffer(tmp_path, HEADER + PLAIN):
+        assert back.recv_ns.tolist() == [7, -1, 20]
+
+
+@pytest.mark.parametrize("text", [
+    HEADER.replace("\n", "\r\n") + PLAIN.replace("\n", "\r\n"),
+    "id, gen_ns, recv_ns, size_bytes\n" + PLAIN,
+    HEADER + "0, 5,7 ,1\n2,6, ,3\n9,8,20,0\n",
+    HEADER + "+0,+5,+7,+1\n2,6,,3\n9,8,20,0\n",
+    HEADER + PLAIN.rstrip("\n"),
+    HEADER + "\n" + PLAIN,
+    HEADER + "0,5,7,1\n\n2,6,,3\n9,8,20,0\n\n",
+])
+def test_inputs_refused_by_the_bulk_path_still_parse(text, tmp_path):
+    assert _read_plain(text.encode("ascii"), False) is None
+    canonical = _read_rows(io.StringIO(HEADER + PLAIN), False)
+    assert_same_trace(_read_rows(io.StringIO(text, newline=""), False), canonical)
+    for back in read_through_path_and_buffer(tmp_path, text):
+        assert_same_trace(back, canonical)
+
+
+def test_long_leading_zero_values_parse_as_before(tmp_path):
+    text = HEADER + "0,000000000000000000000005,7,1\n2,6,,3\n9,8,0000000000000000000020,0\n"
+    canonical = _read_rows(io.StringIO(HEADER + PLAIN), False)
+    assert_same_trace(_read_rows(io.StringIO(text), False), canonical)
+    for back in read_through_path_and_buffer(tmp_path, text):
+        assert_same_trace(back, canonical)
+
+
+@pytest.mark.parametrize("row,line_no", [
+    (",5,7,1", 3),                        # empty id
+    ("1,,7,1", 3),                        # empty gen_ns
+    ("1,5,7,", 3),                        # empty size_bytes
+    ("1,5,7", 3),                         # 3 fields
+    ("1,5,7,1,0", 3),                     # 5 fields
+    (f"1,{2**63},{2**63},1", 3),          # just beyond int64
+    (f"1,5,{2**64},1", 3),                # beyond uint64
+    ("0,5,7,1", 3),                       # ids do not increase
+    ("1,5,4,1", 3),                       # recv before gen without bias
+    ("1,5,7,1\n2,6,7,1\n1,9,9,9", 5),    # ids decrease further down
+])
+def test_malformed_rows_keep_their_line_number_and_message(row, line_no, tmp_path):
+    text = HEADER + "0,0,1,0\n" + row + "\n"
+    with pytest.raises(TraceFormatError) as expected:
+        _read_rows(io.StringIO(text), False)
+    assert expected.value.line_no == line_no
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("ascii"))
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(TraceFormatError) as exc:
+            read_csv(source)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == str(expected.value)
+
+
+# -- chunked writer ----------------------------------------------------
+
+def write_rows_reference(trace):
+    """The trace as text, one row formatted at a time."""
+    out = [HEADER]
+    for pid, g, r, size in zip(trace.ids, trace.gen_ns, trace.recv_ns, trace.sizes):
+        stamp = "" if r == -1 else str(int(r))
+        out.append(f"{int(pid)},{int(g)},{stamp},{int(size)}\n")
+    return "".join(out)
+
+
+def written(trace, directory):
+    """What `write_csv` writes, to a file and to a StringIO; both must agree."""
+    path = directory / "w.csv"
+    trace.write_csv(path)
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert path.read_bytes() == buf.getvalue().encode("ascii")
+    return buf.getvalue()
+
+
+def test_writer_matches_per_row_reference_across_a_chunk_boundary(tmp_path):
+    n = _WRITE_CHUNK + 1
+    gen = np.arange(n, dtype=np.int64) * 1000
+    recv = [int(g) + 500 for g in gen]
+    for i in (0, _WRITE_CHUNK - 2, _WRITE_CHUNK - 1, _WRITE_CHUNK):
+        recv[i] = None  # lost rows on both sides of the boundary
+    recv[1] = I64_MAX
+    sizes = np.arange(n, dtype=np.int64) % 7
+    trace = AgeTrace.from_arrays(np.arange(n) * 3, gen, recv, sizes)
+    text = written(trace, tmp_path)
+    assert text == write_rows_reference(trace)
+    lines = text.splitlines()
+    last, first = _WRITE_CHUNK - 1, _WRITE_CHUNK  # around the boundary
+    assert lines[1 + last] == f"{3 * last},{1000 * last},,{last % 7}"
+    assert lines[1 + first] == f"{3 * first},{1000 * first},,{first % 7}"
+    assert_same_trace(read_csv(io.StringIO(text)), trace)
+
+
+def test_empty_trace_writes_only_the_header(tmp_path):
+    trace = AgeTrace.from_arrays([], [], [])
+    assert written(trace, tmp_path) == HEADER
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on input with no row
+        for text in (HEADER, HEADER + "\n", HEADER + "\n\n"):
+            for back in read_through_path_and_buffer(tmp_path, text):
+                assert_same_trace(back, trace)
