@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -259,14 +260,19 @@ def _read_plain(data: bytes, bias_declared: bool) -> Optional[AgeTrace]:
     # warns on input that holds no row
     if body[:1] in (b"", b"\n") or body.translate(None, b"0123456789,\n"):
         return None
-    try:
-        # values beyond int64 raise ValueError. With digits only, -1 can
-        # come only from an empty gen_ns or recv_ns (the first and last
-        # fields stay empty and fail), and from_arrays refuses gen_ns < 0
-        rows = np.loadtxt(io.BytesIO(body.replace(b",,", b",-1,")),
-                          dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
+    # With digits only, -1 can come only from an empty gen_ns or recv_ns
+    # (the first and last fields stay empty and fail), and from_arrays
+    # refuses gen_ns < 0. A value beyond int64 raises ValueError, or, in
+    # numpy versions that still retry a failed integer as a float, warns
+    # DeprecationWarning and casts to a wrong int64; both are refused.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(io.BytesIO(body.replace(b",,", b",-1,")),
+                              dtype=np.int64, delimiter=",", comments=None,
+                              ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
     if rows.shape != (body.count(b"\n"), 4):  # loadtxt skips blank lines
         return None
     ids, gen, recv, sizes = rows.T.copy()

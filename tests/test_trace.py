@@ -279,20 +279,25 @@ def test_long_leading_zero_values_parse_as_before(tmp_path):
         assert_same_trace(back, canonical)
 
 
-@pytest.mark.parametrize("row,line_no", [
-    (",5,7,1", 3),                        # empty id
-    ("1,,7,1", 3),                        # empty gen_ns
-    ("1,5,7,", 3),                        # empty size_bytes
-    ("1,5,7", 3),                         # 3 fields
-    ("1,5,7,1,0", 3),                     # 5 fields
-    (f"1,{2**63},{2**63},1", 3),          # just beyond int64
-    (f"1,5,{2**64},1", 3),                # beyond uint64
-    ("0,5,7,1", 3),                       # ids do not increase
-    ("1,5,4,1", 3),                       # recv before gen without bias
-    ("1,5,7,1\n2,6,7,1\n1,9,9,9", 5),    # ids decrease further down
+@pytest.mark.parametrize("rows,line_no", [
+    ("0,0,1,0\n,5,7,1", 3),                # empty id
+    ("0,0,1,0\n1,,7,1", 3),                # empty gen_ns
+    ("0,0,1,0\n1,5,7,", 3),                # empty size_bytes
+    ("0,0,1,0\n1,5,7", 3),                 # 3 fields
+    ("0,0,1,0\n1,5,7,1,0", 3),             # 5 fields
+    (f"0,0,1,0\n1,{2**63},{2**63},1", 3),  # stamps just beyond int64
+    (f"0,0,1,0\n1,5,{2**64},1", 3),        # stamp beyond uint64
+    (f"0,0,1,0\n{2**63},5,7,1", 3),        # id beyond int64
+    (f"0,0,1,0\n{2**64},5,7,1", 3),
+    (f"0,0,1,0\n1,5,7,{2**63}", 3),        # size beyond int64
+    (f"0,0,1,0\n1,5,7,{2**64}", 3),
+    (f"{2**63},0,1,0\n{2**64},5,7,1", 2),  # first-row id beyond int64
+    ("0,0,1,0\n0,5,7,1", 3),               # ids do not increase
+    ("0,0,1,0\n1,5,4,1", 3),               # recv before gen without bias
+    ("0,0,1,0\n1,5,7,1\n2,6,7,1\n1,9,9,9", 5),  # ids decrease further down
 ])
-def test_malformed_rows_keep_their_line_number_and_message(row, line_no, tmp_path):
-    text = HEADER + "0,0,1,0\n" + row + "\n"
+def test_malformed_rows_keep_their_line_number_and_message(rows, line_no, tmp_path):
+    text = HEADER + rows + "\n"
     with pytest.raises(TraceFormatError) as expected:
         _read_rows(io.StringIO(text), False)
     assert expected.value.line_no == line_no
@@ -303,6 +308,25 @@ def test_malformed_rows_keep_their_line_number_and_message(row, line_no, tmp_pat
             read_csv(source)
         assert exc.value.line_no == line_no
         assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("rows", [f"0,0,1,{2**63}", f"{2**63},0,1,0"])
+def test_int64_overflow_refused_when_loadtxt_casts_through_float(rows, monkeypatch):
+    # numpy versions that retry a failed integer parse as a float warn
+    # and return a wrapped int64 instead of raising
+    real_loadtxt = np.loadtxt
+
+    def float_fallback(fname, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        body = fname.read().replace(str(2**63).encode(), str(-(2**63)).encode())
+        return real_loadtxt(io.BytesIO(body), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", float_fallback)
+    with pytest.raises(TraceFormatError) as exc:
+        read_csv(io.StringIO(HEADER + rows + "\n"))
+    assert (exc.value.line_no, str(exc.value)) == (
+        2, "line 2: value exceeds signed 64-bit range")
 
 
 # -- chunked writer ----------------------------------------------------
