@@ -74,3 +74,68 @@ def sha256_of(*parts) -> str:
     for part in parts:
         h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
+
+
+def reference_simulate_scheduler(cfg, frames: int, seed: int = 0, keep_traces: bool = True):
+    """The polling loop as first written, scoring every source in every
+    frame in Python: the reference `simulate_scheduler` must equal
+    exactly, in polls, successes, ages and traces."""
+    from aoikit.errors import ConfigError
+    from aoikit.scheduler import SchedulerRun
+
+    if frames < 1:
+        raise ConfigError("need at least one frame")
+    n = cfg.n_sources
+    p = np.asarray(cfg.success_prob, dtype=float)
+    w = cfg.weight_exponent
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    coins = rng.random(frames)
+
+    last_gen = [0] * n  # frame index of the newest delivered sample
+    area = [0.0] * n  # integral of age, in frame^2 units
+    polls = [0] * n
+    successes = [0] * n
+    deliveries: list[list[int]] = [[] for _ in range(n)]
+
+    for k in range(frames):
+        ages = [k - last_gen[i] for i in range(n)]
+        if cfg.policy == "round-robin":
+            pick = k % n
+        elif cfg.policy == "greedy":
+            best, pick = -1.0, 0
+            for i in range(n):
+                score = float(ages[i]) ** w
+                if score > best:
+                    best, pick = score, i
+        else:  # max-weight
+            best, pick = -1.0, 0
+            for i in range(n):
+                score = p[i] * float(ages[i]) ** w
+                if score > best:
+                    best, pick = score, i
+        for i in range(n):
+            area[i] += ages[i] + 0.5
+        polls[pick] += 1
+        if coins[k] < p[pick]:
+            successes[pick] += 1
+            deliveries[pick].append(k)
+            last_gen[pick] = k
+
+    frame = cfg.frame_s
+    avg = [a / frames * frame for a in area]
+
+    traces = []
+    if keep_traces:
+        frame_ns = seconds_to_ns(frame)
+        for i in range(n):
+            ks = np.asarray(deliveries[i], dtype=np.int64)
+            traces.append(
+                AgeTrace.from_arrays(
+                    np.arange(len(ks)),
+                    ks * frame_ns,
+                    (ks + 1) * frame_ns,
+                    t_start_ns=0,
+                    t_end_ns=frames * frame_ns,
+                )
+            )
+    return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
