@@ -9,7 +9,9 @@ boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +41,8 @@ class SchedulerConfig:
             raise ConfigError("success probabilities must be in (0, 1]")
         if not (self.frame_s > 0):
             raise ConfigError("frame must be positive")
+        if not (0.0 <= self.weight_exponent < math.inf):
+            raise ConfigError("weight exponent must be finite and non-negative")
 
 
 @dataclass
@@ -69,48 +73,36 @@ def simulate_scheduler(
         raise ConfigError("need at least one frame")
     n = cfg.n_sources
     p = np.asarray(cfg.success_prob, dtype=float)
-    w = cfg.weight_exponent
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     coins = rng.random(frames)
 
-    last_gen = [0] * n  # frame index of the newest delivered sample
-    area = [0.0] * n  # integral of age, in frame^2 units
-    polls = [0] * n
-    successes = [0] * n
-    deliveries: list[list[int]] = [[] for _ in range(n)]
+    if cfg.policy == "round-robin":
+        picks = np.arange(frames) % n
+    else:
+        weights = p if cfg.policy == "max-weight" else None
+        picks = _max_weight_picks(weights, p, coins, cfg.weight_exponent)
+    success = coins < p[picks]
+    polls = np.bincount(picks, minlength=n)
+    successes = np.bincount(picks[success], minlength=n)
+    # delivery frames grouped by source, each group in frame order
+    hits = np.flatnonzero(success)
+    hits = hits[np.argsort(picks[hits], kind="stable")]
+    deliveries = np.split(hits, np.cumsum(successes)[:-1])
 
-    for k in range(frames):
-        ages = [k - last_gen[i] for i in range(n)]
-        if cfg.policy == "round-robin":
-            pick = k % n
-        elif cfg.policy == "greedy":
-            best, pick = -1.0, 0
-            for i in range(n):
-                score = float(ages[i]) ** w
-                if score > best:
-                    best, pick = score, i
-        else:  # max-weight
-            best, pick = -1.0, 0
-            for i in range(n):
-                score = p[i] * float(ages[i]) ** w
-                if score > best:
-                    best, pick = score, i
-        for i in range(n):
-            area[i] += ages[i] + 0.5
-        polls[pick] += 1
-        if coins[k] < p[pick]:
-            successes[pick] += 1
-            deliveries[pick].append(k)
-            last_gen[pick] = k
-
+    # age in frame k is k minus the newest delivery before k (0 at
+    # first): a run of L frames after a delivery, or from frame 0,
+    # adds 1 + ... + L, and every frame adds its trapezoid's 0.5
     frame = cfg.frame_s
-    avg = [a / frames * frame for a in area]
+    avg = []
+    for ks in deliveries:
+        runs = np.diff(ks, prepend=0, append=frames - 1)
+        area = int((runs * (runs + 1) // 2).sum()) + 0.5 * frames
+        avg.append(area / frames * frame)
 
     traces = []
     if keep_traces:
         frame_ns = seconds_to_ns(frame)
-        for i in range(n):
-            ks = np.asarray(deliveries[i], dtype=np.int64)
+        for ks in deliveries:
             traces.append(
                 AgeTrace.from_arrays(
                     np.arange(len(ks)),
@@ -120,4 +112,48 @@ def simulate_scheduler(
                     t_end_ns=frames * frame_ns,
                 )
             )
-    return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
+    return SchedulerRun(cfg, frames, seed, avg, polls.tolist(),
+                        successes.tolist(), traces)
+
+
+def _max_weight_picks(weights: Optional[np.ndarray], p: np.ndarray,
+                      coins: np.ndarray, w: float) -> np.ndarray:
+    """Poll, in each frame, the first source with the largest
+    weights[i] * age_i**w; greedy is the case of unit weights (None).
+
+    pw[a] holds float(a) ** w, Python's pow, so every score and every
+    tie equals a per-source scan. The table grows only when the oldest
+    age reaches its end, and never past the first age whose power
+    overflows, so a run raises OverflowError exactly when an age's
+    power overflows.
+    """
+    last = np.zeros(len(p), dtype=np.int64)  # newest delivered frame
+    low = 0  # a lower bound on last.min()
+    pw = np.empty(0)
+    p_list = p.tolist()
+    picks = []
+    for k, coin in enumerate(coins.tolist()):
+        if k - low >= len(pw):
+            low = int(last.min())
+            if k - low >= len(pw):
+                pw = _extend_powers(pw, k - low, w)
+        scores = pw[k - last]
+        pick = int((scores if weights is None else weights * scores).argmax())
+        picks.append(pick)
+        if coin < p_list[pick]:
+            last[pick] = k
+    return np.array(picks, dtype=np.int64)
+
+
+def _extend_powers(pw: np.ndarray, age: int, w: float) -> np.ndarray:
+    """pw extended to at least twice its length and past `age`,
+    stopping short at the first power beyond `age` that overflows."""
+    more = []
+    for a in range(len(pw), max(2 * len(pw), age + 1)):
+        try:
+            more.append(float(a) ** w)
+        except OverflowError:
+            if a <= age:
+                raise
+            break
+    return np.concatenate((pw, more))
