@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .trace import AgeTrace, seconds_to_ns
+from .trace import _LOST, AgeTrace, seconds_to_ns
 
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
 SERVICE_KINDS = ("exponential", "deterministic")
@@ -226,11 +226,16 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
         seq += 1
         return (t, seq)
 
-    def service_time() -> float:
-        return float(_draw_services(cfg.service, 1, service_rng)[0])
+    scale = 1.0 / cfg.service.mu
+    if cfg.service.kind == "exponential":
+        def service_time() -> float:
+            return service_rng.exponential(scale)
+    else:
+        def service_time() -> float:
+            return scale
 
     gen_times: list[float] = []
-    recv_times: list[Optional[float]] = []
+    recv_times: list[float] = []  # nan until delivered
     queue: deque[int] = deque()  # FCFS waiting line, or [freshest] for lcfs1
     in_service: Optional[int] = None
     next_arrival = at(arrivals[0] if exogenous else 0.0)
@@ -248,7 +253,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
             now = next_arrival[0]
             idx = len(gen_times)
             gen_times.append(now)
-            recv_times.append(None)
+            recv_times.append(math.nan)
             next_arrival = _NEVER
             if exogenous and generated < n:
                 next_arrival = at(arrivals[generated])
@@ -293,11 +298,12 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
             departure = at(now + service_time())
 
     ids = np.arange(len(gen_times), dtype=np.int64)
+    recv_s = np.array(recv_times)
+    recv_ns = np.full(len(recv_s), _LOST, dtype=np.int64)
+    got = ~np.isnan(recv_s)
+    recv_ns[got] = seconds_to_ns(recv_s[got])
     trace = AgeTrace.from_arrays(
-        ids,
-        seconds_to_ns(np.asarray(gen_times)),
-        [None if r is None else seconds_to_ns(r) for r in recv_times],
-        t_start_ns=0,
+        ids, seconds_to_ns(np.asarray(gen_times)), recv_ns, t_start_ns=0,
     )
     total_loss = lost_channel + lost_overflow + discarded
     meta = {
