@@ -33,7 +33,11 @@ class EchoServer:
 
     def __init__(self, bind_host: str = "127.0.0.1", port: int = 0):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((bind_host, port))
+        try:
+            self.sock.bind((bind_host, port))
+        except OSError:
+            self.sock.close()
+            raise
         self.sock.settimeout(0.25)
         self.host, self.port = self.sock.getsockname()[:2]
         self.rx = 0

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from pathlib import Path
@@ -58,11 +59,11 @@ def test_sim_writes_trace_meta_and_manifest(tmp_path, capsys):
     assert os.path.exists(out)
     meta = dict(
         line.split("=", 1)
-        for line in open(out + ".meta").read().splitlines()
+        for line in Path(out + ".meta").read_text().splitlines()
     )
     assert meta["seed"] == "1"
     assert meta["unstable"] == "0"
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["subcommand"] == "sim"
     assert out in manifest["outputs"]
     assert manifest["seed"] == 1
@@ -77,7 +78,7 @@ def test_sim_repeats_are_byte_identical(tmp_path, capsys):
             "--arrivals", "20000", "--seed", "42", "--out", out,
         )
         assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_unstable_run_flagged_in_metadata(tmp_path, capsys):
@@ -87,7 +88,7 @@ def test_unstable_run_flagged_in_metadata(tmp_path, capsys):
         "--arrivals", "5000", "--seed", "3", "--out", out,
     )
     assert code == 0
-    assert "unstable=1" in open(out + ".meta").read()
+    assert "unstable=1" in Path(out + ".meta").read_text()
 
 
 def test_aoi_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -105,7 +106,7 @@ def test_aoi_seed_env_fallback(tmp_path, capsys, monkeypatch):
         "--arrivals", "2000", "--seed", "99", "--out", b,
     )
     assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_analyze_golden_trace(tmp_path, capsys):
@@ -160,7 +161,7 @@ def test_sweep_single_point(tmp_path, capsys):
         "--seed", "2", "--out", out,
     )
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "rate_hz,avg_age_s,peak_age_s,loss,avg_delay_s"
     assert len(lines) == 2
     assert kv(stdout)["points"] == "1"
@@ -175,7 +176,7 @@ def test_sweep_bottleneck_u_shape(tmp_path, capsys):
     )
     assert code == 0
     assert "# gnuplot" in stdout
-    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
     ages = [float(r[1]) for r in rows]
     k = ages.index(min(ages))
     assert 0 < k < len(ages) - 1
@@ -192,7 +193,7 @@ def test_sweep_discipline_comparison_high_rate_tail(tmp_path, capsys):
             "--out", out,
         )
         assert code == 0
-        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
         outs[disc] = [float(r[1]) for r in rows]
     for lc, fc in zip(outs["lcfs1"], outs["fcfs"]):
         assert lc <= fc
@@ -274,7 +275,7 @@ def test_policy_lazy_run(tmp_path, capsys):
     assert code == 0
     stats = kv(stdout)
     assert float(stats["mean_rate_hz"]) == pytest.approx(10.0, rel=0.05)
-    log = open(prefix + ".decisions.csv").read().splitlines()
+    log = Path(prefix + ".decisions.csv").read_text().splitlines()
     assert log[0] == "epoch,action,target_backlog,rate_hz,avg_age_s,backlog"
     assert len(log) > 10
     assert os.path.exists(prefix + ".trace.csv")
@@ -291,7 +292,7 @@ def test_policy_config_file(tmp_path, capsys):
         "--duration", "10", "--config", str(cfg), "--out", prefix,
     )
     assert code == 0
-    rows = open(prefix + ".decisions.csv").read().splitlines()[1:]
+    rows = Path(prefix + ".decisions.csv").read_text().splitlines()[1:]
     targets = [float(r.split(",")[2]) for r in rows]
     assert all(2.0 <= t <= 8.0 for t in targets)
 
@@ -338,7 +339,7 @@ def test_policy_acp_capacity_step_preset(tmp_path, capsys):
         "--duration", "30", "--out", prefix,
     )
     assert code == 0
-    rows = open(prefix + ".decisions.csv").read().splitlines()[1:]
+    rows = Path(prefix + ".decisions.csv").read_text().splitlines()[1:]
     assert any(r.split(",")[1] == "MDEC" for r in rows)
 
 
@@ -382,6 +383,15 @@ def test_measure_echo_server_bind_failure_exits_3(capsys):
         taken.close()
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_measure_echo_server_bind_failure_closes_its_socket(capsys):
+    # a socket left open is reported as a ResourceWarning when it is
+    # collected, which these filters turn into a failure
+    test_measure_echo_server_bind_failure_exits_3(capsys)
+    gc.collect()
 
 
 def test_measure_sync_unanswered_peer_exits_3(capsys):
