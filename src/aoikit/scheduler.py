@@ -89,9 +89,10 @@ def simulate_scheduler(
     hits = hits[np.argsort(picks[hits], kind="stable")]
     deliveries = np.split(hits, np.cumsum(successes)[:-1])
 
-    # age in frame k is k minus the newest delivery before k (0 at
-    # first): a run of L frames after a delivery, or from frame 0,
-    # adds 1 + ... + L, and every frame adds its trapezoid's 0.5
+    # age in frame k is k minus the newest delivery before k (0 before
+    # any): between consecutive delivery frames L apart (frame 0 and
+    # the last frame count as ends) the ages sum to 1 + ... + L, and
+    # each frame's trapezoid adds 0.5
     frame = cfg.frame_s
     avg = []
     for ks in deliveries:
@@ -130,19 +131,18 @@ def _max_weight_picks(weights: Optional[np.ndarray], p: np.ndarray,
     last = np.zeros(len(p), dtype=np.int64)  # newest delivered frame
     low = 0  # a lower bound on last.min()
     pw = np.empty(0)
-    p_list = p.tolist()
-    picks = []
-    for k, coin in enumerate(coins.tolist()):
+    picks = np.empty(len(coins), dtype=np.int64)
+    for k in range(len(coins)):
         if k - low >= len(pw):
             low = int(last.min())
             if k - low >= len(pw):
                 pw = _extend_powers(pw, k - low, w)
         scores = pw[k - last]
         pick = int((scores if weights is None else weights * scores).argmax())
-        picks.append(pick)
-        if coin < p_list[pick]:
+        picks[k] = pick
+        if coins[k] < p[pick]:
             last[pick] = k
-    return np.array(picks, dtype=np.int64)
+    return picks
 
 
 def _extend_powers(pw: np.ndarray, age: int, w: float) -> np.ndarray:
