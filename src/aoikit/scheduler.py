@@ -82,12 +82,9 @@ def simulate_scheduler(
         weights = p if cfg.policy == "max-weight" else None
         picks = _max_weight_picks(weights, p, coins, cfg.weight_exponent)
     success = coins < p[picks]
-    polls = np.bincount(picks, minlength=n)
-    successes = np.bincount(picks[success], minlength=n)
-    # delivery frames grouped by source, each group in frame order
     hits = np.flatnonzero(success)
-    hits = hits[np.argsort(picks[hits], kind="stable")]
-    deliveries = np.split(hits, np.cumsum(successes)[:-1])
+    owner = picks[hits]
+    deliveries = [hits[owner == i] for i in range(n)]  # in frame order
 
     # age in frame k is k minus the newest delivery before k (0 before
     # any): between consecutive delivery frames L apart (frame 0 and
@@ -97,7 +94,7 @@ def simulate_scheduler(
     avg = []
     for ks in deliveries:
         runs = np.diff(ks, prepend=0, append=frames - 1)
-        area = int((runs * (runs + 1) // 2).sum()) + 0.5 * frames
+        area = int((runs * (runs + 1)).sum()) // 2 + 0.5 * frames
         avg.append(area / frames * frame)
 
     traces = []
@@ -113,8 +110,9 @@ def simulate_scheduler(
                     t_end_ns=frames * frame_ns,
                 )
             )
-    return SchedulerRun(cfg, frames, seed, avg, polls.tolist(),
-                        successes.tolist(), traces)
+    polls = np.bincount(picks, minlength=n).tolist()
+    successes = [len(ks) for ks in deliveries]
+    return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
 
 
 def _max_weight_picks(weights: Optional[np.ndarray], p: np.ndarray,
