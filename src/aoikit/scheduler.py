@@ -85,6 +85,8 @@ def simulate_scheduler(
     hits = np.flatnonzero(success)
     owner = picks[hits]
     deliveries = [hits[owner == i] for i in range(n)]  # in frame order
+    polls = np.bincount(picks, minlength=n).tolist()
+    successes = [len(ks) for ks in deliveries]
 
     # age in frame k is k minus the newest delivery before k (0 before
     # any): between consecutive delivery frames L apart (frame 0 and
@@ -110,8 +112,6 @@ def simulate_scheduler(
                     t_end_ns=frames * frame_ns,
                 )
             )
-    polls = np.bincount(picks, minlength=n).tolist()
-    successes = [len(ks) for ks in deliveries]
     return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
 
 
