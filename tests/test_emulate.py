@@ -269,3 +269,132 @@ EMULATED_GOLDEN = {
     "acp/capacity_step":
         "c8072bd00829eb1bce0e15cedd708bb851f9974f019ebfc857243b13d9acb75a",
 }
+
+
+def _golden_policy_channels():
+    # the grid every closed-loop policy is pinned on; zero-wait runs
+    # only on the loss-free ones
+    return {
+        "fixed-50ms": EmulatedChannelSpec.fixed_rtt(0.05, seed=1),
+        "jitter-5ms": EmulatedChannelSpec.fixed_rtt(0.005, jitter_s=0.001, seed=1),
+        "lognormal": EmulatedChannelSpec(rtt_lognorm_median_s=0.1,
+                                         rtt_lognorm_sigma=0.4, seed=1),
+        "capacity-step": parse_emulated("capacity_step", 1),
+        "loss": EmulatedChannelSpec.fixed_rtt(0.05, loss_p=0.05, seed=1),
+        "buffer": EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=100.0, buffer=3,
+                                                jitter_s=0.002, seed=1),
+        "loss-schedule": EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=100.0,
+                                                       loss_onset_load=0.6, seed=1),
+    }
+
+
+def _golden_policy_runs():
+    channels = _golden_policy_channels()
+    lossless = ("fixed-50ms", "jitter-5ms", "lognormal", "capacity-step", "buffer")
+    for duration in (0.3, 30.0):  # 0.3 s ends inside the probe phase on some
+        for name, spec in channels.items():
+            yield f"lazy/{name}/{duration}", "lazy", spec, duration, None
+            yield f"acp/{name}/{duration}", "acp", spec, duration, AcpState()
+        for name in lossless:
+            yield (f"zero-wait/{name}/{duration}", "zero-wait", channels[name],
+                   duration, None)
+        yield (f"acp-slow/capacity-step/{duration}", "acp", channels["capacity-step"],
+               duration, AcpState(kappa=0.5, epoch_floor_s=0.02))
+
+
+def test_policy_golden_digests():
+    # sha256 of traces, decision log and every result figure, pinned
+    # before the policies moved behind one interface
+    got = {}
+    for key, policy, spec, duration, acp in _golden_policy_runs():
+        res = run_rate_policy(policy, spec, duration, acp=acp)
+        figures = (res.mean_inflight, res.mean_rate_hz, res.final_rate_hz,
+                   res.median_age_s, res.sent, res.acked,
+                   [row.t_s for row in res.decisions])
+        got[key] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
+                             decision_csv(res.decisions), repr(figures))
+    assert got == POLICY_GOLDEN
+
+
+POLICY_GOLDEN = {
+    "lazy/fixed-50ms/0.3":
+        "454e142012cb72359d7492d0a040d745853a37213da3f238849f7f19587dd667",
+    "acp/fixed-50ms/0.3":
+        "e7702161bd7154d3d489727d011e7b59e6b6794274899d1d7303d8356d1880db",
+    "lazy/jitter-5ms/0.3":
+        "cd44e8e8da1bbe78a6916c483ac45cba051f05eb34dd014f038ec4286269bfb8",
+    "acp/jitter-5ms/0.3":
+        "9e49b836c8725acdbe031728e558676e5bfd927b30bebb0fab59eb4025e79ad0",
+    "lazy/lognormal/0.3":
+        "8284a6a544124b72218a7738abebba2457a72455e102913e6f569af31da69252",
+    "acp/lognormal/0.3":
+        "56bb8ce78d7a2cf76f2474a89b65cc6dec5b2c00c0f5db358d1f6417605ec096",
+    "lazy/capacity-step/0.3":
+        "a205ae5cf0c79250868e7283dd2cc4ec83dbc8b97b87a62f68916259ae034502",
+    "acp/capacity-step/0.3":
+        "a80c2b136a4490e9292f4ffe8dfa97b4eeb314d398536e7435d84dc49e27b40d",
+    "lazy/loss/0.3":
+        "454e142012cb72359d7492d0a040d745853a37213da3f238849f7f19587dd667",
+    "acp/loss/0.3":
+        "e7702161bd7154d3d489727d011e7b59e6b6794274899d1d7303d8356d1880db",
+    "lazy/buffer/0.3":
+        "b9e98e0db80f7a9bce9766e8d9417ee62f4cfb466f10568bf448796b5b5a7df0",
+    "acp/buffer/0.3":
+        "e187c108fa3ab9dfbc547951440a345b84c21f170371b92a330d49bca20d31f0",
+    "lazy/loss-schedule/0.3":
+        "d2b19d64f4301fa63ad2afefabf4a33e8e659f70ae40f5625bf14e91bfe85356",
+    "acp/loss-schedule/0.3":
+        "4a24aa031f0f5009a06bf5647d470145cacbe3af827e0a84c0eb32329360a5df",
+    "zero-wait/fixed-50ms/0.3":
+        "ce77cc1a76a67053dedc7be6818e82da7d63536e66fb7b25744eff649648e01b",
+    "zero-wait/jitter-5ms/0.3":
+        "63670a9a79a8f9efc720d25f350aa845daccd78e82eb5cb6f7deebd6c372e751",
+    "zero-wait/lognormal/0.3":
+        "49f9d80d907f9c5e022be709117cad48843538677941f2698ebc54917397cda4",
+    "zero-wait/capacity-step/0.3":
+        "3e38be15558b0da8e74bf3500040612d1f3659f54ce13e6ba724f1a8e97297c1",
+    "zero-wait/buffer/0.3":
+        "97b122c4093f269d88a2c32210b353bea55240aa29c92e742e007b509b710059",
+    "acp-slow/capacity-step/0.3":
+        "451c2d2205a746ca09ef54abd95ca3a4ae4dd387c03452c85503203336b57030",
+    "lazy/fixed-50ms/30.0":
+        "2f07c019fc5f5d516396aabfdc3f5a2c01c66c4957aba22c2116bb2cb4f49f21",
+    "acp/fixed-50ms/30.0":
+        "77249860dc65b4644d7422952e8600ec86a85b0fa140000e5c0b927456c1d744",
+    "lazy/jitter-5ms/30.0":
+        "f1797af0428665e6592be2d088505a618c25fb8c16a4a30318e4fee4554cde6d",
+    "acp/jitter-5ms/30.0":
+        "2c2661dade281ac75dbb3562d05cdc11f8b2f99518a323fffe5541cc3d445f58",
+    "lazy/lognormal/30.0":
+        "696e87b10484828f5c249e5833abb39f53c5bd73d04409c53a4ac33a6ae35ef5",
+    "acp/lognormal/30.0":
+        "0ad2de084078da0164db52fde524eab3c92e55e2fd280910ec6c9940ae8cdea3",
+    "lazy/capacity-step/30.0":
+        "cae77dc364215a4032b8cf7ea66f9d802120ee010e1763c0a1e82b1e553d06e9",
+    "acp/capacity-step/30.0":
+        "f389ffda301ff88a84dae9cef58dd18e824864829f897a23443b488de45f9622",
+    "lazy/loss/30.0":
+        "deff15c7bd2936e809fe7c1f66bc317e6605f5907ff5643d9345394666e65747",
+    "acp/loss/30.0":
+        "83e8d5a99012e5b49a8b2cba457ab28fac09740269b30cc093350f5caf9dee73",
+    "lazy/buffer/30.0":
+        "0f97a138f5c7f832543f759dc9736080acbf13ac68ec3515f41d4ac90dfb9c90",
+    "acp/buffer/30.0":
+        "bb6f0ee6d5d563afb4d87ef061c65ed8168020899d275f51cf89face5087024e",
+    "lazy/loss-schedule/30.0":
+        "87aaadb9fc0ee5c5ac6d98f8aef39a8c46510af6c8593d4fed34bb2f31cd131f",
+    "acp/loss-schedule/30.0":
+        "4bc91d9c86e15d30c6fc2a441388b467b94784f7b0e1f3cbc4de05874e00be57",
+    "zero-wait/fixed-50ms/30.0":
+        "e18df87acfa9594ebcfa51e5597ba57809d130119eb5a729ed8ebbceed930d2c",
+    "zero-wait/jitter-5ms/30.0":
+        "d2accb870ca8ae4dc5260516a9a9b076dbc693abdd8b3c18e35d5c08a786ed7a",
+    "zero-wait/lognormal/30.0":
+        "4a2d791f98257d1761c69fc2e0b997c895cc22ff0c80321a9960b4db00d10753",
+    "zero-wait/capacity-step/30.0":
+        "0fe0db3f2b4717ccdcb07077f58f3722b130f51d89c5ed08a0ba7fecae77f229",
+    "zero-wait/buffer/30.0":
+        "0543f231a5cd3615397eb722c8d5114886e39266b229467b4c8aeaf3fa8d1cc9",
+    "acp-slow/capacity-step/30.0":
+        "80fb6c94b32024d46d7bb4359944e926d23660cf73a8c9f815759f0d56180ef9",
+}
