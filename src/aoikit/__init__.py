@@ -36,7 +36,7 @@ from .queuesim import (
     sweep_rate,
 )
 from .scheduler import SchedulerConfig, simulate_scheduler
-from .policies import AcpState, QAgent, acp_epoch_update, lazy_rate
+from .policies import AcpState, QAgent, acp_epoch_update
 from .emulate import (
     EmulatedChannelSpec,
     estimate_offset_emulated,
@@ -82,7 +82,6 @@ __all__ = [
     "AcpState",
     "QAgent",
     "acp_epoch_update",
-    "lazy_rate",
     "EmulatedChannelSpec",
     "estimate_offset_emulated",
     "run_rate_policy",

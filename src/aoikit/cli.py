@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .emulate import (
+    DECISION_HEADER,
     EmulatedChannelSpec,
     decision_csv,
     estimate_offset_emulated,
@@ -390,7 +391,7 @@ def cmd_policy(args, argv) -> int:
                                              res.age_history))
         ]
         with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("epoch,action,target_backlog,rate_hz,avg_age_s,backlog\n")
+            f.write(DECISION_HEADER + "\n")
             f.write("\n".join(lines) + "\n")
         manifest.outputs.append(log_path)
         manifest.finish().write(log_path)

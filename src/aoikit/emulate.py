@@ -19,12 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .policies import (
-    AcpState,
-    EwmaEstimator,
-    PolicyObservation,
-    acp_epoch_update,
-)
+from .policies import AcpState, EwmaEstimator, PolicyObservation, rate_policy
 from .queuesim import regime_loss_p
 from .trace import AgeTrace, seconds_to_ns
 
@@ -80,12 +75,6 @@ class EmulatedChannelSpec:
     @classmethod
     def fixed_rtt(cls, rtt_s: float, **kw) -> "EmulatedChannelSpec":
         return cls(fwd_delay_s=rtt_s / 2.0, bwd_delay_s=rtt_s / 2.0, **kw)
-
-    @property
-    def nominal_rtt_s(self) -> float:
-        if self.rtt_lognorm_median_s is not None:
-            return self.rtt_lognorm_median_s
-        return self.fwd_delay_s + self.bwd_delay_s
 
 
 @dataclass
@@ -331,40 +320,9 @@ class PolicyRunResult:
     acked: int
 
 
-_SEND, _ACK, _EPOCH = 0, 1, 2
-
-
-class _LoopState:
-    """Bookkeeping shared by the closed-loop policies."""
-
-    def __init__(self, ewma_alpha: float):
-        self.ewma_rtt = EwmaEstimator(ewma_alpha)
-        self.ewma_inter_ack = EwmaEstimator(ewma_alpha)
-        self.last_ack_t: Optional[float] = None
-        self.last_rtt: float = 0.0
-        self.newest_acked_gen: Optional[float] = None
-        self.sent = 0
-        self.acked = 0
-        # time integrals
-        self.area_clock = 0.0  # last time the integrals were advanced
-        self.age_area = 0.0
-        self.backlog_area = 0.0
-        self.epoch_age_area = 0.0
-        self.epoch_backlog_area = 0.0
-        self.epoch_acks = 0
-
-    def advance(self, now: float):
-        dt = now - self.area_clock
-        if dt <= 0:
-            return
-        backlog = self.sent - self.acked
-        self.backlog_area += backlog * dt
-        self.epoch_backlog_area += backlog * dt
-        if self.newest_acked_gen is not None:
-            a0 = self.area_clock - self.newest_acked_gen
-            self.age_area += a0 * dt + dt * dt / 2.0
-            self.epoch_age_area += a0 * dt + dt * dt / 2.0
-        self.area_clock = now
+_PROBE, _SEND, _ACK, _EPOCH = 0, 1, 2, 3
+_PROBE_SPACING_S = 0.05
+_MAX_PROBES = 10
 
 
 def run_rate_policy(
@@ -375,178 +333,135 @@ def run_rate_policy(
     ewma_alpha: float = 0.125,
     median_grid_s: float = 0.01,
 ) -> PolicyRunResult:
-    """Drive a rate policy over the emulated channel in virtual time.
+    """Drive the closed-loop sender `policies.rate_policy(policy, acp)`
+    over the emulated channel in virtual time.
 
-    Supported policies: "lazy" (rate = 1/smoothed rtt), "acp" (epoch
-    backlog controller), "zero-wait" (send on ack). The loop
-    bootstraps with a single probe packet; rate policies start pacing
-    once the first acknowledgement initializes the estimators.
+    The loop bootstraps with probe packets (a single one for an unpaced
+    sender) until the first acknowledgement initializes the smoothed
+    rtt; then epochs of max(epoch floor, smoothed rtt) start, and a
+    paced sender sends at its current rate.
     """
-    if policy not in ("lazy", "acp", "zero-wait"):
-        raise ConfigError(f"unknown rate policy {policy!r}")
+    sender = rate_policy(policy, acp)
     if duration_s <= 0:
         raise ConfigError("duration must be positive")
-    if policy == "acp" and acp is None:
-        acp = AcpState()
+    if (spec.fwd_delay_s + spec.bwd_delay_s == 0 and spec.jitter_s == 0
+            and spec.rtt_lognorm_median_s is None and spec.capacity_hz is None):
+        raise ConfigError("closed-loop policies need a positive round trip")
+    if not sender.paced and (spec.loss_p > 0 or spec.loss_onset_load is not None):
+        raise ConfigError(f"{policy} waits for every ack and has no loss timeout; "
+                          "it needs a loss-free channel")
 
     channel = EmulatedChannel(spec)
-    st = _LoopState(ewma_alpha)
-    heap: list[tuple[float, int, int, float, float]] = []
-    seq = 0
-
-    def push(t: float, kind: int, a: float = 0.0, b: float = 0.0):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, a, b))
-        seq += 1
-
-    gen_ns: list[int] = []
-    ack_ns: list[Optional[int]] = []
-
-    rate_hz: Optional[float] = None
-    pacing = False
-    epoch_no = 0
+    ewma_rtt = EwmaEstimator(ewma_alpha)
+    # (time, insertion seq, kind, packet index); acks can overtake each
+    # other under jitter or lognormal delay
+    heap: list[tuple[float, int, int, int]] = [(0.0, 0, _PROBE, -1)]
+    seq = 1
+    send_s: list[float] = []
+    ack_s: list[float] = []  # nan until acknowledged
+    acked = 0
+    newest_acked_send: Optional[float] = None
+    clock = 0.0  # the integrals below run up to here
+    backlog_area = epoch_backlog_area = epoch_age_area = 0.0
+    epoch_acks = 0
     epoch_started = 0.0
     decisions: list[DecisionRow] = []
-    rate_time_product = 0.0
+    rate_hz: Optional[float] = None
+    rate_area = 0.0
     rate_clock = 0.0
-    PROBE_SPACING_S = 0.05
-    MAX_PROBES = 10
 
-    def send_packet(now: float):
-        st.sent += 1
-        tr = channel.transit(now)
-        gen_ns.append(seconds_to_ns(now))
-        ack_ns.append(None)
-        if tr.ack_s is not None and tr.ack_s <= duration_s:
-            push(tr.ack_s, _ACK, now, float(len(gen_ns) - 1))
+    def push(t: float, kind: int, packet: int = -1):
+        nonlocal seq
+        heapq.heappush(heap, (t, seq, kind, packet))
+        seq += 1
 
-    def note_rate(now: float, new_rate: Optional[float]):
-        nonlocal rate_hz, rate_time_product, rate_clock
+    def set_rate(now: float, new_rate: Optional[float]):
+        nonlocal rate_hz, rate_area, rate_clock
         if rate_hz is not None:
-            rate_time_product += rate_hz * (now - rate_clock)
+            rate_area += rate_hz * (now - rate_clock)
         rate_clock = now
         rate_hz = new_rate
 
-    # bootstrap probe; a=1 marks probe sends so stale ones are ignored
-    # once the first acknowledgement has started regular pacing
-    push(0.0, _SEND, 1.0)
+    def start_epoch(now: float):
+        nonlocal epoch_started, epoch_age_area, epoch_backlog_area, epoch_acks
+        epoch_started = now
+        epoch_age_area = epoch_backlog_area = 0.0
+        epoch_acks = 0
+        push(now + max(sender.epoch_floor_s, ewma_rtt.value), _EPOCH)
 
     while heap:
-        now, _, kind, a, b = heapq.heappop(heap)
+        now, _, kind, packet = heapq.heappop(heap)
         if now > duration_s:
             break
-        st.advance(now)
-        if kind == _SEND:
-            is_probe = a == 1.0
-            if is_probe and (pacing or st.acked > 0):
-                continue  # pacing took over; drop leftover probes
-            send_packet(now)
-            if is_probe and st.acked == 0 and st.sent < MAX_PROBES \
-                    and policy != "zero-wait":
-                push(now + PROBE_SPACING_S, _SEND, 1.0)
-            if not is_probe and rate_hz is not None and rate_hz > 0:
-                push(now + 1.0 / rate_hz, _SEND)
-        elif kind == _ACK:
-            sent_at, idx = a, int(b)
-            ack_ns[idx] = seconds_to_ns(now)
-            st.acked += 1
-            st.epoch_acks += 1
-            st.last_rtt = now - sent_at
-            st.ewma_rtt.update(st.last_rtt)
-            if st.last_ack_t is not None:
-                st.ewma_inter_ack.update(now - st.last_ack_t)
-            st.last_ack_t = now
-            if st.newest_acked_gen is None or sent_at > st.newest_acked_gen:
-                st.newest_acked_gen = sent_at
-            first_ack = st.acked == 1
-            if policy == "zero-wait":
-                if st.sent == st.acked:
-                    push(now, _SEND)
-            elif policy == "lazy":
-                note_rate(now, 1.0 / st.ewma_rtt.value)
-            else:  # acp
-                if first_ack:
-                    note_rate(now, acp.target_backlog / st.ewma_rtt.value)
+        dt = now - clock
+        if dt > 0:
+            backlog = len(send_s) - acked
+            backlog_area += backlog * dt
+            epoch_backlog_area += backlog * dt
+            if newest_acked_send is not None:
+                epoch_age_area += (clock - newest_acked_send) * dt + dt * dt / 2.0
+            clock = now
+        if kind == _ACK:
+            sent_at = send_s[packet]
+            ack_s[packet] = now
+            acked += 1
+            epoch_acks += 1
+            ewma_rtt.update(now - sent_at)
+            if newest_acked_send is None or sent_at > newest_acked_send:
+                newest_acked_send = sent_at
+            first_ack = acked == 1
+            new_rate = sender.on_ack(ewma_rtt.value, first_ack)
+            if new_rate is not None:
+                set_rate(now, new_rate)
+            if first_ack or (not sender.paced and len(send_s) == acked):
+                push(now, _SEND)
             if first_ack:
-                pacing = True
-                if policy != "zero-wait":
-                    push(now, _SEND)
-                epoch_started = now
-                st.epoch_age_area = 0.0
-                st.epoch_backlog_area = 0.0
-                st.epoch_acks = 0
-                floor = acp.epoch_floor_s if acp is not None else 0.010
-                push(now + max(floor, st.ewma_rtt.value), _EPOCH)
-        else:  # epoch boundary
-            epoch_len = now - epoch_started
-            avg_age = st.epoch_age_area / epoch_len if epoch_len > 0 else 0.0
-            avg_backlog = (
-                st.epoch_backlog_area / epoch_len if epoch_len > 0 else 0.0
+                start_epoch(now)
+        elif kind == _EPOCH:
+            epoch_s = now - epoch_started
+            obs = PolicyObservation(
+                ewma_rtt_s=ewma_rtt.value,
+                epoch_s=epoch_s,
+                avg_age_epoch_s=epoch_age_area / epoch_s if epoch_s > 0 else 0.0,
+                avg_backlog_epoch=epoch_backlog_area / epoch_s if epoch_s > 0 else 0.0,
+                epoch_acks=epoch_acks,
             )
-            backlog = st.sent - st.acked
-            if policy == "acp":
-                obs = PolicyObservation(
-                    now_ns=seconds_to_ns(now),
-                    last_ack_rtt_s=st.last_rtt,
-                    ewma_rtt_s=st.ewma_rtt.value,
-                    ewma_inter_ack_s=st.ewma_inter_ack.value,
-                    backlog=backlog,
-                    avg_age_epoch_s=avg_age,
-                    avg_backlog_epoch=avg_backlog,
-                    epoch_acks=st.epoch_acks,
-                )
-                action, new_rate = acp_epoch_update(acp, obs)
-                target = acp.target_backlog
-                note_rate(now, new_rate)
-                next_epoch = acp.epoch_len_s
-            elif policy == "lazy":
-                action, target = "RATE", 1.0
-                new_rate = rate_hz if rate_hz is not None else 0.0
-                next_epoch = max(0.010, st.ewma_rtt.value or 0.010)
-            else:  # zero-wait: log the observed ack rate
-                action, target = "SEND-ON-ACK", 1.0
-                new_rate = st.epoch_acks / epoch_len if epoch_len > 0 else 0.0
-                next_epoch = max(0.010, st.ewma_rtt.value or 0.010)
-            epoch_no += 1
-            decisions.append(
-                DecisionRow(
-                    epoch=epoch_no,
-                    action=action,
-                    target_backlog=target,
-                    rate_hz=new_rate,
-                    avg_age_s=avg_age,
-                    backlog=backlog,
-                    t_s=now,
-                )
-            )
-            st.epoch_age_area = 0.0
-            st.epoch_backlog_area = 0.0
-            st.epoch_acks = 0
-            epoch_started = now
-            push(now + next_epoch, _EPOCH)
+            action, target, logged_rate, new_rate = sender.on_epoch(obs, rate_hz)
+            if new_rate is not None:
+                set_rate(now, new_rate)
+            decisions.append(DecisionRow(
+                len(decisions) + 1, action, target, logged_rate,
+                obs.avg_age_epoch_s, len(send_s) - acked, now,
+            ))
+            start_epoch(now)
+        else:  # a send; probes stop once the first ack is in
+            if kind == _PROBE and acked:
+                continue
+            tr = channel.transit(now)
+            send_s.append(now)
+            ack_s.append(math.nan)
+            if tr.ack_s is not None and tr.ack_s <= duration_s:
+                push(tr.ack_s, _ACK, len(send_s) - 1)
+            if kind == _PROBE:
+                if sender.paced and len(send_s) < _MAX_PROBES:
+                    push(now + _PROBE_SPACING_S, _PROBE)
+            elif sender.paced:
+                push(now + 1.0 / rate_hz, _SEND)
 
-    st.advance(duration_s)
-    note_rate(duration_s, rate_hz)
+    if duration_s > clock:
+        backlog_area += (len(send_s) - acked) * (duration_s - clock)
+    set_rate(duration_s, rate_hz)
 
-    ids = np.arange(len(gen_ns), dtype=np.int64)
-    trace = AgeTrace.from_arrays(
-        ids, gen_ns, ack_ns, t_start_ns=0, t_end_ns=seconds_to_ns(duration_s)
-    )
-
-    median = _median_age(trace, median_grid_s)
-    if policy == "zero-wait":
-        mean_rate = st.sent / duration_s
-    else:
-        mean_rate = rate_time_product / duration_s
+    trace = AgeTrace.from_seconds(send_s, ack_s, t_end_ns=seconds_to_ns(duration_s))
     return PolicyRunResult(
         trace=trace,
         decisions=decisions,
-        mean_inflight=st.backlog_area / duration_s,
-        mean_rate_hz=mean_rate,
+        mean_inflight=backlog_area / duration_s,
+        mean_rate_hz=(rate_area if sender.paced else len(send_s)) / duration_s,
         final_rate_hz=rate_hz if rate_hz is not None else 0.0,
-        median_age_s=median,
-        sent=st.sent,
-        acked=st.acked,
+        median_age_s=_median_age(trace, median_grid_s),
+        sent=len(send_s),
+        acked=acked,
     )
 
 

@@ -25,21 +25,15 @@ ACTION_MDEC = "MDEC"
 
 @dataclass(frozen=True)
 class PolicyObservation:
-    """Snapshot handed to a policy: current time, smoothed estimators,
-    packets in flight, and the last epoch's average age."""
+    """What a closed-loop sender sees at an epoch end: the smoothed
+    rtt, the epoch's length and acknowledgements, and its time-averaged
+    age and packets in flight."""
 
-    now_ns: int
-    last_ack_rtt_s: float = 0.0
     ewma_rtt_s: Optional[float] = None
-    ewma_inter_ack_s: Optional[float] = None
-    backlog: int = 0
+    epoch_s: float = 0.0
     avg_age_epoch_s: float = 0.0
-    avg_backlog_epoch: float = 0.0  # time-averaged packets in flight
+    avg_backlog_epoch: float = 0.0
     epoch_acks: int = 0
-
-    def __post_init__(self):
-        if self.backlog < 0:
-            raise ConfigError("backlog cannot be negative")
 
 
 class EwmaEstimator:
@@ -58,14 +52,6 @@ class EwmaEstimator:
         else:
             self.value += self.alpha * (sample - self.value)
         return self.value
-
-
-def lazy_rate(obs: PolicyObservation) -> float:
-    """Sending rate that keeps about one packet in flight: the
-    reciprocal of the smoothed round-trip time."""
-    if obs.ewma_rtt_s is None or obs.ewma_rtt_s <= 0:
-        raise NotReadyError("round-trip estimator not initialized")
-    return 1.0 / obs.ewma_rtt_s
 
 
 # ------------------------------------------------------------------ epochs
@@ -97,7 +83,6 @@ class AcpState:
     mdec_streak: int = 0
     prev_age: Optional[float] = None
     prev_backlog: Optional[float] = None
-    epoch_len_s: float = 0.01
     epoch_floor_s: float = 0.010  # epochs never shorter than this
     age_band_frac: float = 0.5  # of the smoothed rtt
     backlog_band: float = 0.75  # packets
@@ -163,9 +148,75 @@ def acp_epoch_update(
     if obs.epoch_acks > 0:
         state.prev_age = obs.avg_age_epoch_s
         state.prev_backlog = obs.avg_backlog_epoch
-    state.epoch_len_s = max(state.epoch_floor_s, obs.ewma_rtt_s)
     rate = state.target_backlog / obs.ewma_rtt_s
     return action, rate
+
+
+# ------------------------------------------------------ closed-loop senders
+# `emulate.run_rate_policy` drives any of these without knowing which.
+# A `paced` sender probes until the first ack, then sends at its rate;
+# an unpaced one sends only when nothing is in flight. `on_ack` returns
+# a new rate or None; `on_epoch` returns (action, target backlog, rate
+# to log, new rate or None). None keeps the rate, and its time
+# integral, as it is.
+
+
+class _Lazy:
+    """About one packet in flight: the rate is 1/smoothed rtt, reset on
+    every ack; epochs only log it."""
+
+    paced = True
+    epoch_floor_s = 0.010
+
+    def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
+        return 1.0 / ewma_rtt_s
+
+    def on_epoch(self, obs: PolicyObservation, rate_hz: Optional[float]):
+        return "RATE", 1.0, rate_hz, None
+
+
+class _Acp:
+    """The backlog-target controller: the first ack sets the rate to
+    target/rtt, and every epoch end applies `acp_epoch_update`."""
+
+    paced = True
+
+    def __init__(self, state: AcpState):
+        self.state = state
+        self.epoch_floor_s = state.epoch_floor_s
+
+    def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
+        return self.state.target_backlog / ewma_rtt_s if first else None
+
+    def on_epoch(self, obs: PolicyObservation, rate_hz: Optional[float]):
+        action, rate = acp_epoch_update(self.state, obs)
+        return action, self.state.target_backlog, rate, rate
+
+
+class _ZeroWait:
+    """Send on ack; epochs log the observed ack rate."""
+
+    paced = False
+    epoch_floor_s = 0.010
+
+    def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
+        return None
+
+    def on_epoch(self, obs: PolicyObservation, rate_hz: Optional[float]):
+        ack_rate = obs.epoch_acks / obs.epoch_s if obs.epoch_s > 0 else 0.0
+        return "SEND-ON-ACK", 1.0, ack_rate, None
+
+
+def rate_policy(name: str, acp: Optional[AcpState] = None):
+    """The closed-loop sender `name`: "lazy", "acp" (controlled by `acp`,
+    a default AcpState if None) or "zero-wait"."""
+    if name == "lazy":
+        return _Lazy()
+    if name == "acp":
+        return _Acp(AcpState() if acp is None else acp)
+    if name == "zero-wait":
+        return _ZeroWait()
+    raise ConfigError(f"unknown rate policy {name!r}")
 
 
 # ------------------------------------------------------------- Q-learning
@@ -250,9 +301,6 @@ class QAgent:
 
     def end_episode(self) -> None:
         self.epsilon *= self.epsilon_decay
-
-    def greedy_action(self, age_s: float) -> int:
-        return int(np.argmin(self.q_table[self.bin_of(age_s)]))
 
 
 class PauseResumeEnv:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .trace import _LOST, AgeTrace, seconds_to_ns
+from .trace import AgeTrace, seconds_to_ns
 
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
 SERVICE_KINDS = ("exponential", "deterministic")
@@ -297,14 +297,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
             in_service = queue.popleft()
             departure = at(now + service_time())
 
-    ids = np.arange(len(gen_times), dtype=np.int64)
-    recv_s = np.array(recv_times)
-    recv_ns = np.full(len(recv_s), _LOST, dtype=np.int64)
-    got = ~np.isnan(recv_s)
-    recv_ns[got] = seconds_to_ns(recv_s[got])
-    trace = AgeTrace.from_arrays(
-        ids, seconds_to_ns(np.asarray(gen_times)), recv_ns, t_start_ns=0,
-    )
+    trace = AgeTrace.from_seconds(gen_times, recv_times)
     total_loss = lost_channel + lost_overflow + discarded
     meta = {
         "arrivals": len(gen_times),

@@ -39,8 +39,8 @@ class SchedulerConfig:
             raise ConfigError("need one success probability per source")
         if any(not (0.0 < p <= 1.0) for p in self.success_prob):
             raise ConfigError("success probabilities must be in (0, 1]")
-        if not (self.frame_s > 0):
-            raise ConfigError("frame must be positive")
+        if not (0.0 < self.frame_s < math.inf):
+            raise ConfigError("frame must be positive and finite")
         if not (0.0 <= self.weight_exponent < math.inf):
             raise ConfigError("weight exponent must be finite and non-negative")
 
@@ -71,6 +71,8 @@ def simulate_scheduler(
     """
     if frames < 1:
         raise ConfigError("need at least one frame")
+    if keep_traces and frames * seconds_to_ns(cfg.frame_s) > np.iinfo(np.int64).max:
+        raise ConfigError("trace stamps would pass the int64 nanosecond range")
     n = cfg.n_sources
     p = np.asarray(cfg.success_prob, dtype=float)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

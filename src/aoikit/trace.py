@@ -126,6 +126,26 @@ class AgeTrace:
             t_start_ns, t_end_ns, initial_age_ns, bias_declared,
         )
 
+    @classmethod
+    def from_seconds(
+        cls,
+        gen_s: Sequence[float],
+        recv_s: Sequence[float],
+        t_end_ns: Optional[int] = None,
+    ) -> "AgeTrace":
+        """Trace with ids 0..n-1, observed from time 0, from float-second
+        stamps, nan marking a lost packet, converted in bulk by
+        `seconds_to_ns`."""
+        recv = np.array(recv_s, dtype=float)
+        recv_ns = np.full(len(recv), _LOST, dtype=np.int64)
+        got = ~np.isnan(recv)
+        recv_ns[got] = seconds_to_ns(recv[got])
+        return cls.from_arrays(
+            np.arange(len(recv), dtype=np.int64),
+            seconds_to_ns(np.array(gen_s, dtype=float)), recv_ns,
+            t_start_ns=0, t_end_ns=t_end_ns,
+        )
+
     def _validate(self) -> None:
         if len(self.ids) and np.any(np.diff(self.ids) <= 0):
             raise ValueError("packet ids must be strictly increasing")

@@ -343,6 +343,36 @@ def test_policy_acp_capacity_step_preset(tmp_path, capsys):
     assert any(r.split(",")[1] == "MDEC" for r in rows)
 
 
+def test_policy_zero_round_trip_exits_2(tmp_path):
+    # a subprocess with a timeout, so a loop stuck at virtual time 0
+    # fails instead of hanging the suite
+    import subprocess
+    import sys
+
+    for name, channel in (("zero-wait", "fixed_rtt=0"), ("lazy", ""), ("acp", "seed=3")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aoikit.cli", "policy", "--name", name,
+             "--emulated", channel, "--duration", "5",
+             "--out", str(tmp_path / name)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: closed-loop policies need a positive round trip\n"
+
+
+def test_policy_zero_wait_on_lossy_channel_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "policy", "--name", "zero-wait", "--emulated",
+        "fixed_rtt=50ms,loss=0.05", "--duration", "60",
+        "--out", str(tmp_path / "zw"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zero-wait waits for every ack") and err.count("\n") == 1
+    assert not (tmp_path / "zw.trace.csv").exists()
+
+
 def test_measure_echo_server_lifecycle():
     import signal
     import subprocess

@@ -222,6 +222,33 @@ def test_unknown_policy_rejected():
         run_rate_policy("bang", EmulatedChannelSpec(), 1.0)
 
 
+def test_zero_round_trip_rejected():
+    # 1/rtt is undefined; zero-wait, which would never leave time 0, is
+    # tested as a CLI subprocess with a timeout
+    for spec in (EmulatedChannelSpec(), EmulatedChannelSpec.fixed_rtt(0.0, peer_offset_s=1.0)):
+        for policy in ("lazy", "acp"):
+            with pytest.raises(ConfigError, match="positive round trip"):
+                run_rate_policy(policy, spec, 1.0)
+    # any jitter, lognormal delay or bottleneck makes the round trip positive
+    for spec in (EmulatedChannelSpec(jitter_s=0.001),
+                 EmulatedChannelSpec(rtt_lognorm_median_s=0.01),
+                 EmulatedChannelSpec(capacity_hz=100.0)):
+        assert run_rate_policy("lazy", spec, 1.0).acked > 0
+
+
+def test_zero_wait_needs_loss_free_channel():
+    # a lost packet would stall zero-wait for the rest of the run
+    for spec in (EmulatedChannelSpec.fixed_rtt(0.05, loss_p=0.05),
+                 EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=100.0,
+                                               loss_onset_load=0.6)):
+        with pytest.raises(ConfigError, match="loss-free"):
+            run_rate_policy("zero-wait", spec, 60.0)
+    # a finite buffer cannot drop it: the previous packet has left
+    res = run_rate_policy("zero-wait", EmulatedChannelSpec.fixed_rtt(
+        0.01, capacity_hz=100.0, buffer=0), 5.0)
+    assert res.acked == res.sent - 1 > 0
+
+
 # ------------------------------------------------------------ golden digests
 
 

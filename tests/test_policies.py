@@ -17,28 +17,15 @@ from aoikit.policies import (
     QAgent,
     acp_epoch_update,
     age_cost,
-    lazy_rate,
+    rate_policy,
     train_pause_resume,
 )
 
 
 def obs(**kw):
-    defaults = dict(now_ns=0, ewma_rtt_s=0.1, epoch_acks=5)
+    defaults = dict(ewma_rtt_s=0.1, epoch_acks=5)
     defaults.update(kw)
     return PolicyObservation(**defaults)
-
-
-# -------------------------------------------------------------------- lazy
-
-
-def test_lazy_rate_is_reciprocal_rtt():
-    assert lazy_rate(obs(ewma_rtt_s=0.1)) == pytest.approx(10.0)
-    assert lazy_rate(obs(ewma_rtt_s=1.0)) == pytest.approx(1.0)
-
-
-def test_lazy_rate_not_ready_without_rtt():
-    with pytest.raises(NotReadyError):
-        lazy_rate(obs(ewma_rtt_s=None))
 
 
 def test_ewma_estimator():
@@ -62,13 +49,13 @@ def primed_state(**kw) -> AcpState:
 def test_acp_congestion_triggers_escalating_mdec():
     st = primed_state(target_backlog=8.0)
     action, _ = acp_epoch_update(
-        st, obs(avg_age_epoch_s=2.0, avg_backlog_epoch=6.0, backlog=6)
+        st, obs(avg_age_epoch_s=2.0, avg_backlog_epoch=6.0)
     )
     assert action == ACTION_MDEC
     assert st.target_backlog == pytest.approx(4.0)  # first streak halves
     st.prev_age, st.prev_backlog = 2.0, 6.0
     action, _ = acp_epoch_update(
-        st, obs(avg_age_epoch_s=3.5, avg_backlog_epoch=9.0, backlog=9)
+        st, obs(avg_age_epoch_s=3.5, avg_backlog_epoch=9.0)
     )
     assert action == ACTION_MDEC
     assert st.mdec_streak == 2
@@ -139,6 +126,29 @@ def test_acp_target_stays_in_bounds():
 def test_acp_not_ready_without_rtt():
     with pytest.raises(NotReadyError):
         acp_epoch_update(AcpState(), obs(ewma_rtt_s=None))
+
+
+# ---------------------------------------------------- closed-loop senders
+
+
+def test_rate_policy_senders():
+    lazy, acp, zero_wait = (rate_policy(n) for n in ("lazy", "acp", "zero-wait"))
+    assert (lazy.paced, acp.paced, zero_wait.paced) == (True, True, False)
+    assert rate_policy("acp", AcpState(epoch_floor_s=0.02)).epoch_floor_s == 0.02
+    # lazy follows 1/rtt on every ack and only logs its rate at epochs
+    assert lazy.on_ack(0.1, first=False) == pytest.approx(10.0)
+    assert lazy.on_epoch(obs(), 10.0) == ("RATE", 1.0, 10.0, None)
+    # acp sets target/rtt on the first ack, then moves only at epochs
+    assert acp.on_ack(0.1, first=True) == pytest.approx(10.0)
+    assert acp.on_ack(0.1, first=False) is None
+    action, target, logged, new = acp.on_epoch(obs(avg_age_epoch_s=0.5), 10.0)
+    assert (action, target) == (ACTION_INC, 2.0) and logged == new == pytest.approx(20.0)
+    # zero-wait never sets a rate and logs the epoch's ack rate
+    assert zero_wait.on_ack(0.1, first=True) is None
+    assert zero_wait.on_epoch(obs(epoch_s=0.5, epoch_acks=5), None) == (
+        "SEND-ON-ACK", 1.0, 10.0, None)
+    with pytest.raises(ConfigError, match="unknown rate policy"):
+        rate_policy("bang")
 
 
 # --------------------------------------------------------------- q-learning

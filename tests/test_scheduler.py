@@ -76,8 +76,16 @@ def test_config_validation():
         SchedulerConfig(1, (0.0,))
     with pytest.raises(ConfigError):
         SchedulerConfig(1, (0.5,), policy="random")
-    with pytest.raises(ConfigError):
-        SchedulerConfig(1, (0.5,), frame_s=0.0)
+    for frame_s in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="frame"):
+            SchedulerConfig(1, (0.5,), frame_s=frame_s)
+    # trace stamps past int64: a frame beyond it, and a last frame end
+    # beyond it (1e9 s x 10 frames); without traces the run is fine
+    for frame_s in (1e10, 1e9):
+        cfg = SchedulerConfig(1, (0.5,), frame_s=frame_s)
+        with pytest.raises(ConfigError, match="int64"):
+            simulate_scheduler(cfg, 10, keep_traces=True)
+        assert simulate_scheduler(cfg, 10, keep_traces=False).frames == 10
     # a negative exponent divides by zero at age 0, and nan makes every
     # score nan, which silently polls source 0 in every frame
     for w in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
