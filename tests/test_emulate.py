@@ -425,3 +425,48 @@ POLICY_GOLDEN = {
     "acp-slow/capacity-step/30.0":
         "80fb6c94b32024d46d7bb4359944e926d23660cf73a8c9f815759f0d56180ef9",
 }
+
+
+def _golden_draw_runs():
+    # every run draws more than one 4096-value block from the jitter,
+    # lognormal or loss stream
+    lossy_jitter = EmulatedChannelSpec.fixed_rtt(0.02, jitter_s=0.004, loss_p=0.2,
+                                                 peer_offset_s=0.005, seed=2)
+    lognormal = EmulatedChannelSpec(rtt_lognorm_median_s=0.03, rtt_lognorm_sigma=0.6,
+                                    peer_offset_s=-0.002, loss_p=0.05, seed=4)
+    yield "offset/lossy-jitter", estimate_offset_emulated, lossy_jitter, 4_000
+    yield "offset/lognormal", estimate_offset_emulated, lognormal, 4_500
+    yield ("sampler/lognormal-loss", run_sampler_emulated,
+           EmulatedChannelSpec(rtt_lognorm_median_s=0.05, rtt_lognorm_sigma=0.5,
+                               loss_p=0.1, seed=7), [(1000.0, 5.0)])
+    yield ("sampler/jitter-loss", run_sampler_emulated,
+           EmulatedChannelSpec.fixed_rtt(0.01, jitter_s=0.003, loss_p=0.03,
+                                         capacity_hz=2000.0, buffer=2, seed=8),
+           [(1500.0, 2.0), (2500.0, 2.0)])
+
+
+def test_channel_draw_golden_digests():
+    # sha256 of ping offset estimates and sampler traces, pinned before
+    # the channel drew its impairments in blocks
+    got = {}
+    for key, run, spec, arg in _golden_draw_runs():
+        res = run(spec, arg)
+        if run is estimate_offset_emulated:
+            got[key] = sha256_of(np.array(res.rtt_samples_s),
+                                 repr((res.offset_ns, res.confidence_s, res.n)))
+        else:
+            got[key] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
+                                 res.truth_trace.recv_ns, f"{res.sent},{res.received}")
+    assert got == DRAW_GOLDEN
+
+
+DRAW_GOLDEN = {
+    "offset/lossy-jitter":
+        "0b2f2d5b11052ec8d69d2ae1eed313a3260b754dc0bcf9ce7d91ee0bf9948031",
+    "offset/lognormal":
+        "ea3fcdc3d8cfa1964645104ee315e1af5a234ccc4b4a07c1b86d3b74c03299f2",
+    "sampler/lognormal-loss":
+        "b586a48c4ae799d03bd45c99a6e32fd6af1553840c77e8160c1a137094ea9d7e",
+    "sampler/jitter-loss":
+        "b2b84c212805540d3ede7a6ff9a33b048423668037e48c006bd7dc4f41be4ad3",
+}

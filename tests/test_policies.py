@@ -21,6 +21,8 @@ from aoikit.policies import (
     train_pause_resume,
 )
 
+from helpers import sha256_of
+
 
 def obs(**kw):
     defaults = dict(ewma_rtt_s=0.1, epoch_acks=5)
@@ -231,3 +233,69 @@ def test_agent_validation():
         QAgent(lr=0.0)
     with pytest.raises(ConfigError):
         PauseResumeEnv(delay_s=0.0)
+
+
+# ------------------------------------------------------------ golden digests
+
+
+def _golden_q_runs():
+    # (agent, environment, episode length, iterations); the default
+    # agent sees only terminal steps, the episodic runs exercise the
+    # discounted next-state minimum and the greedy branch of `act`
+    yield "default/seed0", QAgent(seed=0), PauseResumeEnv(), 1, 20_000
+    yield "default/seed11", QAgent(seed=11), PauseResumeEnv(), 1, 20_000
+    yield ("episodes", QAgent(gamma=0.9, epsilon=0.3, epsilon_decay=0.9, seed=5),
+           PauseResumeEnv(), 5, 20_000)
+    # ages below the first edge and past the last one clamp
+    yield ("episodes/clamped",
+           QAgent(n_bins=8, age_lo_s=0.1, age_hi_s=10.0, gamma=0.5, lr=0.3,
+                  epsilon=0.5, epsilon_decay=0.99, seed=2),
+           PauseResumeEnv(delay_s=0.05, step_s=4.0), 4, 10_000)
+
+
+def test_q_learning_golden_digests():
+    # sha256 of the Q-table, histories, visited bins and resume values,
+    # pinned before the learner's step stopped calling numpy per step
+    got = {}
+    for key, agent, env, episode_len, iterations in _golden_q_runs():
+        res = train_pause_resume(agent, env, iterations, episode_len=episode_len,
+                                 record_history=True)
+        got[key] = sha256_of(agent.q_table, np.array(res.age_history),
+                             np.array(res.action_history, dtype=np.int64),
+                             repr((res.visited_bins, res.final_resume_values,
+                                   agent.epsilon)))
+    assert got == Q_GOLDEN
+
+
+def test_qlearn_cli_golden_digest(tmp_path, capsys, monkeypatch):
+    from aoikit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.cfg").write_text("bins=16\ngamma=0.8\nepsilon0=0.6\n")
+    got = {}
+    for key, extra in (("default", []), ("config", ["--config", "q.cfg"])):
+        code = main(["policy", "--name", "qlearn", "--emulated", "fixed_delay=250ms",
+                     "--iters", "6000", "--seed", "3", "--out", "ql", *extra])
+        assert code == 0
+        got[key] = sha256_of(capsys.readouterr().out,
+                             (tmp_path / "ql.decisions.csv").read_text())
+    assert got == QLEARN_CLI_GOLDEN
+
+
+Q_GOLDEN = {
+    "default/seed0":
+        "a497f7817cc1946bc5fa3ac15011feda8d03a1666d7d0497d81b190f1d2224e7",
+    "default/seed11":
+        "f04a3f4d567bdb474012cd7b88e1939f71c71c1e6fc99d2fb7d94b9ade3a09c4",
+    "episodes":
+        "1b0979a2304fe5f80f13b94f6ccaa3f30f3812ce13a572caa1ecf8f5de563884",
+    "episodes/clamped":
+        "ba5245a62c281f3be4ac212c0794d0f953417c635c2fa3f1732295c876357379",
+}
+
+QLEARN_CLI_GOLDEN = {
+    "default":
+        "ca403e82d698d33482a140c4a070426426421a183a8bc8760b74d686bcdf8798",
+    "config":
+        "eec74eb7c0f9951d017db8c31d5d0ecff9d6e751e83b2a9ca55e79c0d9d21fcd",
+}
