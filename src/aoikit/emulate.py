@@ -14,7 +14,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -58,14 +58,27 @@ class EmulatedChannelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.fwd_delay_s < 0 or self.bwd_delay_s < 0 or self.jitter_s < 0:
-            raise ConfigError("delays cannot be negative")
+        if not all(math.isfinite(d) and d >= 0
+                   for d in (self.fwd_delay_s, self.bwd_delay_s, self.jitter_s)):
+            raise ConfigError("delays must be finite and non-negative")
+        if not math.isfinite(self.peer_offset_s):
+            raise ConfigError("peer offset must be finite")
         if not (0.0 <= self.loss_p < 1.0):
             raise ConfigError("loss probability must be in [0, 1)")
-        if self.capacity_hz is not None and self.capacity_hz <= 0:
-            raise ConfigError("capacity must be positive")
-        if self.rtt_lognorm_median_s is not None and self.rtt_lognorm_median_s <= 0:
-            raise ConfigError("lognormal median must be positive")
+        if self.capacity_hz is not None and not (
+                math.isfinite(self.capacity_hz) and self.capacity_hz > 0):
+            raise ConfigError("capacity must be finite and positive")
+        if self.buffer is not None and self.buffer < 0:
+            raise ConfigError("buffer cannot be negative")
+        if not (math.isfinite(self.capacity_step_factor)
+                and self.capacity_step_factor > 0):
+            raise ConfigError("capacity step factor must be finite and positive")
+        if self.rtt_lognorm_median_s is not None and not (
+                math.isfinite(self.rtt_lognorm_median_s)
+                and self.rtt_lognorm_median_s > 0):
+            raise ConfigError("lognormal median must be finite and positive")
+        if not (math.isfinite(self.rtt_lognorm_sigma) and self.rtt_lognorm_sigma >= 0):
+            raise ConfigError("lognormal sigma must be finite and non-negative")
         if self.loss_onset_load is not None:
             if self.capacity_hz is None:
                 raise ConfigError("loss schedule needs a capacity")
@@ -87,6 +100,17 @@ class ChannelTransit:
     ack_s: Optional[float]
 
 
+_DRAW_BLOCK = 4096
+
+
+def _draws(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of `draw(size)` one at a time, drawn `_DRAW_BLOCK` at
+    a time. PCG64 bulk draws equal successive scalar draws, so a stream
+    that makes only this one kind of draw keeps its sequence."""
+    while True:
+        yield from draw(_DRAW_BLOCK).tolist()
+
+
 class EmulatedChannel:
     """Stateful channel instance: carries the bottleneck backlog and
     the seeded draw streams."""
@@ -94,8 +118,18 @@ class EmulatedChannel:
     def __init__(self, spec: EmulatedChannelSpec):
         self.spec = spec
         ss = np.random.SeedSequence(spec.seed).spawn(2)
-        self._delay_rng = np.random.Generator(np.random.PCG64(ss[0]))
-        self._loss_rng = np.random.Generator(np.random.PCG64(ss[1]))
+        delay_rng = np.random.Generator(np.random.PCG64(ss[0]))
+        loss_rng = np.random.Generator(np.random.PCG64(ss[1]))
+        # the delay stream draws either lognormal round trips or uniform
+        # per-leg jitter, never both; the loss stream draws only coins
+        self._rtts = self._jitters = None
+        if spec.rtt_lognorm_median_s is not None:
+            mu = math.log(spec.rtt_lognorm_median_s)
+            self._rtts = _draws(
+                lambda n: delay_rng.lognormal(mu, spec.rtt_lognorm_sigma, n))
+        elif spec.jitter_s > 0:
+            self._jitters = _draws(lambda n: delay_rng.uniform(0, spec.jitter_s, n))
+        self._coins = _draws(loss_rng.random)
         self._server_free_at = 0.0
         # bottleneck departure times, non-decreasing (FIFO service)
         self._in_system: deque[float] = deque()
@@ -114,19 +148,14 @@ class EmulatedChannel:
         return c
 
     def _leg_delays(self) -> tuple[float, float]:
-        s = self.spec
-        if s.rtt_lognorm_median_s is not None:
-            rtt = float(
-                self._delay_rng.lognormal(
-                    math.log(s.rtt_lognorm_median_s), s.rtt_lognorm_sigma
-                )
-            )
+        if self._rtts is not None:
+            rtt = next(self._rtts)
             return rtt / 2.0, rtt / 2.0
-        fwd = s.fwd_delay_s
-        bwd = s.bwd_delay_s
-        if s.jitter_s > 0:
-            fwd += float(self._delay_rng.uniform(0, s.jitter_s))
-            bwd += float(self._delay_rng.uniform(0, s.jitter_s))
+        fwd = self.spec.fwd_delay_s
+        bwd = self.spec.bwd_delay_s
+        if self._jitters is not None:
+            fwd += next(self._jitters)
+            bwd += next(self._jitters)
         return fwd, bwd
 
     def _loss_probability(self, send_s: float) -> float:
@@ -163,7 +192,7 @@ class EmulatedChannel:
             depart = start + 1.0 / cap
             self._server_free_at = depart
             self._in_system.append(depart)
-        if loss_p > 0 and self._loss_rng.random() < loss_p:
+        if loss_p > 0 and next(self._coins) < loss_p:
             return ChannelTransit(send_s, None, None)
         fwd, bwd = self._leg_delays()
         arrive = depart + fwd
@@ -174,7 +203,7 @@ class EmulatedChannel:
         clock, ack arrival time) or (None, None) on loss. Pings skip
         the bottleneck: they are small and sent before loading the
         path."""
-        if self.spec.loss_p > 0 and self._loss_rng.random() < self.spec.loss_p:
+        if self.spec.loss_p > 0 and next(self._coins) < self.spec.loss_p:
             return None, None
         fwd, bwd = self._leg_delays()
         arrive = send_s + fwd
@@ -465,13 +494,28 @@ def run_rate_policy(
     )
 
 
+_MEDIAN_CHUNK = 65_536  # grid points per chunk
+
+
 def _median_age(trace: AgeTrace, grid_s: float) -> float:
+    """Median of the age sampled every `grid_s` from the first to the
+    last delivery, equal to `np.median` of the float ages. It holds one
+    int64 age per grid point: the ages are filled in chunks, and only
+    the middle rank or two are converted to seconds, which keeps their
+    order."""
     gen, recv = trace.delivered()
     if len(gen) < 2:
         return float("nan")
     t0, t1 = int(recv[0]), int(recv[-1])
     step = max(1, seconds_to_ns(grid_s))
-    ts = np.arange(t0, t1 + 1, step, dtype=np.int64)
-    idx = np.searchsorted(recv, ts, side="right") - 1
-    ages = (ts - gen[idx]).astype(float) / 1e9
-    return float(np.median(ages))
+    n = (t1 - t0) // step + 1
+    ages = np.empty(n, dtype=np.int64)
+    for i in range(0, n, _MEDIAN_CHUNK):
+        ts = t0 + step * np.arange(i, min(i + _MEDIAN_CHUNK, n), dtype=np.int64)
+        ages[i:i + len(ts)] = ts - gen[np.searchsorted(recv, ts, side="right") - 1]
+    mid = n // 2
+    if n % 2:
+        ages.partition(mid)
+        return float(ages[mid] / 1e9)
+    ages.partition((mid - 1, mid))
+    return float((ages[mid - 1] / 1e9 + ages[mid] / 1e9) / 2)

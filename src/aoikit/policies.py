@@ -9,6 +9,7 @@ mutation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -258,6 +259,7 @@ class QAgent:
     bins: np.ndarray = field(init=False)
     q_table: np.ndarray = field(init=False)
     rng: np.random.Generator = field(init=False)
+    _edges: list[float] = field(init=False, repr=False)  # bins, as floats
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
@@ -269,6 +271,7 @@ class QAgent:
         if self.n_bins < 2 or not (0 < self.age_lo_s < self.age_hi_s):
             raise ConfigError("bad age binning")
         self.bins = np.geomspace(self.age_lo_s, self.age_hi_s, self.n_bins + 1)
+        self._edges = self.bins.tolist()
         self.q_table = np.full((self.n_bins, len(Q_ACTIONS)), self.q_init)
         self.rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed))
@@ -277,8 +280,8 @@ class QAgent:
     def bin_of(self, age_s: float) -> int:
         """Ages above the top edge clamp into the last bin; below the
         bottom edge into the first."""
-        idx = int(np.searchsorted(self.bins, age_s, side="right")) - 1
-        return min(max(idx, 0), self.n_bins - 1)
+        # searching the inner edges only is what clamps
+        return bisect_right(self._edges, age_s, 1, self.n_bins) - 1
 
     def step(self, s_age_s: float, action: int, s_next_age_s: float,
              done: bool) -> float:
@@ -287,17 +290,18 @@ class QAgent:
         The cost is charged for the age the action produced. Returns
         the update target."""
         s = self.bin_of(s_age_s)
-        s_next = self.bin_of(s_next_age_s)
         target = age_cost(s_next_age_s)
         if not done:
-            target += self.gamma * float(np.min(self.q_table[s_next]))
-        self.q_table[s, action] += self.lr * (target - self.q_table[s, action])
+            target += self.gamma * min(self.q_table[self.bin_of(s_next_age_s)].tolist())
+        q = self.q_table.item(s, action)
+        self.q_table[s, action] = q + self.lr * (target - q)
         return target
 
     def act(self, age_s: float) -> int:
         if self.rng.random() < self.epsilon:
             return int(self.rng.integers(len(Q_ACTIONS)))
-        return int(np.argmin(self.q_table[self.bin_of(age_s)]))
+        values = self.q_table[self.bin_of(age_s)].tolist()
+        return values.index(min(values))  # the first minimum, as argmin
 
     def end_episode(self) -> None:
         self.epsilon *= self.epsilon_decay

@@ -67,6 +67,21 @@ def trace_from_seconds(gen_s, recv_s, start_id: int = 0) -> AgeTrace:
     return AgeTrace.from_arrays(ids, gen, recv)
 
 
+def reference_median_age(trace: AgeTrace, grid_s: float) -> float:
+    """The closed-loop median age as first written, with every
+    grid-sized array at once and `np.median` on float seconds: the
+    reference `emulate._median_age` must equal exactly."""
+    gen, recv = trace.delivered()
+    if len(gen) < 2:
+        return float("nan")
+    t0, t1 = int(recv[0]), int(recv[-1])
+    step = max(1, seconds_to_ns(grid_s))
+    ts = np.arange(t0, t1 + 1, step, dtype=np.int64)
+    idx = np.searchsorted(recv, ts, side="right") - 1
+    ages = (ts - gen[idx]).astype(float) / 1e9
+    return float(np.median(ages))
+
+
 def sha256_of(*parts) -> str:
     """Digest of arrays (raw int64 bytes) and strings, in order: the
     fingerprint golden tests pin a run's outputs with."""

@@ -228,6 +228,25 @@ def test_measure_sampler_emulated(tmp_path, capsys):
     assert os.path.exists(out + ".manifest.json")
 
 
+@pytest.mark.parametrize("channel, message", [
+    ("capacity=100,fixed_rtt=20ms,step_at=1s,step_factor=0", "capacity step factor"),
+    ("capacity=100,fixed_rtt=20ms,step_at=1s,step_factor=-1", "capacity step factor"),
+    ("capacity=100,fixed_rtt=20ms,buffer=-1", "buffer"),
+    ("lognormal_median=100ms,lognormal_sigma=-1", "lognormal sigma"),
+    ("capacity=nan,fixed_rtt=20ms", "capacity"),
+])
+def test_measure_sampler_unusable_channel_exits_2(tmp_path, capsys, channel, message):
+    out = tmp_path / "m.csv"
+    code, stdout, err = run_cli(
+        capsys, "measure", "sampler", "--emulated", channel,
+        "--rate", "300", "--duration", "2", "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_measure_sampler_abort_exits_3_and_keeps_the_partial_trace(
         tmp_path, capsys, monkeypatch):
     from aoikit import udp

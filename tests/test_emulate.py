@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoikit.cli import parse_emulated
 from aoikit.emulate import (
+    ChannelTransit,
     EmulatedChannel,
     EmulatedChannelSpec,
+    _median_age,
     decision_csv,
     estimate_offset_emulated,
     offset_from_exchanges,
@@ -14,8 +20,9 @@ from aoikit.emulate import (
 from aoikit.errors import ConfigError
 from aoikit.metrics import age_floor, average_age_by_reception, mean_delay
 from aoikit.policies import AcpState
+from aoikit.trace import AgeTrace
 
-from helpers import sha256_of
+from helpers import reference_median_age, sha256_of
 
 
 def test_zero_impairment_channel_is_transparent():
@@ -27,6 +34,61 @@ def test_zero_impairment_channel_is_transparent():
         assert tr.ack_s == t
         assert tr.ack_s > previous
         previous = tr.ack_s
+
+
+def test_dropped_transit_has_no_arrival():
+    # callers, the benchmark's drop counter among them, tell a drop by
+    # arrive_fwd_s and ack_s being None
+    full = EmulatedChannel(EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=10.0,
+                                                         buffer=0))
+    lossy = EmulatedChannel(EmulatedChannelSpec.fixed_rtt(0.01, loss_p=0.5, seed=3))
+    first = full.transit(0.0)
+    assert first.arrive_fwd_s == pytest.approx(0.105)
+    outcomes = {"overflow": [full.transit(0.01)],  # the first is still in service
+                "loss": [lossy.transit(0.01 * i) for i in range(40)]}
+    for cause, transits in outcomes.items():
+        drops = [tr for tr in transits if tr.arrive_fwd_s is None]
+        assert drops, cause
+        for tr in drops:
+            assert isinstance(tr, ChannelTransit)
+            assert tr.ack_s is None
+        for tr in transits:
+            if tr.arrive_fwd_s is not None:
+                assert tr.send_s < tr.arrive_fwd_s < tr.ack_s
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(capacity_hz=100.0, capacity_step_at_s=1.0, capacity_step_factor=0.0),
+     "step factor"),
+    (dict(capacity_hz=100.0, capacity_step_at_s=1.0, capacity_step_factor=-1.0),
+     "step factor"),
+    (dict(capacity_step_factor=math.inf), "step factor"),
+    (dict(capacity_step_factor=math.nan), "step factor"),
+    (dict(capacity_hz=100.0, buffer=-1), "buffer"),
+    (dict(rtt_lognorm_median_s=0.1, rtt_lognorm_sigma=-1.0), "sigma"),
+    (dict(rtt_lognorm_median_s=0.1, rtt_lognorm_sigma=math.nan), "sigma"),
+    (dict(rtt_lognorm_sigma=math.inf), "sigma"),
+    (dict(rtt_lognorm_median_s=math.nan), "median"),
+    (dict(capacity_hz=math.nan), "capacity"),
+    (dict(capacity_hz=math.inf), "capacity"),
+    (dict(capacity_hz=0.0), "capacity"),
+    (dict(fwd_delay_s=math.nan), "delays"),
+    (dict(jitter_s=math.inf), "delays"),
+    (dict(bwd_delay_s=-0.001), "delays"),
+    (dict(peer_offset_s=math.nan), "offset"),
+])
+def test_spec_refuses_unusable_impairments(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        EmulatedChannelSpec(**kw)
+
+
+def test_spec_accepts_range_edges():
+    spec = EmulatedChannelSpec(fwd_delay_s=0.01, capacity_hz=100.0, buffer=0,
+                               capacity_step_at_s=0.5, capacity_step_factor=1e-3)
+    assert run_sampler_emulated(spec, [(10.0, 1.0)]).received > 0
+    spec = EmulatedChannelSpec(rtt_lognorm_median_s=0.02, rtt_lognorm_sigma=0.0)
+    res = run_sampler_emulated(spec, [(10.0, 1.0)])
+    assert set((res.trace.recv_ns - res.trace.gen_ns).tolist()) == {20_000_000}
 
 
 def test_fixed_rtt_sampler_matches_minimum_age_formula():
@@ -247,6 +309,52 @@ def test_zero_wait_needs_loss_free_channel():
     res = run_rate_policy("zero-wait", EmulatedChannelSpec.fixed_rtt(
         0.01, capacity_hz=100.0, buffer=0), 5.0)
     assert res.acked == res.sent - 1 > 0
+
+
+# --------------------------------------------------------------- median age
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    packets=st.lists(st.tuples(st.integers(1, 20_000), st.integers(0, 100_000),
+                               st.booleans()), max_size=30),
+    step_ns=st.one_of(st.just(0), st.integers(1, 40)),
+)
+@example(packets=[], step_ns=1)
+@example(packets=[(5, 3, False), (7, 1, True)], step_ns=1)
+# 65,536, 65,537 and 131,073 grid points: one full chunk, one more
+# point, and a third chunk of one
+@example(packets=[(1, 0, False), (65_535, 0, False)], step_ns=1)
+@example(packets=[(1, 0, False), (65_536, 0, False)], step_ns=1)
+@example(packets=[(1, 0, False), (65_536, 7, True), (65_536, 0, False)], step_ns=1)
+def test_median_age_equals_reference(packets, step_ns):
+    gen = np.cumsum([gap for gap, _, _ in packets], dtype=np.int64)
+    recv = [None if lost else int(g) + delay
+            for g, (_, delay, lost) in zip(gen, packets)]
+    trace = AgeTrace.from_arrays(np.arange(len(packets)), gen, recv)
+    got = _median_age(trace, step_ns / 1e9)
+    want = reference_median_age(trace, step_ns / 1e9)
+    if len(trace.delivered()[0]) < 2:
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert got == want
+
+
+def test_median_age_equals_reference_on_random_traces():
+    # longer traces than the property draws, so the ranks next to the
+    # median hold distinct ages
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        n = int(rng.integers(2, 120))
+        gen = np.cumsum(rng.integers(1, 3_000, n))
+        recv = gen + rng.integers(0, 20_000, n)
+        lost = rng.random(n) < 0.1
+        trace = AgeTrace.from_arrays(np.arange(n), gen,
+                                     [None if x else int(r) for r, x in zip(recv, lost)])
+        for step_ns in (1, 2, 7, 1_000):
+            got = _median_age(trace, step_ns / 1e9)
+            want = reference_median_age(trace, step_ns / 1e9)
+            assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # ------------------------------------------------------------ golden digests

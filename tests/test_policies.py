@@ -190,6 +190,23 @@ def test_bin_clamping():
     assert agent.bin_of(1e6) == agent.n_bins - 1
 
 
+def test_bin_of_equals_clamped_searchsorted():
+    agent = QAgent(n_bins=16, age_lo_s=0.01, age_hi_s=50.0)
+    edges = agent.bins
+    ages = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, 1e-12, 1e9, np.inf], np.random.default_rng(1).uniform(0, 60, 500),
+    ])
+    for age in ages.tolist():
+        idx = int(np.searchsorted(edges, age, side="right")) - 1
+        assert agent.bin_of(age) == min(max(idx, 0), agent.n_bins - 1)
+
+
+def test_greedy_action_picks_first_cheapest():
+    agent = QAgent(epsilon=0.0, seed=0)
+    assert agent.act(1.0) == ACTION_PAUSE  # a tie goes to the first action, as argmin
+
+
 def test_greedy_action_picks_cheaper():
     agent = QAgent(epsilon=0.0, seed=0)
     b = agent.bin_of(1.0)
