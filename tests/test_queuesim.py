@@ -240,7 +240,7 @@ def test_bad_configs_rejected():
 # ------------------------------------------------------------ golden digests
 
 
-def _golden_sim_configs() -> dict[str, SimConfig]:
+def _golden_sim_configs(horizon: int = 1500) -> dict[str, SimConfig]:
     """A grid that reaches every branch of the simulator: each arrival
     kind, discipline, buffer size and loss mode, a delivery offset, and
     bottleneck points on each side of the loss onset and of load 1."""
@@ -262,12 +262,12 @@ def _golden_sim_configs() -> dict[str, SimConfig]:
                         arrival, ServiceSpec("exponential", 1.0),
                         discipline=discipline, capacity=capacity,
                         loss_p=loss_p, retransmit=retransmit,
-                        horizon=1500, seed=17,
+                        horizon=horizon, seed=17,
                     )
     for name, loss_p in (("lindley", 0.0), ("events", 0.1)):
         configs[f"offset/{name}"] = SimConfig(
             ArrivalSpec("poisson", 0.7), ServiceSpec("deterministic", 1.0),
-            loss_p=loss_p, delivery_offset_s=0.0125, horizon=1500, seed=5,
+            loss_p=loss_p, delivery_offset_s=0.0125, horizon=horizon, seed=5,
         )
     model = ChannelModel(base_rtt_s=0.02)
     for load in (0.3, 0.8, 1.0, 1.5):
@@ -275,7 +275,7 @@ def _golden_sim_configs() -> dict[str, SimConfig]:
         for variant, kw in (("fcfs", {}), ("lcfs1", {"discipline": "lcfs1"}),
                             ("retx", {"retransmit": True})):
             configs[f"bottleneck/{load}/{variant}"] = model.sim_config(
-                rate, 1500, 23, **kw)
+                rate, horizon, 23, **kw)
     return configs
 
 
@@ -462,4 +462,194 @@ SIM_GOLDEN = {
         "1b71261ab8273204cc67c63e7a1f0954baa1c34e60e437a9a678a2d4c7f993af",
     "bottleneck/1.5/retx":
         "6d27a55e312d848fda42f3c987d5f7f12b7f470a8d16c72e1ad70eacea3fb53d",
+}
+
+
+def test_simulate_golden_digests_past_the_draw_block():
+    # the same grid at a horizon where every config completes more than
+    # 4096 services, so each service and loss-coin stream it draws from
+    # runs past one 4096-value block; pinned before the event loop drew
+    # in blocks
+    got = {}
+    for name, cfg in _golden_sim_configs(horizon=10_000).items():
+        run = simulate(cfg)
+        m = run.meta
+        assert m["delivered"] + m["lost_channel"] + m["retransmissions"] > 4096, name
+        got[name] = sha256_of(run.trace.gen_ns, run.trace.recv_ns, run.meta_lines())
+    assert got == SIM_GOLDEN_10K
+
+
+SIM_GOLDEN_10K = {
+    "poisson/fcfs/cap=None/clean":
+        "302f2d85b31b8fd5880c873c58be3b363b2e7f46c89ee9f6d895ad93af204291",
+    "poisson/fcfs/cap=None/loss":
+        "430b4ba576cc322ff86e70b6e452933a7347a53f1a055ea42f574101553f94db",
+    "poisson/fcfs/cap=None/retx":
+        "0c94ca9b5ee569a18b8006f24205cb97561cf63cd86fafccf80379e19dc51b9b",
+    "poisson/fcfs/cap=0/clean":
+        "1af708f48c96bd7cc4610313e00be145ba9facdfd59a48bf3cbc52fc88497ff3",
+    "poisson/fcfs/cap=0/loss":
+        "ae1aa5806c24cdf3fde88bac5c2fe4bc80dc90d095c744b85bad0b74a90621d1",
+    "poisson/fcfs/cap=0/retx":
+        "39d17b8447aa49c721e8124dee0e0cbd76e685c27bde03f726c1fcbb204d9af6",
+    "poisson/fcfs/cap=3/clean":
+        "b039d285ed473f239fce0a07693aeec02827ab04fffb348d482ac7aee05c302b",
+    "poisson/fcfs/cap=3/loss":
+        "26bb169d740299a84c80c192c9446d2017bb10de01d06b3800454137545a15ec",
+    "poisson/fcfs/cap=3/retx":
+        "7ebde4112258a085f47f5ac8f4718d5d8eeb83b4cf85c451af126bc1e66bcfbc",
+    "poisson/lcfs1/cap=None/clean":
+        "0286cc29781986e1bff14203eca90ad68db52517024211aa580d8b259d52e77b",
+    "poisson/lcfs1/cap=None/loss":
+        "9ed70c45204aef1f917a8a517fc1f0c90c5b04b4f1f3871c8e3e8437bb60f652",
+    "poisson/lcfs1/cap=None/retx":
+        "0c7ca40288f359dc2b8cd54d5b93e0dbac414079232a7a7727f157263f6800ea",
+    "poisson/lcfs1/cap=0/clean":
+        "4b072359f45a7eb71dd3fe65d5e2c4e12a61bd20691590a68c9540164aa9442d",
+    "poisson/lcfs1/cap=0/loss":
+        "dc18895f7dfc733fee49ca7d4d8010aa356c8954c22258b9f28a0b1ac1356c00",
+    "poisson/lcfs1/cap=0/retx":
+        "c347db9433fa53ff3d8ab8efd18fb37fa62fd6e76c83d23cd607efba3898e6a3",
+    "poisson/lcfs1/cap=3/clean":
+        "4d2d0c4fce4ba029fbb4097087b78ffd59f5587987e30252bf685835933b6e0b",
+    "poisson/lcfs1/cap=3/loss":
+        "acd98b0d24c5446ba53a896bb4b13ebceb38a2eaef038360e189403b86d627d6",
+    "poisson/lcfs1/cap=3/retx":
+        "c4374808aba00d48d989d27b0fe2e9af12157ec4449e0abd12efefe363f4824b",
+    "deterministic/fcfs/cap=None/clean":
+        "41844650cb5e34d5871e97786acdaa1742653cbdf4ea1afac13b9080c18b8e88",
+    "deterministic/fcfs/cap=None/loss":
+        "6fb063b44aff7e47f37e208494d43e556d02ba4397b2eae63c1fccba14cc4f07",
+    "deterministic/fcfs/cap=None/retx":
+        "d6e2e5c6628fe1612e0d3d5030aeae78fb759eee4d475b1a43351031db69145f",
+    "deterministic/fcfs/cap=0/clean":
+        "594e577cdbe2e28d132c47b4627227507d978ce2e338ae3a359de5ce610bc7d1",
+    "deterministic/fcfs/cap=0/loss":
+        "a25679c41b7bfc0c2a6aad7ee1e11fdfce1d343f5b8de89124e2a8fc24b777bb",
+    "deterministic/fcfs/cap=0/retx":
+        "bdf964406fb12973ad647e4b9f3992ac50208ad057546abd753facb53089af06",
+    "deterministic/fcfs/cap=3/clean":
+        "047d488cda28f9ef3d8295a1653514666ae2bd08d888f30cea69f5f5df39c9b4",
+    "deterministic/fcfs/cap=3/loss":
+        "6da8d5e75562a2dacf5885d9f3e56e240f09273f3be8e22340db2fc83a6e7d76",
+    "deterministic/fcfs/cap=3/retx":
+        "8d9826d0d576d20375191ffd5167d4a3f5f777e069a9b88362e253bbabf2eebc",
+    "deterministic/lcfs1/cap=None/clean":
+        "0531b4b6b669f5974f3c51958bb925458e49db18fac3052b3aa7574558d357d3",
+    "deterministic/lcfs1/cap=None/loss":
+        "ebdb0060c1a93ca3fa17e073343fe4da43e1bbca0fe2d658754ac2e82fc96c2f",
+    "deterministic/lcfs1/cap=None/retx":
+        "43ef4c3154d6d54b09fb4b9b575a2f8b7867d4a8dba65a76248229cca7ebee9b",
+    "deterministic/lcfs1/cap=0/clean":
+        "8345b5338daf941d8c8bff5aa5f29e7fd7139a4025f229d44ab186858d16fd57",
+    "deterministic/lcfs1/cap=0/loss":
+        "27b742e749e3bdc729f886ad617ba01afd843ba248a81674b9174b0fccf68647",
+    "deterministic/lcfs1/cap=0/retx":
+        "a7a4babd417bc70c4caf7c3de1686994332c260e2324c0b6498340bda3c3bb1a",
+    "deterministic/lcfs1/cap=3/clean":
+        "c294ae7415ee36b7ff791fe3c2754ae1c159d0b24ab32398b89ed3be32618faf",
+    "deterministic/lcfs1/cap=3/loss":
+        "799ec110309bb1a23e799a59ad4bbaaac0d2e40ce13712c5b6a26b5fd793dba7",
+    "deterministic/lcfs1/cap=3/retx":
+        "2691bb869a1367ba6b2b16a3e9ce2cc436acc2e9e5f44ba537dedfe4c0112a0f",
+    "zero-wait/fcfs/cap=None/clean":
+        "ae69b27aa0764392a373ae8266c06bb2323994bcbb1a5873366955bf81398b9b",
+    "zero-wait/fcfs/cap=None/loss":
+        "89ffcd3c1e0ac7ba11ad5c3af46ac71382f2cb569f66f479843fc20aa29abb1f",
+    "zero-wait/fcfs/cap=None/retx":
+        "2f48830b0b28b549acad0e55c3c41f3dcbc311556fcbf0a255d1ebc024eb50ca",
+    "zero-wait/fcfs/cap=0/clean":
+        "6cca49931eecc9923557d4a4566c4379db65a59e77c4d9b9a81c4ce0012d2bd3",
+    "zero-wait/fcfs/cap=0/loss":
+        "4268e1a49841e86a6058746870fcc89a6c9ab2c343b8aeb831997837af33a230",
+    "zero-wait/fcfs/cap=0/retx":
+        "565cc62192d50e756c3d811c62dc22e2b5592744d0b9a5154eeb771ed9e745d7",
+    "zero-wait/fcfs/cap=3/clean":
+        "e067be41e1e9236739884f032e9d5c55e6a7030a8bd916b3604f028de97c7a25",
+    "zero-wait/fcfs/cap=3/loss":
+        "1ed6729f2b6813a1d78323fabe63a8d92f0926dfac4faa891e358f3afc59c319",
+    "zero-wait/fcfs/cap=3/retx":
+        "5e676e9de7c6159c2e4ae9607cbf360fb32898e0dee780245690f16a763e8d94",
+    "zero-wait/lcfs1/cap=None/clean":
+        "4f12bc8ecc320c928377edf7e845a13399d339ae4dcd81b3a552b537cf080245",
+    "zero-wait/lcfs1/cap=None/loss":
+        "0913e61dead075b6085ba7906ad6d33b2640321659c72ab96af2726687cb7726",
+    "zero-wait/lcfs1/cap=None/retx":
+        "751af9f204d8e08081dc2e6787a648b60ba5b212f8ffedddc02ccdf85fb6242f",
+    "zero-wait/lcfs1/cap=0/clean":
+        "fb3670e5246bbfada986d7c18dcefdde60c8680f5c3455a453292c7556008921",
+    "zero-wait/lcfs1/cap=0/loss":
+        "c3b111fba73c431bc3dd6d817ade470f5cba9bfd7572d54def42f9c643ebaa05",
+    "zero-wait/lcfs1/cap=0/retx":
+        "19369c4f89ddaae0a9b9b2dd839a25f61a93a97d421584ca683fa7313f7ba1a7",
+    "zero-wait/lcfs1/cap=3/clean":
+        "a4f9fd398809dabe525023104873769c874ca56cef02298f85b6142ab01de7f7",
+    "zero-wait/lcfs1/cap=3/loss":
+        "8964742b24a0ab773601b1ed57993dd97694b4edf5e211ba9b903aa3077de832",
+    "zero-wait/lcfs1/cap=3/retx":
+        "c04d2b69e77829b662e884ba8678decbeed5eb37db95c8428b76dd0c670a97f2",
+    "at-will/fcfs/cap=None/clean":
+        "662eb335d2d94fc717fd576a397581f17a64488725b7c9cba7d1e356a7d257cf",
+    "at-will/fcfs/cap=None/loss":
+        "f4755504ce1b3e24808993439d6d25186cbec86aa88be1e463ebe3c5a15a65e6",
+    "at-will/fcfs/cap=None/retx":
+        "5b4ddc4aca4d1a04bc9a42803bc8d64018abf791fde7581c2d75c1863a6db695",
+    "at-will/fcfs/cap=0/clean":
+        "b71933a4abd5ea7d01f347ba84cfa645ebe11c2bc51fa5a283b4298da2a2f5e5",
+    "at-will/fcfs/cap=0/loss":
+        "63e990689b9c434f48bc56b08a01075262d6b908ef10e1dc6798c769c32fa930",
+    "at-will/fcfs/cap=0/retx":
+        "50048f4870c1730ca0bd17234283004ce6970d746dfa69475490a14e6151632a",
+    "at-will/fcfs/cap=3/clean":
+        "c3e70f4ba22d7a8c3aa17a1ab1c867167dc6155c5854ede36156b7af793b1dad",
+    "at-will/fcfs/cap=3/loss":
+        "d07528135d75b4a3f22bdba3bd49fdf8220272641db09f8011ece69d92d02a53",
+    "at-will/fcfs/cap=3/retx":
+        "aaaf072ab056886dbced939f8c49aa4d1b06b0a21b4ac1f3dd222918b7750577",
+    "at-will/lcfs1/cap=None/clean":
+        "a787611cd20b9325e391ef918a8a1b4ee7b7944c465d0eb0b47157a5fa88b7a8",
+    "at-will/lcfs1/cap=None/loss":
+        "0cad6c2eae34ae7bfa61a365d62c80bf68e227efa9362f65795972decbfd273b",
+    "at-will/lcfs1/cap=None/retx":
+        "a060e842a5d0df0ee4cdf148547e4434f6b1039cea3491f260e384a25383a367",
+    "at-will/lcfs1/cap=0/clean":
+        "62aaaddc5605a83bf98a72359497217de2774ca5520b2d0f04dc0a5204b8c528",
+    "at-will/lcfs1/cap=0/loss":
+        "5faa0c2ecf31179b3a3c5d7f3f8e1dcec36bac8864c4595b6721c09d2dcd92b9",
+    "at-will/lcfs1/cap=0/retx":
+        "7c3c02184a9ad49a84ad1d12329a10cc440ab6838c1977354226e91739b167c0",
+    "at-will/lcfs1/cap=3/clean":
+        "1eb3e3468ba20279694b9bb6715ecc2d3e68a02da4a5a549f28ccfa7b9e505c8",
+    "at-will/lcfs1/cap=3/loss":
+        "a7b2572c6d4f9b6ec6a84dab9405984224b22f58734bf6a6a4f6bb8d55c200bb",
+    "at-will/lcfs1/cap=3/retx":
+        "e81b2ea544db29b1a0bd41f0e2422c1f9992c6b42c9143892c45f64b240941d7",
+    "offset/lindley":
+        "e7a1fdb355d008b695be8f44c7c2c20ab989a2a60a02d1e003c8d9497a5bf56b",
+    "offset/events":
+        "b49ca8fcfe99869dc747d655a73fc36b28c13a08f2b2843bd474b93a993a561d",
+    "bottleneck/0.3/fcfs":
+        "bbc8bc00ccfa5490402fbf6473afb966d54c4c9bc8dc20259f500f9ec188ba10",
+    "bottleneck/0.3/lcfs1":
+        "99ff65ba69e83e1e7942b87d86700fb32631080cefe7fe7d820c9bdd07272a76",
+    "bottleneck/0.3/retx":
+        "42ff55809d635f6923222f0b3c26f5dd5e7d103a2d06f0872e84fc9a2dc84f7a",
+    "bottleneck/0.8/fcfs":
+        "776edf2ec3f92d5fc6a606ec31166645cae7025b43495ff681b1384ea3f3a711",
+    "bottleneck/0.8/lcfs1":
+        "62f9af54d76420fb89dbcf42e70d9744cf2473550110b34e35ec7d1f7c761c22",
+    "bottleneck/0.8/retx":
+        "4edeea71d23b5e4e8bb1ea0e703d78983f031c907c5c8d37b8c7c3d007904c3c",
+    "bottleneck/1.0/fcfs":
+        "8ed3b7729495cba50c5b378463d13ad47036c7206f19fe1e0f3a089bdf429b5a",
+    "bottleneck/1.0/lcfs1":
+        "3c2dbba358d138947198778c6efbba6a2bca98c2612976ca4d3d86b2c256062f",
+    "bottleneck/1.0/retx":
+        "9a8cd500aa2b94d3082ee8428d1059d84b89d64f24d3f3b083bff21a5ce2a1c8",
+    "bottleneck/1.5/fcfs":
+        "270191f50fd706f299ed50fd4b2f8f90ae1206fa754fe37d8b32e22d6cd759f0",
+    "bottleneck/1.5/lcfs1":
+        "3b00de8caeb63452ac5bdf1085fe1ef2a58de579ad34f46bf36db28fcebc4608",
+    "bottleneck/1.5/retx":
+        "b85caa9548a01f6701f5dcaf1e7cc8ae6e8db91baeed437b7234cb623b615d99",
 }
