@@ -200,7 +200,9 @@ def cmd_sim(args, argv) -> int:
     _write_trace_outputs(run.trace, args.out, run.meta_lines(), manifest)
     stats = summary(run.trace)
     _print_kv([("trace", args.out)] + [(k, f"{v:.9g}") for k, v in stats.items()])
-    if args.model == "mm1" and 0 < args.rho < 1:
+    # the closed form holds only for the loss-free infinite-buffer FCFS queue
+    if (args.model == "mm1" and 0 < args.rho < 1 and cfg.discipline == "fcfs"
+            and cfg.capacity is None and cfg.loss_p == 0.0 and not cfg.retransmit):
         _print_kv([("analytic_avg_age_s",
                     f"{analytic_mm1_age(args.rho, args.mu):.9g}")])
     if args.gnuplot_hints:
@@ -217,6 +219,9 @@ def cmd_sweep(args, argv) -> int:
     else:
         raise ConfigError("give --rates or --rate-min/--rate-max")
     if args.bottleneck_kbps is not None:
+        if args.capacity is not None or args.loss:
+            # the bottleneck model sets the loss and keeps an infinite buffer
+            raise ConfigError("--bottleneck-kbps takes neither --capacity nor --loss")
         model = ChannelModel(
             bandwidth_bps=args.bottleneck_kbps * 1000.0,
             packet_bytes=args.packet_bytes,

@@ -14,13 +14,13 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .policies import AcpState, EwmaEstimator, PolicyObservation, rate_policy
-from .queuesim import regime_loss_p
+from .queuesim import _draws, check_regime_loss_p, regime_loss_p
 from .trace import AgeTrace, seconds_to_ns
 
 
@@ -70,6 +70,10 @@ class EmulatedChannelSpec:
             raise ConfigError("capacity must be finite and positive")
         if self.buffer is not None and self.buffer < 0:
             raise ConfigError("buffer cannot be negative")
+        if self.capacity_step_at_s is not None and not (
+                math.isfinite(self.capacity_step_at_s)
+                and self.capacity_step_at_s >= 0):
+            raise ConfigError("capacity step time must be finite and non-negative")
         if not (math.isfinite(self.capacity_step_factor)
                 and self.capacity_step_factor > 0):
             raise ConfigError("capacity step factor must be finite and positive")
@@ -84,6 +88,7 @@ class EmulatedChannelSpec:
                 raise ConfigError("loss schedule needs a capacity")
             if not (0.0 < self.loss_onset_load <= 1.0):
                 raise ConfigError("loss onset load must be in (0, 1]")
+        check_regime_loss_p(self.busy_loss_p, self.panicked_loss_p)
 
     @classmethod
     def fixed_rtt(cls, rtt_s: float, **kw) -> "EmulatedChannelSpec":
@@ -98,17 +103,6 @@ class ChannelTransit:
     send_s: float
     arrive_fwd_s: Optional[float]  # None if lost
     ack_s: Optional[float]
-
-
-_DRAW_BLOCK = 4096
-
-
-def _draws(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
-    """The values of `draw(size)` one at a time, drawn `_DRAW_BLOCK` at
-    a time. PCG64 bulk draws equal successive scalar draws, so a stream
-    that makes only this one kind of draw keeps its sequence."""
-    while True:
-        yield from draw(_DRAW_BLOCK).tolist()
 
 
 class EmulatedChannel:

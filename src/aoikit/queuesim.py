@@ -10,10 +10,11 @@ on a given platform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -202,7 +203,15 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
     return SimRun(trace, meta)
 
 
-_NEVER = (math.inf, 0)  # no event pending
+_DRAW_BLOCK = 4096
+
+
+def _draws(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of `draw(size)` one at a time, drawn `_DRAW_BLOCK` at
+    a time. PCG64 bulk draws equal successive scalar draws, so a stream
+    that makes only this one kind of draw keeps its sequence."""
+    while True:
+        yield from draw(_DRAW_BLOCK).tolist()
 
 
 def _simulate_events(cfg: SimConfig) -> SimRun:
@@ -210,92 +219,97 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     retransmission, the single-slot freshest-only queue, and
     generate-at-will sources.
 
-    A single server has at most two pending events: the next arrival
-    and the current departure. Each is a (time, insertion seq) pair
-    and the smaller pair fires first, so simultaneous events run in
-    the order they were scheduled."""
+    A single server has at most two pending events, kept as two floats:
+    the next arrival time and the current departure time (inf when none
+    is pending). On equal times the event scheduled earlier fires
+    first; `dep_first` records whether the pending departure was
+    scheduled before the pending arrival, which is all that rule needs.
+    Exponential services and loss coins are drawn `_DRAW_BLOCK` at a
+    time from their own streams through `_draws`, so every trace equals
+    the one drawn a value per event."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n = cfg.horizon
+    inf = math.inf
     exogenous = cfg.arrival.kind in ("poisson", "deterministic")
     if exogenous:
-        arrivals = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng)).tolist()
-    seq = 0
-
-    def at(t: float) -> tuple[float, int]:
-        nonlocal seq
-        seq += 1
-        return (t, seq)
-
+        times = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng)).tolist()
+    else:
+        # the first update at 0, each later one when the channel goes idle
+        times = [0.0]
+    next_arrival = itertools.chain(times, itertools.repeat(inf)).__next__
+    hook = cfg.arrival.hook if cfg.arrival.kind == "at-will" else None
     scale = 1.0 / cfg.service.mu
     if cfg.service.kind == "exponential":
-        def service_time() -> float:
-            return service_rng.exponential(scale)
+        service = _draws(lambda k: service_rng.exponential(scale, k)).__next__
     else:
-        def service_time() -> float:
-            return scale
+        service = itertools.repeat(scale).__next__
+    coin = _draws(loss_rng.random).__next__
+    lcfs1 = cfg.discipline == "lcfs1"
+    capacity = inf if cfg.capacity is None else cfg.capacity
+    loss_p, retransmit, offset = cfg.loss_p, cfg.retransmit, cfg.delivery_offset_s
 
     gen_times: list[float] = []
     recv_times: list[float] = []  # nan until delivered
+    gen_append, recv_append = gen_times.append, recv_times.append
     queue: deque[int] = deque()  # FCFS waiting line, or [freshest] for lcfs1
+    q_append, q_popleft = queue.append, queue.popleft
     in_service: Optional[int] = None
-    next_arrival = at(arrivals[0] if exogenous else 0.0)
-    departure = _NEVER
+    t_arr = next_arrival()
+    t_dep = inf
+    dep_first = False
     generated = 1
-    delivered = 0
-    lost_channel = 0
-    lost_overflow = 0
-    discarded = 0
-    retransmissions = 0
-    max_waiting = 0
+    delivered = lost_channel = lost_overflow = discarded = 0
+    retransmissions = max_waiting = 0
 
     while True:
-        if next_arrival < departure:
-            now = next_arrival[0]
-            idx = len(gen_times)
-            gen_times.append(now)
-            recv_times.append(math.nan)
-            next_arrival = _NEVER
-            if exogenous and generated < n:
-                next_arrival = at(arrivals[generated])
-                generated += 1
-            if in_service is None:
-                in_service = idx
-                departure = at(now + service_time())
-            elif cfg.discipline == "lcfs1":
-                if queue:
-                    discarded += 1
-                    queue.clear()
-                queue.append(idx)
-            elif cfg.capacity is None or len(queue) < cfg.capacity:
-                queue.append(idx)
+        if t_dep < t_arr or (dep_first and t_dep == t_arr):
+            now = t_dep
+            dep_first = False
+            if loss_p and coin() < loss_p:
+                if retransmit:
+                    retransmissions += 1
+                    t_dep = now + service()
+                    continue
+                lost_channel += 1
             else:
-                lost_overflow += 1
-            max_waiting = max(max_waiting, len(queue))
+                recv_times[in_service] = now + offset
+                delivered += 1
+            if not exogenous and generated < n:
+                # the channel is idle again; let the source decide when
+                # to generate the next update
+                wait = 0.0 if hook is None else float(hook(in_service, now))
+                t_arr = now + max(0.0, wait)
+                generated += 1
+            if queue:
+                in_service = q_popleft()
+                t_dep = now + service()
+            else:
+                in_service = None
+                t_dep = inf
             continue
-        if departure is _NEVER:
+        if t_arr == inf:
             break
-        now = departure[0]
-        departure = _NEVER
-        if cfg.loss_p > 0.0 and loss_rng.random() < cfg.loss_p:
-            if cfg.retransmit:
-                retransmissions += 1
-                departure = at(now + service_time())
-                continue
-            lost_channel += 1
+        now = t_arr
+        t_arr = next_arrival()
+        idx = len(gen_times)
+        gen_append(now)
+        recv_append(math.nan)
+        if in_service is None:
+            in_service = idx
+            t_dep = now + service()
+            continue
+        dep_first = True
+        if lcfs1:
+            if queue:
+                discarded += 1
+                queue.clear()
+            q_append(idx)
+        elif len(queue) < capacity:
+            q_append(idx)
         else:
-            recv_times[in_service] = now + cfg.delivery_offset_s
-            delivered += 1
-        if not exogenous and generated < n:
-            # the channel is idle again; let the source decide when
-            # to generate the next update
-            wait = 0.0 if cfg.arrival.kind == "zero-wait" \
-                else float(cfg.arrival.hook(in_service, now))
-            next_arrival = at(now + max(0.0, wait))
-            generated += 1
-        in_service = None
-        if queue:
-            in_service = queue.popleft()
-            departure = at(now + service_time())
+            lost_overflow += 1
+        if len(queue) > max_waiting:
+            max_waiting = len(queue)
 
     trace = AgeTrace.from_seconds(gen_times, recv_times)
     total_loss = lost_channel + lost_overflow + discarded
@@ -384,6 +398,13 @@ def load_regime(load: float, loss_onset_load: float) -> str:
     return "panicked"
 
 
+def check_regime_loss_p(busy_loss_p: float, panicked_loss_p: float) -> None:
+    """Refuse a busy or panicked loss probability outside [0, 1)."""
+    for regime, p in (("busy", busy_loss_p), ("panicked", panicked_loss_p)):
+        if not (0.0 <= p < 1.0):
+            raise ConfigError(f"{regime} loss probability must be in [0, 1)")
+
+
 def regime_loss_p(load: float, loss_onset_load: float,
                   busy_loss_p: float, panicked_loss_p: float) -> float:
     """Loss probability of the load regime: none when relaxed."""
@@ -414,6 +435,7 @@ class ChannelModel:
             raise ConfigError("loss onset load must be in (0, 1]")
         if self.bandwidth_bps <= 0 or self.packet_bytes <= 0:
             raise ConfigError("bandwidth and packet size must be positive")
+        check_regime_loss_p(self.busy_loss_p, self.panicked_loss_p)
 
     @property
     def capacity_hz(self) -> float:

@@ -91,6 +91,27 @@ def test_unstable_run_flagged_in_metadata(tmp_path, capsys):
     assert "unstable=1" in Path(out + ".meta").read_text()
 
 
+@pytest.mark.parametrize("extra, oracle", [
+    ([], True),
+    (["--discipline", "lcfs1"], False),
+    (["--capacity", "0"], False),
+    (["--capacity", "3"], False),
+    (["--loss", "0.2"], False),
+    (["--loss", "0.2", "--retransmit"], False),
+])
+def test_sim_mm1_prints_the_closed_form_only_for_its_queue(tmp_path, capsys,
+                                                           extra, oracle):
+    # the M/M/1 closed form is the age of the loss-free infinite-buffer
+    # FCFS queue; any other queue must not print it as its oracle
+    code, stdout, _ = run_cli(
+        capsys, "sim", "--model", "mm1", "--rho", "0.8", "--mu", "1",
+        "--arrivals", "2000", "--seed", "1", "--out", str(tmp_path / "t.csv"),
+        *extra,
+    )
+    assert code == 0
+    assert ("analytic_avg_age_s" in kv(stdout)) == oracle
+
+
 def test_aoi_seed_env_fallback(tmp_path, capsys, monkeypatch):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -216,6 +237,22 @@ def test_sweep_empty_rate_list_is_config_error(tmp_path, capsys, extra):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra", [["--capacity", "2"], ["--loss", "0.5"],
+                                   ["--capacity", "0", "--loss", "0.1"]])
+def test_sweep_bottleneck_refuses_capacity_and_loss(tmp_path, capsys, extra):
+    # the bottleneck model sets its own loss and buffer, so these flags
+    # would be ignored
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--bottleneck-kbps", "130", "--rates", "5,20",
+        "--out", str(out), *extra,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: --bottleneck-kbps takes neither")
+    assert not out.exists()
+
+
 def test_measure_sampler_emulated(tmp_path, capsys):
     out = str(tmp_path / "m.csv")
     code, stdout, _ = run_cli(
@@ -234,6 +271,10 @@ def test_measure_sampler_emulated(tmp_path, capsys):
     ("capacity=100,fixed_rtt=20ms,buffer=-1", "buffer"),
     ("lognormal_median=100ms,lognormal_sigma=-1", "lognormal sigma"),
     ("capacity=nan,fixed_rtt=20ms", "capacity"),
+    ("capacity=100,fixed_rtt=20ms,loss_onset=0.5,busy_loss=1.5", "busy loss probability"),
+    ("capacity=100,fixed_rtt=20ms,loss_onset=0.5,panicked_loss=-3",
+     "panicked loss probability"),
+    ("capacity=100,fixed_rtt=20ms,step_at=nan", "capacity step time"),
 ])
 def test_measure_sampler_unusable_channel_exits_2(tmp_path, capsys, channel, message):
     out = tmp_path / "m.csv"

@@ -76,6 +76,16 @@ def test_dropped_transit_has_no_arrival():
     (dict(jitter_s=math.inf), "delays"),
     (dict(bwd_delay_s=-0.001), "delays"),
     (dict(peer_offset_s=math.nan), "offset"),
+    (dict(busy_loss_p=1.5), "busy loss"),
+    (dict(busy_loss_p=1.0), "busy loss"),
+    (dict(busy_loss_p=-0.1), "busy loss"),
+    (dict(busy_loss_p=math.nan), "busy loss"),
+    (dict(panicked_loss_p=-3.0), "panicked loss"),
+    (dict(panicked_loss_p=1.0), "panicked loss"),
+    (dict(panicked_loss_p=math.nan), "panicked loss"),
+    (dict(capacity_hz=100.0, capacity_step_at_s=math.nan), "step time"),
+    (dict(capacity_hz=100.0, capacity_step_at_s=math.inf), "step time"),
+    (dict(capacity_hz=100.0, capacity_step_at_s=-1.0), "step time"),
 ])
 def test_spec_refuses_unusable_impairments(kw, message):
     with pytest.raises(ConfigError, match=message):
@@ -86,6 +96,8 @@ def test_spec_accepts_range_edges():
     spec = EmulatedChannelSpec(fwd_delay_s=0.01, capacity_hz=100.0, buffer=0,
                                capacity_step_at_s=0.5, capacity_step_factor=1e-3)
     assert run_sampler_emulated(spec, [(10.0, 1.0)]).received > 0
+    EmulatedChannelSpec(capacity_hz=100.0, capacity_step_at_s=0.0,
+                        loss_onset_load=0.5, busy_loss_p=0.0, panicked_loss_p=0.0)
     spec = EmulatedChannelSpec(rtt_lognorm_median_s=0.02, rtt_lognorm_sigma=0.0)
     res = run_sampler_emulated(spec, [(10.0, 1.0)])
     assert set((res.trace.recv_ns - res.trace.gen_ns).tolist()) == {20_000_000}

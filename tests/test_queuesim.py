@@ -213,6 +213,20 @@ def test_channel_threshold_ordering_enforced():
         ChannelModel(loss_onset_load=0.0)
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(busy_loss_p=1.5), "busy loss"),
+    (dict(busy_loss_p=1.0), "busy loss"),
+    (dict(busy_loss_p=-0.1), "busy loss"),
+    (dict(busy_loss_p=float("nan")), "busy loss"),
+    (dict(panicked_loss_p=-3.0), "panicked loss"),
+    (dict(panicked_loss_p=1.0), "panicked loss"),
+    (dict(panicked_loss_p=float("nan")), "panicked loss"),
+])
+def test_channel_loss_probabilities_must_be_in_unit_interval(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        ChannelModel(**kw)
+
+
 def test_retransmission_preset_ages_blow_up_versus_plain_loss():
     model = ChannelModel(busy_loss_p=0.3, panicked_loss_p=0.3)
     rate = 0.9 * model.capacity_hz
