@@ -16,7 +16,6 @@ from .metrics import (
     PenaltySpec,
     age_floor,
     apply_bias,
-    average_age,
     average_age_by_generation,
     average_age_by_reception,
     instantaneous_age,
@@ -25,7 +24,7 @@ from .metrics import (
     penalty_average,
     penalty_bias,
 )
-from .trace import AgeTrace, PacketRecord, read_csv
+from .trace import AgeTrace, read_csv
 from .queuesim import (
     ArrivalSpec,
     ChannelModel,
@@ -56,13 +55,11 @@ __all__ = [
     "RangeError",
     "TraceFormatError",
     "AgeTrace",
-    "PacketRecord",
     "read_csv",
     "BiasModel",
     "PenaltySpec",
     "age_floor",
     "apply_bias",
-    "average_age",
     "average_age_by_generation",
     "average_age_by_reception",
     "instantaneous_age",

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import __version__
 from .emulate import (
-    DECISION_HEADER,
+    DecisionRow,
     EmulatedChannelSpec,
     decision_csv,
     estimate_offset_emulated,
     run_rate_policy,
     run_sampler_emulated,
 )
-from .errors import AoiError, ConfigError, NotReadyError, TraceFormatError
+from .errors import AoiError, ConfigError, TraceFormatError
 from .manifest import RunManifest
 from .metrics import PenaltySpec, BiasModel, apply_bias, summary
 from .policies import AcpState, PauseResumeEnv, QAgent, Q_ACTIONS, train_pause_resume
@@ -219,9 +219,12 @@ def cmd_sweep(args, argv) -> int:
     else:
         raise ConfigError("give --rates or --rate-min/--rate-max")
     if args.bottleneck_kbps is not None:
-        if args.capacity is not None or args.loss:
-            # the bottleneck model sets the loss and keeps an infinite buffer
-            raise ConfigError("--bottleneck-kbps takes neither --capacity nor --loss")
+        if (args.capacity is not None or args.loss or args.arrival is not None
+                or args.service is not None or args.mu is not None):
+            # the bottleneck model samples at a constant rate, serves at its
+            # capacity, sets the loss and keeps an infinite buffer
+            raise ConfigError("--bottleneck-kbps takes neither --capacity, --loss, "
+                              "--arrival, --service nor --mu")
         model = ChannelModel(
             bandwidth_bps=args.bottleneck_kbps * 1000.0,
             packet_bytes=args.packet_bytes,
@@ -233,8 +236,9 @@ def cmd_sweep(args, argv) -> int:
     else:
         # the template's rate is a placeholder: each point sets its own
         cfg = SimConfig(
-            arrival=ArrivalSpec(args.arrival, 1.0),
-            service=ServiceSpec(args.service, args.mu),
+            arrival=ArrivalSpec(args.arrival or "deterministic", 1.0),
+            service=ServiceSpec(args.service or "deterministic",
+                                1.0 if args.mu is None else args.mu),
             discipline=args.discipline,
             capacity=args.capacity,
             loss_p=args.loss,
@@ -390,14 +394,11 @@ def cmd_policy(args, argv) -> int:
         )
         env = PauseResumeEnv(delay_s=delay)
         res = train_pause_resume(agent, env, args.iters, record_history=True)
-        lines = [
-            f"{i + 1},{Q_ACTIONS[a]},0,0,{age:.6g},0"
-            for i, (a, age) in enumerate(zip(res.action_history,
-                                             res.age_history))
-        ]
+        rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
+                for i, (a, age) in enumerate(zip(res.action_history,
+                                                 res.age_history))]
         with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(DECISION_HEADER + "\n")
-            f.write("\n".join(lines) + "\n")
+            f.write(decision_csv(rows))
         manifest.outputs.append(log_path)
         manifest.finish().write(log_path)
         pairs = [("decisions", log_path), ("iterations", res.iterations)]
@@ -479,11 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--rate-min", type=float, default=None)
     sw.add_argument("--rate-max", type=float, default=None)
     sw.add_argument("--points", type=int, default=10)
+    # without --bottleneck-kbps: deterministic, deterministic and 1.0
     sw.add_argument("--arrival", choices=["poisson", "deterministic"],
-                    default="deterministic")
+                    default=None)
     sw.add_argument("--service", choices=["exponential", "deterministic"],
-                    default="deterministic")
-    sw.add_argument("--mu", type=float, default=1.0)
+                    default=None)
+    sw.add_argument("--mu", type=float, default=None)
     sw.add_argument("--bottleneck-kbps", type=float, default=None)
     sw.add_argument("--packet-bytes", type=int, default=wire.DEFAULT_DATA_SIZE)
     sw.add_argument("--discipline", choices=["fcfs", "lcfs1"], default="fcfs")
@@ -560,9 +562,6 @@ def main(argv=None) -> int:
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotReadyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except AoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -45,7 +45,7 @@ class EmulatedChannelSpec:
     capacity_hz: Optional[float] = None
     buffer: Optional[int] = None
     loss_p: float = 0.0
-    # load-threshold loss schedule (queuesim.load_regime): once the
+    # load-threshold loss schedule (queuesim.regime_loss_p): once the
     # observed send rate passes loss_onset_load * capacity the channel
     # drops busy_loss_p of the packets, and panicked_loss_p at or
     # beyond capacity; loss therefore rises before queueing delay does
@@ -307,7 +307,7 @@ def estimate_offset_emulated(
 # ------------------------------------------------------ closed-loop runner
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionRow:
     epoch: int
     action: str
@@ -322,13 +322,9 @@ DECISION_HEADER = "epoch,action,target_backlog,rate_hz,avg_age_s,backlog"
 
 
 def decision_csv(rows: list[DecisionRow]) -> str:
-    out = [DECISION_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.epoch},{r.action},{r.target_backlog:.6g},{r.rate_hz:.6g},"
-            f"{r.avg_age_s:.6g},{r.backlog}"
-        )
-    return "\n".join(out) + "\n"
+    return "\n".join([DECISION_HEADER] + [
+        f"{r.epoch},{r.action},{r.target_backlog:.6g},{r.rate_hz:.6g},"
+        f"{r.avg_age_s:.6g},{r.backlog}" for r in rows]) + "\n"
 
 
 @dataclass
@@ -346,6 +342,7 @@ class PolicyRunResult:
 _PROBE, _SEND, _ACK, _EPOCH = 0, 1, 2, 3
 _PROBE_SPACING_S = 0.05
 _MAX_PROBES = 10
+_MEDIAN_GRID_S = 0.01  # age sampling step of the reported median
 
 
 def run_rate_policy(
@@ -354,7 +351,6 @@ def run_rate_policy(
     duration_s: float,
     acp: Optional[AcpState] = None,
     ewma_alpha: float = 0.125,
-    median_grid_s: float = 0.01,
 ) -> PolicyRunResult:
     """Drive the closed-loop sender `policies.rate_policy(policy, acp)`
     over the emulated channel in virtual time.
@@ -482,7 +478,7 @@ def run_rate_policy(
         mean_inflight=backlog_area / duration_s,
         mean_rate_hz=(rate_area if sender.paced else len(send_s)) / duration_s,
         final_rate_hz=rate_hz if rate_hz is not None else 0.0,
-        median_age_s=_median_age(trace, median_grid_s),
+        median_age_s=_median_age(trace, _MEDIAN_GRID_S),
         sent=len(send_s),
         acked=acked,
     )

@@ -38,13 +38,6 @@ class PenaltySpec:
         if not (self.alpha > 0):
             raise ConfigError("penalty alpha must be positive")
 
-    def f(self, t: np.ndarray | float) -> np.ndarray | float:
-        if self.kind == "linear":
-            return self.alpha * np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.expm1(self.alpha * np.asarray(t, dtype=float))
-        return np.log1p(self.alpha * np.asarray(t, dtype=float))
-
     def F(self, t: np.ndarray | float) -> np.ndarray | float:
         """Antiderivative of f with F(0) = 0."""
         t = np.asarray(t, dtype=float)
@@ -121,10 +114,6 @@ def average_age_by_generation(trace: AgeTrace) -> float:
     trapezoids = float(np.sum((theta + y[1:]) * x) / 2.0)
     edges = (float(y[-1]) ** 2 - float(y[0]) ** 2) / 2.0
     return (trapezoids + edges) / _window_s(recv)
-
-
-# The reception-indexed form is the canonical average.
-average_age = average_age_by_reception
 
 
 def peak_age(trace: AgeTrace) -> float:

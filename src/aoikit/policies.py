@@ -57,6 +57,11 @@ class EwmaEstimator:
 
 # ------------------------------------------------------------------ epochs
 
+# significance bands of `acp_epoch_update`: a delta counts as "up" only
+# beyond them
+AGE_BAND_FRAC = 0.5  # of the smoothed rtt
+BACKLOG_BAND = 0.75  # packets
+
 
 @dataclass
 class AcpState:
@@ -72,10 +77,10 @@ class AcpState:
     tradition; only the action vocabulary is inherited.
 
     A delta only counts as "up" when it clears a significance band
-    (a fraction of the smoothed rtt for age, a fraction of a packet
-    for backlog); on stochastic paths the raw epoch-to-epoch signs are
-    dominated by sampling noise and would fire multiplicative
-    decreases continually.
+    (`AGE_BAND_FRAC` of the smoothed rtt for age, `BACKLOG_BAND`
+    packets for backlog); on stochastic paths the raw epoch-to-epoch
+    signs are dominated by sampling noise and would fire
+    multiplicative decreases continually.
     """
 
     kappa: float = 1.0
@@ -85,8 +90,6 @@ class AcpState:
     prev_age: Optional[float] = None
     prev_backlog: Optional[float] = None
     epoch_floor_s: float = 0.010  # epochs never shorter than this
-    age_band_frac: float = 0.5  # of the smoothed rtt
-    backlog_band: float = 0.75  # packets
 
     def __post_init__(self):
         if not (self.kappa > 0):
@@ -121,9 +124,9 @@ def acp_epoch_update(
             age_up, backlog_up = False, False  # first epoch: optimistic
         else:
             age_up = (obs.avg_age_epoch_s - state.prev_age) \
-                > state.age_band_frac * obs.ewma_rtt_s
+                > AGE_BAND_FRAC * obs.ewma_rtt_s
             backlog_up = (obs.avg_backlog_epoch - state.prev_backlog) \
-                > state.backlog_band
+                > BACKLOG_BAND
         if age_up and backlog_up:
             action = ACTION_MDEC
         elif age_up:
@@ -226,6 +229,10 @@ def rate_policy(name: str, acp: Optional[AcpState] = None):
 ACTION_PAUSE = 0
 ACTION_RESUME = 1
 Q_ACTIONS = ("pause", "resume")
+# Q-values start at the supremum of the cost range and converge
+# downward, so an action never looks good merely for being
+# under-sampled
+Q_INIT = 1.0
 
 
 def age_cost(age_s: float) -> float:
@@ -251,10 +258,6 @@ class QAgent:
     lr: float = 0.1
     epsilon: float = 1.0
     epsilon_decay: float = 0.995
-    # values start at the supremum of the cost range and converge
-    # downward, so an action never looks good merely for being
-    # under-sampled
-    q_init: float = 1.0
     seed: int = 0
     bins: np.ndarray = field(init=False)
     q_table: np.ndarray = field(init=False)
@@ -272,7 +275,7 @@ class QAgent:
             raise ConfigError("bad age binning")
         self.bins = np.geomspace(self.age_lo_s, self.age_hi_s, self.n_bins + 1)
         self._edges = self.bins.tolist()
-        self.q_table = np.full((self.n_bins, len(Q_ACTIONS)), self.q_init)
+        self.q_table = np.full((self.n_bins, len(Q_ACTIONS)), Q_INIT)
         self.rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed))
         )
@@ -311,22 +314,20 @@ class PauseResumeEnv:
     """Minimal age dynamics for the pause/resume learner: on resume a
     fresh sample arrives after the fixed path delay, pinning the age
     at that delay; on pause the age keeps growing by the step length.
-    Bandwidth is unlimited, so resume is never penalized by queueing
-    and the optimal policy is to always resume.
+    Every episode starts at the path delay, since the first sample
+    cannot arrive sooner. Bandwidth is unlimited, so resume is never
+    penalized by queueing and the optimal policy is to always resume.
     """
 
-    def __init__(self, delay_s: float = 1.0, step_s: float = 0.1,
-                 initial_age_s: Optional[float] = None):
+    def __init__(self, delay_s: float = 1.0, step_s: float = 0.1):
         if delay_s <= 0 or step_s <= 0:
             raise ConfigError("delay and step must be positive")
         self.delay_s = delay_s
         self.step_s = step_s
-        # the first sample cannot arrive before one path delay
-        self.initial_age_s = delay_s if initial_age_s is None else initial_age_s
-        self.age_s = self.initial_age_s
+        self.age_s = delay_s
 
     def reset(self) -> float:
-        self.age_s = self.initial_age_s
+        self.age_s = self.delay_s
         return self.age_s
 
     def step(self, action: int) -> float:
@@ -339,7 +340,6 @@ class PauseResumeEnv:
 
 @dataclass
 class QTrainResult:
-    agent: QAgent
     iterations: int
     visited_bins: list[int]
     final_resume_values: dict[int, float]
@@ -388,5 +388,5 @@ def train_pause_resume(
     resume_vals = {
         b: float(agent.q_table[b, ACTION_RESUME]) for b in sorted(visited)
     }
-    return QTrainResult(agent, iterations, sorted(visited), resume_vals,
+    return QTrainResult(iterations, sorted(visited), resume_vals,
                         ages, actions)

@@ -26,6 +26,12 @@ SERVICE_KINDS = ("exponential", "deterministic")
 DISCIPLINES = ("fcfs", "lcfs1")
 
 
+def _rate_ok(rate: float) -> bool:
+    """A rate is usable when it is positive and finite and its mean
+    time 1/rate is finite too."""
+    return 0.0 < rate < math.inf and 1.0 / rate < math.inf
+
+
 @dataclass(frozen=True)
 class ArrivalSpec:
     """Update generation process.
@@ -43,8 +49,9 @@ class ArrivalSpec:
     def __post_init__(self):
         if self.kind not in ARRIVAL_KINDS:
             raise ConfigError(f"unknown arrival kind {self.kind!r}")
-        if self.kind in ("poisson", "deterministic") and not (self.rate > 0):
-            raise ConfigError("arrival rate must be positive")
+        if self.kind in ("poisson", "deterministic") and not _rate_ok(self.rate):
+            raise ConfigError("arrival rate must be positive and finite, "
+                              "with a finite mean interval 1/rate")
         if self.kind == "at-will" and self.hook is None:
             raise ConfigError("at-will arrivals need a policy hook")
 
@@ -57,8 +64,9 @@ class ServiceSpec:
     def __post_init__(self):
         if self.kind not in SERVICE_KINDS:
             raise ConfigError(f"unknown service kind {self.kind!r}")
-        if not (self.mu > 0):
-            raise ConfigError("service rate must be positive")
+        if not _rate_ok(self.mu):
+            raise ConfigError("service rate must be positive and finite, "
+                              "with a finite mean service time 1/mu")
 
 
 @dataclass(frozen=True)
@@ -386,18 +394,6 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 # ------------------------------------------------------- bottleneck channel
 
 
-def load_regime(load: float, loss_onset_load: float) -> str:
-    """Regime of a bottleneck at an offered load (arrival rate over
-    capacity): "relaxed" below the loss onset, "busy" below load 1 and
-    "panicked" at load 1 or above. Loss steps up before queueing delay
-    does, which starts at load 1."""
-    if load < loss_onset_load:
-        return "relaxed"
-    if load < 1.0:
-        return "busy"
-    return "panicked"
-
-
 def check_regime_loss_p(busy_loss_p: float, panicked_loss_p: float) -> None:
     """Refuse a busy or panicked loss probability outside [0, 1)."""
     for regime, p in (("busy", busy_loss_p), ("panicked", panicked_loss_p)):
@@ -407,17 +403,19 @@ def check_regime_loss_p(busy_loss_p: float, panicked_loss_p: float) -> None:
 
 def regime_loss_p(load: float, loss_onset_load: float,
                   busy_loss_p: float, panicked_loss_p: float) -> float:
-    """Loss probability of the load regime: none when relaxed."""
-    return {
-        "relaxed": 0.0,
-        "busy": busy_loss_p,
-        "panicked": panicked_loss_p,
-    }[load_regime(load, loss_onset_load)]
+    """Loss probability of a bottleneck at an offered load (arrival
+    rate over capacity): none below the loss onset (relaxed),
+    busy_loss_p below load 1 (busy) and panicked_loss_p at load 1 or
+    above (panicked). Loss steps up before queueing delay does, which
+    starts at load 1."""
+    if load < loss_onset_load:
+        return 0.0
+    return busy_loss_p if load < 1.0 else panicked_loss_p
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Load-regime model of a bottleneck path (see `load_regime`):
+    """Load-regime model of a bottleneck path (see `regime_loss_p`):
     loss steps up to busy_loss_p at loss_onset_load and to
     panicked_loss_p at load 1, where queueing delay starts to grow.
     The ordering loss-before-delay is contractual; the particular
@@ -441,9 +439,6 @@ class ChannelModel:
     def capacity_hz(self) -> float:
         """Packet rate that saturates the bottleneck."""
         return self.bandwidth_bps / (8.0 * self.packet_bytes)
-
-    def regime(self, rate_hz: float) -> str:
-        return load_regime(rate_hz / self.capacity_hz, self.loss_onset_load)
 
     def loss_for_rate(self, rate_hz: float) -> float:
         return regime_loss_p(rate_hz / self.capacity_hz, self.loss_onset_load,

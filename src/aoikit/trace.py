@@ -12,7 +12,6 @@ import csv
 import io
 import os
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,27 +35,11 @@ def seconds_to_ns(t_s):
     return int(round(t_s * 1e9))
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One update packet: sequence id, generation stamp, optional
-    reception stamp, payload size in bytes."""
-
-    id: int
-    gen_ns: int
-    recv_ns: Optional[int] = None
-    size: int = 0
-
-    @property
-    def delivered(self) -> bool:
-        return self.recv_ns is not None
-
-
 class AgeTrace:
     """An ordered packet trace plus its observation window.
 
     The substrate of every age statistic. Stored column-wise so that
-    million-packet traces stay cheap; `records` materializes
-    :class:`PacketRecord` objects on demand.
+    million-packet traces stay cheap.
     """
 
     def __init__(
@@ -168,23 +151,6 @@ class AgeTrace:
     # -- views -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def records(self) -> list[PacketRecord]:
-        """Materialized packet records, in trace order. Costs O(n);
-        prefer the column arrays for bulk work."""
-        out = []
-        for i in range(len(self.ids)):
-            r = int(self.recv_ns[i])
-            out.append(PacketRecord(
-                int(self.ids[i]), int(self.gen_ns[i]),
-                None if r == _LOST else r, int(self.sizes[i]),
-            ))
-        return out
-
-    @property
-    def arrivals(self) -> int:
         return len(self.ids)
 
     @property
@@ -350,8 +316,3 @@ def _read_rows(f, bias_declared: bool) -> AgeTrace:
         ids, gen, np.array(recv, dtype=np.int64), sizes,
         bias_declared=bias_declared,
     )
-
-
-def trace_from_csv_text(text: str, bias_declared: bool = False) -> AgeTrace:
-    """Parse a trace from an in-memory CSV string."""
-    return read_csv(io.StringIO(text), bias_declared=bias_declared)

@@ -77,8 +77,7 @@ class EchoServer:
         else:
             self.malformed += 1
 
-    def serve_forever(self, stats_every_s: Optional[float] = None,
-                      stats_out=None) -> None:
+    def serve_forever(self, stats_every_s: Optional[float] = None) -> None:
         next_stats = time.monotonic() + (stats_every_s or 0)
         while not self._stop.is_set():
             try:
@@ -90,7 +89,7 @@ class EchoServer:
             if data is not None:
                 self._handle(data, addr)
             if stats_every_s and time.monotonic() >= next_stats:
-                print(self.stats_line(), file=stats_out, flush=True)
+                print(self.stats_line(), flush=True)
                 next_stats = time.monotonic() + stats_every_s
 
     def start(self) -> "EchoServer":

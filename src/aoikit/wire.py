@@ -64,10 +64,6 @@ class WirePacket:
             self.extra_ts_ns, len(self.payload),
         ) + self.payload
 
-    @property
-    def size(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
 
 def decode(data: bytes) -> WirePacket:
     if len(data) < HEADER_LEN:

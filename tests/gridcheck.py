@@ -7,20 +7,31 @@ of the grid step the integrand is linear inside every cell and the
 midpoint rule integrates the sawtooth itself exactly; the penalty
 integrals carry only the O(step^2) curvature error of f.
 
-This is a verification utility for tests and audits, not the
-production path: it is O(window / step) and the closed forms are
-exact.
+This is a test oracle, not a production path: it is O(window / step)
+and the closed forms are exact. It evaluates the penalty f itself,
+so it shares no arithmetic with `aoikit.metrics`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDataError
-from .metrics import PenaltySpec
-from .trace import AgeTrace
+from aoikit.errors import InsufficientDataError
+from aoikit.metrics import PenaltySpec
+from aoikit.trace import AgeTrace
 
 DEFAULT_STEP_NS = 1_000  # 1 microsecond
+
+
+def penalty_f(spec: PenaltySpec, t: np.ndarray) -> np.ndarray:
+    """The penalty f(t) named by `spec`: alpha * t, exp(alpha * t) - 1
+    or log(alpha * t + 1)."""
+    at = spec.alpha * np.asarray(t, dtype=float)
+    if spec.kind == "linear":
+        return at
+    if spec.kind == "exponential":
+        return np.expm1(at)
+    return np.log1p(at)
 
 
 def _cells(trace: AgeTrace, step_ns: int):
@@ -50,7 +61,7 @@ def grid_penalty_average(
 ) -> float:
     """Midpoint-rule time-average of f(age)."""
     ages, widths, window = _cells(trace, step_ns)
-    return float(np.sum(spec.f(ages) * widths) / window)
+    return float(np.sum(penalty_f(spec, ages) * widths) / window)
 
 
 def grid_peak_age(trace: AgeTrace) -> float:

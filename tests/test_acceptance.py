@@ -15,7 +15,6 @@ from aoikit.emulate import (
     run_rate_policy,
     run_sampler_emulated,
 )
-from aoikit.gridcheck import grid_penalty_average
 from aoikit.metrics import (
     BiasModel,
     PenaltySpec,
@@ -50,6 +49,7 @@ from aoikit.scheduler import SchedulerConfig, simulate_scheduler
 from aoikit.trace import read_csv
 from aoikit.udp import EchoServer, run_sampler
 
+from gridcheck import grid_penalty_average
 from helpers import random_inorder_trace
 
 S = 1_000_000_000

@@ -112,6 +112,25 @@ def test_sim_mm1_prints_the_closed_form_only_for_its_queue(tmp_path, capsys,
     assert ("analytic_avg_age_s" in kv(stdout)) == oracle
 
 
+@pytest.mark.parametrize("extra", [
+    ["--rate", "1", "--service", "deterministic", "--mu", "1e-320",
+     "--capacity", "3"],
+    ["--rate", "inf"],
+])
+def test_sim_rate_with_overflowing_mean_time_exits_2(tmp_path, capsys, extra):
+    # an infinite rate, or a mean time 1/rate that overflows, is a bad
+    # configuration, not a run that fails later on its timestamps
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        capsys, "sim", "--arrival", "deterministic", "--arrivals", "10",
+        "--out", str(out), *extra,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_aoi_seed_env_fallback(tmp_path, capsys, monkeypatch):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -238,10 +257,12 @@ def test_sweep_empty_rate_list_is_config_error(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [["--capacity", "2"], ["--loss", "0.5"],
-                                   ["--capacity", "0", "--loss", "0.1"]])
+                                   ["--capacity", "0", "--loss", "0.1"],
+                                   ["--arrival", "poisson"],
+                                   ["--service", "exponential"], ["--mu", "7"]])
 def test_sweep_bottleneck_refuses_capacity_and_loss(tmp_path, capsys, extra):
-    # the bottleneck model sets its own loss and buffer, so these flags
-    # would be ignored
+    # the bottleneck model sets its own arrivals, service, loss and
+    # buffer, so these flags would be ignored
     out = tmp_path / "x.csv"
     code, stdout, err = run_cli(
         capsys, "sweep", "--bottleneck-kbps", "130", "--rates", "5,20",

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoikit.errors import ConfigError, InsufficientDataError, RangeError
-from aoikit.gridcheck import grid_average_age, grid_peak_age, grid_penalty_average
 from aoikit.metrics import (
     BiasModel,
     PenaltySpec,
@@ -19,6 +18,7 @@ from aoikit.metrics import (
 )
 from aoikit.trace import AgeTrace
 
+from gridcheck import grid_average_age, grid_peak_age, grid_penalty_average
 from helpers import periodic_trace, random_inorder_trace, trace_from_seconds
 
 S = 1_000_000_000  # ns per second

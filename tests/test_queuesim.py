@@ -191,9 +191,10 @@ def test_lcfs1_high_rate_tail_below_fcfs():
 def test_channel_regimes_loss_rises_before_delay():
     model = ChannelModel()
     cap = model.capacity_hz
-    assert model.regime(0.3 * cap) == "relaxed"
-    assert model.regime(0.8 * cap) == "busy"
-    assert model.regime(1.5 * cap) == "panicked"
+    # relaxed below the loss onset, busy below load 1, panicked beyond
+    assert model.loss_for_rate(0.3 * cap) == 0.0
+    assert model.loss_for_rate(0.8 * cap) == model.busy_loss_p
+    assert model.loss_for_rate(1.5 * cap) == model.panicked_loss_p
     rows = bottleneck_sweep(model, geometric_rates(0.2 * cap, 2.0 * cap, 10),
                             horizon=15_000, seed=3)
     base_delay = rows[0].avg_delay_s
@@ -249,6 +250,12 @@ def test_bad_configs_rejected():
                   discipline="lifo")
     with pytest.raises(ConfigError):
         ArrivalSpec("at-will")
+    # an infinite rate, or one whose mean time 1/rate overflows
+    for rate in (float("inf"), 1e-320, float("nan")):
+        with pytest.raises(ConfigError):
+            ArrivalSpec("deterministic", rate)
+        with pytest.raises(ConfigError):
+            ServiceSpec("deterministic", rate)
 
 
 # ------------------------------------------------------------ golden digests

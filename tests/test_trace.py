@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from aoikit import trace as trace_module
 from aoikit.errors import RangeError, TraceFormatError
-from aoikit.trace import (
-    _WRITE_CHUNK, AgeTrace, PacketRecord, _read_plain, _read_rows, read_csv,
-    trace_from_csv_text,
-)
+from aoikit.trace import _WRITE_CHUNK, AgeTrace, _read_plain, _read_rows, read_csv
 
 from helpers import random_reordered_trace
 
@@ -33,8 +30,8 @@ def test_csv_round_trip_with_losses():
     assert list(back.ids) == [1, 2, 3, 4]
     assert list(back.gen_ns) == [10, 20, 30, 40]
     assert back.loss_count == 1
-    recs = list(back.records)
-    assert recs[1] == PacketRecord(2, 20, None, 100)
+    assert list(back.recv_ns) == [15, trace_module._LOST, 35, 50]
+    assert list(back.sizes) == [100, 100, 100, 100]
 
 
 def test_csv_round_trip_through_pathlib_path(tmp_path):
@@ -107,7 +104,7 @@ def test_obsolete_filtering_random_traces_monotone():
         gen, recv = trace.delivered()
         assert np.all(np.diff(gen) > 0)
         assert np.all(np.diff(recv) >= 0)
-        assert trace.arrivals == len(gen) + trace.loss_count + trace.obsolete_count
+        assert len(trace) == len(gen) + trace.loss_count + trace.obsolete_count
 
 
 def test_window_invariant_enforced():
@@ -121,14 +118,6 @@ def test_csv_rejects_timestamps_beyond_signed_64_bit():
     with pytest.raises(TraceFormatError) as exc:
         read_csv(io.StringIO(text))
     assert exc.value.line_no == 2
-
-
-def test_records_materialize_in_order():
-    trace = AgeTrace.from_arrays([3, 5], [10, 20], [15, None])
-    recs = trace.records
-    assert isinstance(recs, list)
-    assert [r.id for r in recs] == [3, 5]
-    assert recs[1].recv_ns is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,7 +139,7 @@ def test_obsolete_filtering_property(stamps):
     assert np.all(np.diff(kept_gen) > 0)
     assert np.all(np.diff(kept_recv) >= 0)
     assert len(kept_gen) + trace.loss_count + trace.obsolete_count \
-        == trace.arrivals
+        == len(trace)
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,7 +159,7 @@ def test_csv_round_trip_property(rows):
     trace = AgeTrace.from_arrays(ids, gen, recv, sizes)
     buf = io.StringIO()
     trace.write_csv(buf)
-    back = trace_from_csv_text(buf.getvalue())
+    back = read_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.ids, trace.ids)
     assert np.array_equal(back.gen_ns, trace.gen_ns)
     assert np.array_equal(back.recv_ns, trace.recv_ns)
@@ -187,7 +176,7 @@ def test_csv_semantic_violations_report_their_line():
     assert exc.value.line_no == 2  # reception before generation
     # the same row parses when a clock bias is declared
     trace = read_csv(io.StringIO(header + "0,100,90,0\n"), bias_declared=True)
-    assert trace.arrivals == 1
+    assert len(trace) == 1
 
 
 # -- bulk read path against the row parser ---------------------------
