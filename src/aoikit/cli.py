@@ -47,19 +47,54 @@ from . import udp, wire
 _UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
+def _number(text: str, item: str, kind=float):
+    """The one conversion of user text to a number. `kind` is float,
+    int, or "s" for seconds with an optional ns/us/ms/s suffix.
+    Malformed text raises ConfigError naming `item`."""
+    digits, unit = text, None
+    if kind == "s":
+        kind, digits = float, text.strip().lower()
+        unit = next((u for u in _UNITS if digits.endswith(u)), None)
+        digits = digits[: len(digits) - len(unit or "")]
+    try:
+        value = kind(digits)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{item} is not {noun}: {text!r}") from None
+    return value if unit is None else value * _UNITS[unit]
+
+
 def parse_seconds(text: str) -> float:
     """'12.5ms' -> 0.0125; bare numbers are seconds."""
-    t = text.strip().lower()
-    for suffix in ("ns", "us", "ms", "s"):
-        if t.endswith(suffix):
-            return float(t[: -len(suffix)]) * _UNITS[suffix]
-    return float(t)
+    return _number(text, "duration", "s")
 
 
 CAPACITY_STEP_PRESET = dict(
     fwd_delay_s=0.02, bwd_delay_s=0.02,
     capacity_hz=80.0, capacity_step_at_s=10.0, capacity_step_factor=0.25,
 )
+
+# channel spec key -> (the EmulatedChannelSpec fields it sets, the kind
+# of its value); a value that sets two fields is split evenly
+CHANNEL_KEYS = {
+    "fixed_rtt": (("fwd_delay_s", "bwd_delay_s"), "s"),
+    "fixed_delay": (("fwd_delay_s",), "s"),  # one-way delay, instant return
+    "fwd_delay": (("fwd_delay_s",), "s"),
+    "bwd_delay": (("bwd_delay_s",), "s"),
+    "jitter": (("jitter_s",), "s"),
+    "offset": (("peer_offset_s",), "s"),
+    "lognormal_median": (("rtt_lognorm_median_s",), "s"),
+    "lognormal_sigma": (("rtt_lognorm_sigma",), float),
+    "capacity": (("capacity_hz",), float),
+    "buffer": (("buffer",), int),
+    "loss": (("loss_p",), float),
+    "loss_onset": (("loss_onset_load",), float),
+    "busy_loss": (("busy_loss_p",), float),
+    "panicked_loss": (("panicked_loss_p",), float),
+    "step_at": (("capacity_step_at_s",), "s"),
+    "step_factor": (("capacity_step_factor",), float),
+    "seed": (("seed",), int),
+}
 
 
 def parse_emulated(spec_text: str, seed: int) -> EmulatedChannelSpec:
@@ -76,52 +111,30 @@ def parse_emulated(spec_text: str, seed: int) -> EmulatedChannelSpec:
             continue
         if "=" not in item:
             raise ConfigError(f"bad channel spec item {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key == "fixed_rtt":
-            rtt = parse_seconds(value)
-            kw["fwd_delay_s"] = rtt / 2.0
-            kw["bwd_delay_s"] = rtt / 2.0
-        elif key == "fixed_delay":  # one-way delay, instant return
-            kw["fwd_delay_s"] = parse_seconds(value)
-            kw["bwd_delay_s"] = 0.0
-        elif key in ("fwd_delay", "bwd_delay", "jitter"):
-            kw[key + "_s"] = parse_seconds(value)
-        elif key == "offset":
-            kw["peer_offset_s"] = parse_seconds(value)
-        elif key == "lognormal_median":
-            kw["rtt_lognorm_median_s"] = parse_seconds(value)
-        elif key == "lognormal_sigma":
-            kw["rtt_lognorm_sigma"] = float(value)
-        elif key == "capacity":
-            kw["capacity_hz"] = float(value)
-        elif key == "buffer":
-            kw["buffer"] = int(value)
-        elif key == "loss":
-            kw["loss_p"] = float(value)
-        elif key == "loss_onset":
-            kw["loss_onset_load"] = float(value)
-        elif key == "busy_loss":
-            kw["busy_loss_p"] = float(value)
-        elif key == "panicked_loss":
-            kw["panicked_loss_p"] = float(value)
-        elif key == "step_at":
-            kw["capacity_step_at_s"] = parse_seconds(value)
-        elif key == "step_factor":
-            kw["capacity_step_factor"] = float(value)
-        elif key == "seed":
-            kw["seed"] = int(value)
-        else:
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key not in CHANNEL_KEYS:
             raise ConfigError(f"unknown channel spec key {key!r}")
+        fields, kind = CHANNEL_KEYS[key]
+        value = _number(value, f"channel spec {key}", kind)
+        kw.update(dict.fromkeys(fields, value / 2.0 if len(fields) == 2 else value))
+        if key == "fixed_delay":
+            kw["bwd_delay_s"] = 0.0
     return EmulatedChannelSpec(**kw)
 
 
 def resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("AOI_SEED")
-    return int(env) if env else 0
+    return _number(env, "AOI_SEED", int) if env else 0
+
+
+# policy config key -> its default, whose type is the kind of its value
+POLICY_DEFAULTS = {
+    "kappa": 1.0, "epoch_ms": 10.0, "ewma_alpha": 0.125, "gamma": 0.99,
+    "lr": 0.1, "epsilon0": 1.0, "epsilon_decay": 0.995, "bins": 64,
+    "backlog_cap": 64.0,
+}
 
 
 def read_policy_config(path: str) -> dict:
@@ -134,26 +147,38 @@ def read_policy_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in POLICY_DEFAULTS:
+                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            out[key] = value
     return out
 
 
-def _print_kv(pairs, out=None):
+def _address(text: str, flag: str) -> tuple[str, int]:
+    host, _, port = text.partition(":")
+    port = _number(port, f"{flag} port", int)
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"{flag} port must be in 0-65535, not {port}")
+    return host, port
+
+
+def _print_kv(pairs):
     for k, v in pairs:
-        print(f"{k}={v}", file=out or sys.stdout, flush=True)
+        print(f"{k}={v}", flush=True)
 
 
-def _write_trace_outputs(trace, out_path: str, meta_text: str | None,
-                         manifest: RunManifest) -> None:
-    trace.write_csv(out_path)
-    manifest.outputs.append(out_path)
-    if meta_text is not None:
-        meta_path = out_path + ".meta"
-        with open(meta_path, "w", encoding="utf-8") as f:
-            f.write(meta_text)
-        manifest.outputs.append(meta_path)
-    manifest.finish().write(out_path)
+def _write_outputs(manifest: RunManifest, outputs: list) -> None:
+    """Write (path, content) pairs in order, an AgeTrace as its CSV and
+    text with LF line ends; list each path in the manifest and write the
+    manifest next to the first."""
+    for path, content in outputs:
+        if isinstance(content, str):
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                f.write(content)
+        else:
+            content.write_csv(path)
+        manifest.outputs.append(path)
+    manifest.finish().write(outputs[0][0])
 
 
 def _gnuplot_hint(kind: str, path: str) -> str:
@@ -174,8 +199,15 @@ def _gnuplot_hint(kind: str, path: str) -> str:
 # ----------------------------------------------------------------- sim
 
 
+def _queue_config(args, arrival: ArrivalSpec, service: ServiceSpec) -> SimConfig:
+    """The queue `sim` and `sweep` simulate, from their shared flags."""
+    return SimConfig(arrival, service, discipline=args.discipline,
+                     capacity=args.capacity, loss_p=args.loss,
+                     retransmit=args.retransmit, horizon=args.arrivals,
+                     seed=args.seed)
+
+
 def cmd_sim(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     if args.model == "mm1":
         if args.rho is None:
             raise ConfigError("--model mm1 needs --rho")
@@ -184,20 +216,12 @@ def cmd_sim(args, argv) -> int:
     else:
         arrival = ArrivalSpec(args.arrival, args.rate or 0.0)
         service = ServiceSpec(args.service, args.mu)
-    cfg = SimConfig(
-        arrival=arrival,
-        service=service,
-        discipline=args.discipline,
-        capacity=args.capacity,
-        loss_p=args.loss,
-        retransmit=args.retransmit,
-        horizon=args.arrivals,
-        seed=seed,
-    )
+    cfg = _queue_config(args, arrival, service)
     run = simulate(cfg)
     manifest = RunManifest("sim", argv, {k: str(v) for k, v in run.meta.items()},
-                           seed)
-    _write_trace_outputs(run.trace, args.out, run.meta_lines(), manifest)
+                           args.seed)
+    _write_outputs(manifest, [(args.out, run.trace),
+                              (args.out + ".meta", run.meta_lines())])
     stats = summary(run.trace)
     _print_kv([("trace", args.out)] + [(k, f"{v:.9g}") for k, v in stats.items()])
     # the closed form holds only for the loss-free infinite-buffer FCFS queue
@@ -211,9 +235,11 @@ def cmd_sim(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
-    seed = resolve_seed(args.seed)
-    if args.rates:
-        rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    if args.rates is not None:
+        if args.rate_min is not None or args.rate_max is not None:
+            raise ConfigError("--rates takes neither --rate-min nor --rate-max")
+        rates = [_number(r, "--rates", float) for r in args.rates.split(",")
+                 if r.strip()]
     elif args.rate_min is not None and args.rate_max is not None:
         rates = geometric_rates(args.rate_min, args.rate_max, args.points)
     else:
@@ -230,32 +256,21 @@ def cmd_sweep(args, argv) -> int:
             packet_bytes=args.packet_bytes,
         )
         rows = bottleneck_sweep(
-            model, rates, horizon=args.arrivals, seed=seed,
+            model, rates, horizon=args.arrivals, seed=args.seed,
             retransmit=args.retransmit, discipline=args.discipline,
         )
     else:
         # the template's rate is a placeholder: each point sets its own
-        cfg = SimConfig(
-            arrival=ArrivalSpec(args.arrival or "deterministic", 1.0),
-            service=ServiceSpec(args.service or "deterministic",
-                                1.0 if args.mu is None else args.mu),
-            discipline=args.discipline,
-            capacity=args.capacity,
-            loss_p=args.loss,
-            retransmit=args.retransmit,
-            horizon=args.arrivals,
-            seed=seed,
-        )
+        cfg = _queue_config(args, ArrivalSpec(args.arrival or "deterministic", 1.0),
+                            ServiceSpec(args.service or "deterministic",
+                                        1.0 if args.mu is None else args.mu))
         rows = sweep_rate(cfg, rates)
-    text = sweep_csv(rows)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
     manifest = RunManifest(
         "sweep", argv,
         {"rates": ",".join(f"{r:g}" for r in rates), "points": str(len(rates))},
-        seed, outputs=[args.out],
+        args.seed,
     )
-    manifest.finish().write(args.out)
+    _write_outputs(manifest, [(args.out, sweep_csv(rows))])
     best = min(rows, key=lambda r: r.avg_age_s)
     _print_kv([
         ("sweep", args.out),
@@ -297,34 +312,35 @@ def cmd_measure_echo_server(args, argv) -> int:
 
 
 def _parse_schedule(args) -> list[tuple[float, float]]:
-    if args.schedule:
-        segments = []
-        for part in args.schedule.split(","):
-            rate, duration = part.split(":")
-            segments.append((float(rate), parse_seconds(duration)))
-        return segments
-    if args.rate is None or args.duration is None:
-        raise ConfigError("give --rate and --duration, or --schedule")
-    return [(args.rate, args.duration)]
+    if args.schedule is None:
+        if args.rate is None or args.duration is None:
+            raise ConfigError("give --rate and --duration, or --schedule")
+        return [(args.rate, args.duration)]
+    if args.rate is not None or args.duration is not None:
+        raise ConfigError("--schedule takes neither --rate nor --duration")
+    segments = []
+    for part in args.schedule.split(","):
+        rate, colon, duration = part.partition(":")
+        if not colon:
+            raise ConfigError(f"--schedule segment {part!r} is not rate:duration")
+        segments.append((_number(rate, "--schedule rate", float),
+                         _number(duration, "--schedule duration", "s")))
+    return segments
 
 
 def cmd_measure_sampler(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     schedule = _parse_schedule(args)
-    if args.emulated:
-        spec = parse_emulated(args.emulated, seed)
+    if args.emulated is not None:
+        spec = parse_emulated(args.emulated, args.seed)
         res = run_sampler_emulated(spec, schedule, args.size)
         manifest_cfg = {"emulated": args.emulated}
         aborted = False  # the emulated channel raises no socket errors
     else:
-        if not args.dest:
-            raise ConfigError("give --dest host:port or --emulated SPEC")
-        host, _, port = args.dest.partition(":")
-        res = udp.run_sampler((host, int(port)), schedule, args.size)
+        res = udp.run_sampler(_address(args.dest, "--dest"), schedule, args.size)
         manifest_cfg = {"dest": args.dest}
         aborted = res.aborted
-    manifest = RunManifest("measure-sampler", argv, manifest_cfg, seed)
-    _write_trace_outputs(res.trace, args.out, None, manifest)
+    manifest = RunManifest("measure-sampler", argv, manifest_cfg, args.seed)
+    _write_outputs(manifest, [(args.out, res.trace)])
     pairs = [("trace", args.out), ("sent", res.sent), ("received", res.received)]
     try:
         stats = summary(res.trace)
@@ -341,15 +357,11 @@ def cmd_measure_sampler(args, argv) -> int:
 
 
 def cmd_measure_sync(args, argv) -> int:
-    seed = resolve_seed(args.seed)
-    if args.emulated:
-        spec = parse_emulated(args.emulated, seed)
-        est = estimate_offset_emulated(spec, args.pings)
+    if args.emulated is not None:
+        est = estimate_offset_emulated(parse_emulated(args.emulated, args.seed),
+                                       args.pings)
     else:
-        if not args.peer:
-            raise ConfigError("give --peer host:port or --emulated SPEC")
-        host, _, port = args.peer.partition(":")
-        est = udp.estimate_offset((host, int(port)), args.pings)
+        est = udp.estimate_offset(_address(args.peer, "--peer"), args.pings)
     _print_kv([
         ("offset_ns", est.offset_ns),
         ("offset_ms", f"{est.offset_ns / 1e6:.6g}"),
@@ -363,44 +375,32 @@ def cmd_measure_sync(args, argv) -> int:
 # -------------------------------------------------------------- policy
 
 
-def _acp_from_config(cfg: dict) -> AcpState:
-    return AcpState(
-        kappa=float(cfg.get("kappa", 1.0)),
-        backlog_cap=float(cfg.get("backlog_cap", 64.0)),
-        epoch_floor_s=float(cfg.get("epoch_ms", 10.0)) / 1e3,
-    )
-
-
 def cmd_policy(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     cfg = read_policy_config(args.config) if args.config else {}
-    trace_path = args.out + ".trace.csv"
+    params = {key: _number(cfg[key], f"{args.config}: {key}", type(default))
+              if key in cfg else default
+              for key, default in POLICY_DEFAULTS.items()}
+    spec = parse_emulated(args.emulated, args.seed)
     log_path = args.out + ".decisions.csv"
     manifest = RunManifest("policy", argv,
                            {"name": args.name, "emulated": args.emulated,
-                            **cfg}, seed)
+                            **cfg}, args.seed)
     if args.name == "qlearn":
-        spec = parse_emulated(args.emulated, seed)
+        # the agent sees only the path delay; other impairments would be ignored
         delay = spec.fwd_delay_s + spec.bwd_delay_s
-        if delay <= 0:
-            raise ConfigError("qlearn needs a fixed_delay channel")
-        agent = QAgent(
-            n_bins=int(cfg.get("bins", 64)),
-            gamma=float(cfg.get("gamma", 0.99)),
-            lr=float(cfg.get("lr", 0.1)),
-            epsilon=float(cfg.get("epsilon0", 1.0)),
-            epsilon_decay=float(cfg.get("epsilon_decay", 0.995)),
-            seed=seed,
-        )
+        if delay <= 0 or spec != EmulatedChannelSpec(spec.fwd_delay_s,
+                                                     spec.bwd_delay_s, seed=spec.seed):
+            raise ConfigError("qlearn needs a channel of positive fixed delays "
+                              "and at most a seed")
+        agent = QAgent(n_bins=params["bins"], gamma=params["gamma"], lr=params["lr"],
+                       epsilon=params["epsilon0"], epsilon_decay=params["epsilon_decay"],
+                       seed=args.seed)
         env = PauseResumeEnv(delay_s=delay)
         res = train_pause_resume(agent, env, args.iters, record_history=True)
         rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
                 for i, (a, age) in enumerate(zip(res.action_history,
                                                  res.age_history))]
-        with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(decision_csv(rows))
-        manifest.outputs.append(log_path)
-        manifest.finish().write(log_path)
+        _write_outputs(manifest, [(log_path, decision_csv(rows))])
         pairs = [("decisions", log_path), ("iterations", res.iterations)]
         for b, v in res.final_resume_values.items():
             pairs.append((f"q_resume_bin{b}", f"{v:.4f}"))
@@ -412,17 +412,13 @@ def cmd_policy(args, argv) -> int:
         _print_kv(pairs)
         return 0
 
-    spec = parse_emulated(args.emulated, seed)
-    acp = _acp_from_config(cfg) if args.name == "acp" else None
-    res = run_rate_policy(
-        args.name, spec, args.duration, acp=acp,
-        ewma_alpha=float(cfg.get("ewma_alpha", 0.125)),
-    )
-    res.trace.write_csv(trace_path)
-    with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(decision_csv(res.decisions))
-    manifest.outputs += [trace_path, log_path]
-    manifest.finish().write(trace_path)
+    acp = AcpState(kappa=params["kappa"], backlog_cap=params["backlog_cap"],
+                   epoch_floor_s=params["epoch_ms"] / 1e3) if args.name == "acp" else None
+    res = run_rate_policy(args.name, spec, args.duration, acp=acp,
+                          ewma_alpha=params["ewma_alpha"])
+    trace_path = args.out + ".trace.csv"
+    _write_outputs(manifest, [(trace_path, res.trace),
+                              (log_path, decision_csv(res.decisions))])
     pairs = [
         ("trace", trace_path),
         ("decisions", log_path),
@@ -455,7 +451,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("sim", help="simulate one flow through a queue")
+    # flags shared by several subcommands, declared once
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", required=True,
+                         help="output path (policy: output path prefix)")
+    written.add_argument("--gnuplot-hints", action="store_true")
+    queued = argparse.ArgumentParser(add_help=False)
+    queued.add_argument("--discipline", choices=["fcfs", "lcfs1"], default="fcfs")
+    queued.add_argument("--capacity", type=int, default=None,
+                        help="waiting slots (default infinite)")
+    queued.add_argument("--loss", type=float, default=0.0)
+    queued.add_argument("--retransmit", action="store_true")
+
+    sim = sub.add_parser("sim", help="simulate one flow through a queue",
+                         parents=[queued, seeded, written])
     sim.add_argument("--model", choices=["mm1"], default=None)
     sim.add_argument("--rho", type=float, default=None, help="offered load")
     sim.add_argument("--mu", type=float, default=1.0, help="service rate")
@@ -464,18 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rate", type=float, default=None)
     sim.add_argument("--service", choices=["exponential", "deterministic"],
                      default="exponential")
-    sim.add_argument("--discipline", choices=["fcfs", "lcfs1"], default="fcfs")
-    sim.add_argument("--capacity", type=int, default=None,
-                     help="waiting slots (default infinite)")
-    sim.add_argument("--loss", type=float, default=0.0)
-    sim.add_argument("--retransmit", action="store_true")
     sim.add_argument("--arrivals", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--gnuplot-hints", action="store_true")
     sim.set_defaults(func=cmd_sim)
 
-    sw = sub.add_parser("sweep", help="age vs sampling rate table")
+    sw = sub.add_parser("sweep", help="age vs sampling rate table",
+                        parents=[queued, seeded, written])
     sw.add_argument("--rates", default=None, help="comma-separated rates")
     sw.add_argument("--rate-min", type=float, default=None)
     sw.add_argument("--rate-max", type=float, default=None)
@@ -488,14 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mu", type=float, default=None)
     sw.add_argument("--bottleneck-kbps", type=float, default=None)
     sw.add_argument("--packet-bytes", type=int, default=wire.DEFAULT_DATA_SIZE)
-    sw.add_argument("--discipline", choices=["fcfs", "lcfs1"], default="fcfs")
-    sw.add_argument("--capacity", type=int, default=None)
-    sw.add_argument("--loss", type=float, default=0.0)
-    sw.add_argument("--retransmit", action="store_true")
     sw.add_argument("--arrivals", type=int, default=20000)
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--out", required=True)
-    sw.add_argument("--gnuplot-hints", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 
     an = sub.add_parser("analyze", help="age statistics of a trace file")
@@ -516,35 +513,33 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--stats-interval", type=float, default=1.0)
     es.set_defaults(func=cmd_measure_echo_server)
 
-    sa = mesub.add_parser("sampler", help="paced sampler-transceiver")
-    sa.add_argument("--dest", default=None, help="host:port of echo server")
-    sa.add_argument("--emulated", default=None, help="channel spec")
+    sa = mesub.add_parser("sampler", help="paced sampler-transceiver",
+                          parents=[seeded, written])
+    path = sa.add_mutually_exclusive_group(required=True)
+    path.add_argument("--dest", help="host:port of echo server")
+    path.add_argument("--emulated", help="channel spec")
     sa.add_argument("--rate", type=float, default=None)
     sa.add_argument("--duration", type=float, default=None)
     sa.add_argument("--schedule", default=None, help="rate:dur,rate:dur,...")
     sa.add_argument("--size", type=int, default=wire.DEFAULT_DATA_SIZE)
-    sa.add_argument("--seed", type=int, default=None)
-    sa.add_argument("--out", required=True)
-    sa.add_argument("--gnuplot-hints", action="store_true")
     sa.set_defaults(func=cmd_measure_sampler)
 
-    sy = mesub.add_parser("sync", help="estimate the peer clock offset")
-    sy.add_argument("--peer", default=None)
-    sy.add_argument("--emulated", default=None)
+    sy = mesub.add_parser("sync", help="estimate the peer clock offset",
+                          parents=[seeded])
+    path = sy.add_mutually_exclusive_group(required=True)
+    path.add_argument("--peer", help="host:port of echo server")
+    path.add_argument("--emulated", help="channel spec")
     sy.add_argument("--pings", type=int, default=100)
-    sy.add_argument("--seed", type=int, default=None)
     sy.set_defaults(func=cmd_measure_sync)
 
-    po = sub.add_parser("policy", help="closed-loop rate control run")
+    po = sub.add_parser("policy", help="closed-loop rate control run",
+                        parents=[seeded, written])
     po.add_argument("--name", choices=["lazy", "acp", "zero-wait", "qlearn"],
                     required=True)
     po.add_argument("--emulated", required=True, help="channel spec")
     po.add_argument("--duration", type=float, default=30.0)
     po.add_argument("--iters", type=int, default=10000)
     po.add_argument("--config", default=None, help="key=value policy config")
-    po.add_argument("--seed", type=int, default=None)
-    po.add_argument("--out", required=True, help="output path prefix")
-    po.add_argument("--gnuplot-hints", action="store_true")
     po.set_defaults(func=cmd_policy)
 
     return p
@@ -558,6 +553,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if "seed" in args:
+            args.seed = resolve_seed(args.seed)
         return args.func(args, argv)
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,11 +83,15 @@ class EmulatedChannelSpec:
             raise ConfigError("lognormal median must be finite and positive")
         if not (math.isfinite(self.rtt_lognorm_sigma) and self.rtt_lognorm_sigma >= 0):
             raise ConfigError("lognormal sigma must be finite and non-negative")
-        if self.loss_onset_load is not None:
-            if self.capacity_hz is None:
-                raise ConfigError("loss schedule needs a capacity")
-            if not (0.0 < self.loss_onset_load <= 1.0):
-                raise ConfigError("loss onset load must be in (0, 1]")
+        if self.rtt_lognorm_median_s is not None and (
+                self.fwd_delay_s or self.bwd_delay_s or self.jitter_s):
+            raise ConfigError("lognormal round trips take no fixed delays or jitter")
+        if self.capacity_hz is None and not (
+                self.buffer is None and self.capacity_step_at_s is None
+                and self.loss_onset_load is None):
+            raise ConfigError("buffer, capacity step and loss schedule need a capacity")
+        if self.loss_onset_load is not None and not (0.0 < self.loss_onset_load <= 1.0):
+            raise ConfigError("loss onset load must be in (0, 1]")
         check_regime_loss_p(self.busy_loss_p, self.panicked_loss_p)
 
     @classmethod
@@ -128,7 +132,7 @@ class EmulatedChannel:
         # bottleneck departure times, non-decreasing (FIFO service)
         self._in_system: deque[float] = deque()
         self._last_send_s: Optional[float] = None
-        self._rate_est_hz: Optional[float] = None  # smoothed send rate
+        self._send_rate_hz = EwmaEstimator(0.2)
 
     def _capacity_at(self, t_s: float) -> Optional[float]:
         c = self.spec.capacity_hz
@@ -157,15 +161,11 @@ class EmulatedChannel:
         p = spec.loss_p
         if spec.loss_onset_load is not None:
             if self._last_send_s is not None and send_s > self._last_send_s:
-                inst = 1.0 / (send_s - self._last_send_s)
-                if self._rate_est_hz is None:
-                    self._rate_est_hz = inst
-                else:
-                    self._rate_est_hz += 0.2 * (inst - self._rate_est_hz)
+                self._send_rate_hz.update(1.0 / (send_s - self._last_send_s))
             self._last_send_s = send_s
-            if self._rate_est_hz is not None:
+            if self._send_rate_hz.value is not None:
                 p = max(p, regime_loss_p(
-                    self._rate_est_hz / self._capacity_at(send_s),
+                    self._send_rate_hz.value / self._capacity_at(send_s),
                     spec.loss_onset_load, spec.busy_loss_p, spec.panicked_loss_p,
                 ))
         return p
@@ -216,6 +216,19 @@ class EmulatedSamplerResult:
     received: int
 
 
+def check_schedule(schedule: list[tuple[float, float]]) -> None:
+    """Refuse a (rate, duration) schedule a sampler could not finish:
+    it must be non-empty, every duration positive and finite, and every
+    rate positive with a send period 1/rate of at least 1 ns."""
+    if not schedule:
+        raise ConfigError("empty rate schedule")
+    for rate, duration in schedule:
+        if not 0 < rate <= 1e9:  # also refuses nan
+            raise ConfigError(f"rate must be positive and at most 1e9 Hz, not {rate:g}")
+        if not 0 < duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite, not {duration:g}")
+
+
 def run_sampler_emulated(
     spec: EmulatedChannelSpec,
     schedule: list[tuple[float, float]],
@@ -225,14 +238,11 @@ def run_sampler_emulated(
     virtual time. The echo trace carries sender-clock ack stamps; the
     truth trace carries the forward delivery stamps the remote end
     actually saw, for oracle comparisons."""
-    if not schedule:
-        raise ConfigError("empty rate schedule")
+    check_schedule(schedule)
     channel = EmulatedChannel(spec)
     send_times: list[float] = []
     t = 0.0
     for rate, duration in schedule:
-        if rate <= 0 or duration <= 0:
-            raise ConfigError("rates and durations must be positive")
         k = 0
         start = t
         while start + (k + 1) / rate <= start + duration + 1e-12:
@@ -361,8 +371,8 @@ def run_rate_policy(
     paced sender sends at its current rate.
     """
     sender = rate_policy(policy, acp)
-    if duration_s <= 0:
-        raise ConfigError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ConfigError(f"duration must be positive and finite, not {duration_s:g}")
     if (spec.fwd_delay_s + spec.bwd_delay_s == 0 and spec.jitter_s == 0
             and spec.rtt_lognorm_median_s is None and spec.capacity_hz is None):
         raise ConfigError("closed-loop policies need a positive round trip")

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .emulate import OffsetEstimate, offset_from_exchanges
-from .errors import AoiError, ConfigError, MalformedPacketError
+from .emulate import OffsetEstimate, check_schedule, offset_from_exchanges
+from .errors import AoiError, MalformedPacketError
 from .trace import AgeTrace, seconds_to_ns
 from . import wire
 
@@ -153,8 +153,7 @@ def run_sampler(
     arrivals. The send and receive paths run concurrently: sending
     never blocks on reception. On a socket error the partial trace is
     returned with the aborted flag set."""
-    if not schedule or any(r <= 0 or d <= 0 for r, d in schedule):
-        raise ConfigError("schedule needs positive rates and durations")
+    check_schedule(schedule)
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.settimeout(0.1)
     sink = _TraceSink()

@@ -21,6 +21,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """Environment for a `python -m aoikit.cli` child that imports the
+    same aoikit as this test run, installed or not."""
+    import aoikit
+
+    src = str(Path(aoikit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def kv(out: str) -> dict:
     pairs = {}
     for line in out.splitlines():
@@ -296,6 +306,13 @@ def test_measure_sampler_emulated(tmp_path, capsys):
     ("capacity=100,fixed_rtt=20ms,loss_onset=0.5,panicked_loss=-3",
      "panicked loss probability"),
     ("capacity=100,fixed_rtt=20ms,step_at=nan", "capacity step time"),
+    ("fixed_rtt=abc", "channel spec fixed_rtt is not a number: 'abc'"),
+    ("capacity=100,fixed_rtt=20ms,buffer=1.5",
+     "channel spec buffer is not an integer: '1.5'"),
+    ("fixed_rtt=20ms,buffer=3", "buffer, capacity step and loss schedule need"),
+    ("fixed_rtt=20ms,step_at=1s", "buffer, capacity step and loss schedule need"),
+    ("lognormal_median=100ms,fixed_rtt=20ms", "lognormal round trips take no"),
+    ("lognormal_median=100ms,jitter=1ms", "lognormal round trips take no"),
 ])
 def test_measure_sampler_unusable_channel_exits_2(tmp_path, capsys, channel, message):
     out = tmp_path / "m.csv"
@@ -307,6 +324,85 @@ def test_measure_sampler_unusable_channel_exits_2(tmp_path, capsys, channel, mes
     assert stdout == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_measure_sampler_schedule_sends_each_segment(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "measure", "sampler", "--emulated", "fixed_rtt=10ms",
+        "--schedule", "50:1,100:1", "--out", str(tmp_path / "m.csv"),
+    )
+    assert code == 0
+    assert kv(stdout)["sent"] == "150"
+
+
+SAMPLER = ["measure", "sampler", "--rate", "10", "--duration", "1"]
+EMULATED_SAMPLER = ["measure", "sampler", "--emulated", "fixed_rtt=10ms"]
+POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
+
+
+@pytest.mark.parametrize("argv, config, aoi_seed", [
+    # malformed numbers
+    (["sweep", "--rates", "1,abc"], None, None),
+    (EMULATED_SAMPLER + ["--schedule", "10"], None, None),
+    (EMULATED_SAMPLER + ["--schedule", "10:xx"], None, None),
+    (SAMPLER + ["--dest", "127.0.0.1"], None, None),
+    (["measure", "sync", "--peer", "127.0.0.1:99999"], None, None),
+    (POLICY + ["--name", "acp"], "kappa=abc", None),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10"], None, "abc"),
+    (POLICY + ["--name", "lazy", "--duration", "nan"], None, None),
+    # runs that would never finish, or send nothing
+    (EMULATED_SAMPLER + ["--rate", "inf", "--duration", "1"], None, None),
+    (EMULATED_SAMPLER + ["--rate", "1e10", "--duration", "1"], None, None),
+    (EMULATED_SAMPLER + ["--rate", "10", "--duration", "inf"], None, None),
+    (EMULATED_SAMPLER + ["--rate", "nan", "--duration", "1"], None, None),
+    (POLICY + ["--name", "lazy", "--duration", "inf"], None, None),
+    # flags and keys that would be ignored
+    (EMULATED_SAMPLER + ["--schedule", "50:1", "--rate", "10"], None, None),
+    (EMULATED_SAMPLER + ["--schedule", "50:1", "--duration", "1"], None, None),
+    (["sweep", "--rates", "1,2", "--rate-min", "1"], None, None),
+    (["sweep", "--rates", "1,2", "--rate-max", "9"], None, None),
+    (SAMPLER + ["--dest", "127.0.0.1:9", "--emulated", "fixed_rtt=10ms"], None, None),
+    (["measure", "sync", "--peer", "127.0.0.1:9", "--emulated", "offset=5ms"],
+     None, None),
+    (POLICY + ["--name", "acp"], "kapa=5", None),
+    (POLICY + ["--name", "lazy"], "bogus=1", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,loss=0.5"],
+     None, None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,capacity=3"],
+     None, None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,jitter=40ms"],
+     None, None),
+    (["policy", "--name", "qlearn", "--emulated", "capacity_step"], None, None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkeypatch,
+                                                        argv, config, aoi_seed):
+    # exit 2 with one error line and no output, instead of a traceback,
+    # a silently ignored flag or a run that never ends
+    if config is not None:
+        (tmp_path / "p.cfg").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "p.cfg")]
+    if aoi_seed is not None:
+        monkeypatch.setenv("AOI_SEED", aoi_seed)
+    if argv[1] != "sync":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert [line for line in err.splitlines() if "error: " in line] == \
+        err.splitlines()[-1:]
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_readme_lists_every_channel_spec_key():
+    import re
+
+    from aoikit.cli import CHANNEL_KEYS
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Emulated channel specs", 1)[1].split("\n\n| key |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    keys = {k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert keys == set(CHANNEL_KEYS)
 
 
 def test_measure_sampler_abort_exits_3_and_keeps_the_partial_trace(
@@ -435,7 +531,7 @@ def test_policy_zero_round_trip_exits_2(tmp_path):
             [sys.executable, "-m", "aoikit.cli", "policy", "--name", name,
              "--emulated", channel, "--duration", "5",
              "--out", str(tmp_path / name)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -463,7 +559,7 @@ def test_measure_echo_server_lifecycle():
     proc = subprocess.Popen(
         [sys.executable, "-m", "aoikit.cli", "measure", "echo-server",
          "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
     try:
         line = proc.stdout.readline().strip()

@@ -11,6 +11,7 @@ from aoikit.emulate import (
     EmulatedChannel,
     EmulatedChannelSpec,
     _median_age,
+    check_schedule,
     decision_csv,
     estimate_offset_emulated,
     offset_from_exchanges,
@@ -86,6 +87,11 @@ def test_dropped_transit_has_no_arrival():
     (dict(capacity_hz=100.0, capacity_step_at_s=math.nan), "step time"),
     (dict(capacity_hz=100.0, capacity_step_at_s=math.inf), "step time"),
     (dict(capacity_hz=100.0, capacity_step_at_s=-1.0), "step time"),
+    (dict(buffer=3), "need a capacity"),
+    (dict(capacity_step_at_s=1.0), "need a capacity"),
+    (dict(loss_onset_load=0.5), "need a capacity"),
+    (dict(rtt_lognorm_median_s=0.1, fwd_delay_s=0.01), "lognormal"),
+    (dict(rtt_lognorm_median_s=0.1, jitter_s=0.001), "lognormal"),
 ])
 def test_spec_refuses_unusable_impairments(kw, message):
     with pytest.raises(ConfigError, match=message):
@@ -289,6 +295,23 @@ def test_acp_rate_positive_and_finite_after_init():
     for row in res.decisions:
         assert np.isfinite(row.rate_hz) and row.rate_hz > 0
         assert 1.0 <= row.target_backlog <= 64.0
+
+
+@pytest.mark.parametrize("schedule", [
+    [], [(math.inf, 1.0)], [(math.nan, 1.0)], [(1e10, 1.0)], [(0.0, 1.0)],
+    [(10.0, math.inf)], [(10.0, math.nan)], [(10.0, 0.0)], [(10.0, 1.0), (1e10, 1.0)],
+])
+def test_unfinishable_schedules_rejected(schedule):
+    with pytest.raises(ConfigError):
+        check_schedule(schedule)
+    with pytest.raises(ConfigError):
+        run_sampler_emulated(EmulatedChannelSpec.fixed_rtt(0.01), schedule)
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0])
+def test_rate_policy_refuses_unfinishable_duration(duration):
+    with pytest.raises(ConfigError, match="duration"):
+        run_rate_policy("lazy", EmulatedChannelSpec.fixed_rtt(0.01), duration)
 
 
 def test_unknown_policy_rejected():

@@ -87,3 +87,18 @@ def test_offset_estimation_against_local_server(server):
     assert abs(est.offset_ns) < 5_000_000
     assert est.n == 20
     assert len(est.rtt_samples_s) == 20
+
+
+@pytest.mark.parametrize("rate", [2e9, float("inf"), float("nan")])
+def test_sampler_refuses_rates_past_one_packet_per_ns_before_opening_a_socket(
+        monkeypatch, rate):
+    # a period 1/rate that rounds to 0 ns would never advance the send loop
+    from aoikit import udp
+    from aoikit.errors import ConfigError
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("socket opened")
+
+    monkeypatch.setattr(udp.socket, "socket", no_socket)
+    with pytest.raises(ConfigError):
+        run_sampler(("127.0.0.1", 9), [(rate, 1.0)])
