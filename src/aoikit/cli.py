@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 
 import numpy as np
@@ -42,7 +41,7 @@ from .queuesim import (
     sweep_rate,
 )
 from .trace import read_csv, seconds_to_ns
-from . import udp, wire
+from . import wire
 
 _UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -211,11 +210,17 @@ def cmd_sim(args, argv) -> int:
     if args.model == "mm1":
         if args.rho is None:
             raise ConfigError("--model mm1 needs --rho")
+        if args.arrival is not None or args.rate is not None or args.service is not None:
+            # the M/M/1 model fixes Poisson arrivals at rho * mu and
+            # exponential service
+            raise ConfigError("--model mm1 takes neither --arrival, --rate nor --service")
         arrival = ArrivalSpec("poisson", args.rho * args.mu)
         service = ServiceSpec("exponential", args.mu)
     else:
-        arrival = ArrivalSpec(args.arrival, args.rate or 0.0)
-        service = ServiceSpec(args.service, args.mu)
+        if args.rho is not None:
+            raise ConfigError("--rho needs --model mm1")
+        arrival = ArrivalSpec(args.arrival or "poisson", args.rate or 0.0)
+        service = ServiceSpec(args.service or "exponential", args.mu)
     cfg = _queue_config(args, arrival, service)
     run = simulate(cfg)
     manifest = RunManifest("sim", argv, {k: str(v) for k, v in run.meta.items()},
@@ -299,6 +304,10 @@ def cmd_analyze(args, argv) -> int:
 
 
 def cmd_measure_echo_server(args, argv) -> int:
+    import signal
+
+    from . import udp
+
     srv = udp.EchoServer(args.bind, args.port)
     _print_kv([("port", srv.port)])
     stopper = lambda *_: srv.stop()
@@ -336,6 +345,8 @@ def cmd_measure_sampler(args, argv) -> int:
         manifest_cfg = {"emulated": args.emulated}
         aborted = False  # the emulated channel raises no socket errors
     else:
+        from . import udp
+
         res = udp.run_sampler(_address(args.dest, "--dest"), schedule, args.size)
         manifest_cfg = {"dest": args.dest}
         aborted = res.aborted
@@ -361,6 +372,8 @@ def cmd_measure_sync(args, argv) -> int:
         est = estimate_offset_emulated(parse_emulated(args.emulated, args.seed),
                                        args.pings)
     else:
+        from . import udp
+
         est = udp.estimate_offset(_address(args.peer, "--peer"), args.pings)
     _print_kv([
         ("offset_ns", est.offset_ns),
@@ -386,17 +399,24 @@ def cmd_policy(args, argv) -> int:
                            {"name": args.name, "emulated": args.emulated,
                             **cfg}, args.seed)
     if args.name == "qlearn":
+        if args.duration is not None:
+            raise ConfigError("qlearn runs --iters steps and takes no --duration")
         # the agent sees only the path delay; other impairments would be ignored
         delay = spec.fwd_delay_s + spec.bwd_delay_s
         if delay <= 0 or spec != EmulatedChannelSpec(spec.fwd_delay_s,
                                                      spec.bwd_delay_s, seed=spec.seed):
             raise ConfigError("qlearn needs a channel of positive fixed delays "
                               "and at most a seed")
+        if spec.seed != args.seed:
+            # the agent draws from the run seed; the channel draws nothing
+            raise ConfigError(f"qlearn takes its seed from --seed, not the channel "
+                              f"spec (seed={spec.seed}, run seed {args.seed})")
         agent = QAgent(n_bins=params["bins"], gamma=params["gamma"], lr=params["lr"],
                        epsilon=params["epsilon0"], epsilon_decay=params["epsilon_decay"],
                        seed=args.seed)
         env = PauseResumeEnv(delay_s=delay)
-        res = train_pause_resume(agent, env, args.iters, record_history=True)
+        res = train_pause_resume(agent, env, 10000 if args.iters is None else args.iters,
+                                 record_history=True)
         rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
                 for i, (a, age) in enumerate(zip(res.action_history,
                                                  res.age_history))]
@@ -412,9 +432,12 @@ def cmd_policy(args, argv) -> int:
         _print_kv(pairs)
         return 0
 
+    if args.iters is not None:
+        raise ConfigError(f"{args.name} runs for --duration and takes no --iters")
     acp = AcpState(kappa=params["kappa"], backlog_cap=params["backlog_cap"],
                    epoch_floor_s=params["epoch_ms"] / 1e3) if args.name == "acp" else None
-    res = run_rate_policy(args.name, spec, args.duration, acp=acp,
+    duration = 30.0 if args.duration is None else args.duration
+    res = run_rate_policy(args.name, spec, duration, acp=acp,
                           ewma_alpha=params["ewma_alpha"])
     trace_path = args.out + ".trace.csv"
     _write_outputs(manifest, [(trace_path, res.trace),
@@ -470,11 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", choices=["mm1"], default=None)
     sim.add_argument("--rho", type=float, default=None, help="offered load")
     sim.add_argument("--mu", type=float, default=1.0, help="service rate")
+    # without --model: poisson and exponential
     sim.add_argument("--arrival", choices=["poisson", "deterministic",
-                                           "zero-wait"], default="poisson")
+                                           "zero-wait"], default=None)
     sim.add_argument("--rate", type=float, default=None)
     sim.add_argument("--service", choices=["exponential", "deterministic"],
-                     default="exponential")
+                     default=None)
     sim.add_argument("--arrivals", type=int, required=True)
     sim.set_defaults(func=cmd_sim)
 
@@ -537,8 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--name", choices=["lazy", "acp", "zero-wait", "qlearn"],
                     required=True)
     po.add_argument("--emulated", required=True, help="channel spec")
-    po.add_argument("--duration", type=float, default=30.0)
-    po.add_argument("--iters", type=int, default=10000)
+    po.add_argument("--duration", type=float, default=None,
+                    help="virtual seconds (lazy, acp, zero-wait; default 30)")
+    po.add_argument("--iters", type=int, default=None,
+                    help="training steps (qlearn; default 10000)")
     po.add_argument("--config", default=None, help="key=value policy config")
     po.set_defaults(func=cmd_policy)
 

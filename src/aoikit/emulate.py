@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .policies import AcpState, EwmaEstimator, PolicyObservation, rate_policy
-from .queuesim import _draws, check_regime_loss_p, regime_loss_p
+from .queuesim import (
+    BUSY_LOSS_P,
+    PANICKED_LOSS_P,
+    _draws,
+    check_regime_loss_p,
+    regime_loss_p,
+)
 from .trace import AgeTrace, seconds_to_ns
 
 
@@ -50,8 +56,8 @@ class EmulatedChannelSpec:
     # drops busy_loss_p of the packets, and panicked_loss_p at or
     # beyond capacity; loss therefore rises before queueing delay does
     loss_onset_load: Optional[float] = None
-    busy_loss_p: float = 0.02
-    panicked_loss_p: float = 0.15
+    busy_loss_p: float = BUSY_LOSS_P
+    panicked_loss_p: float = PANICKED_LOSS_P
     capacity_step_at_s: Optional[float] = None
     capacity_step_factor: float = 1.0
     peer_offset_s: float = 0.0
@@ -93,6 +99,12 @@ class EmulatedChannelSpec:
         if self.loss_onset_load is not None and not (0.0 < self.loss_onset_load <= 1.0):
             raise ConfigError("loss onset load must be in (0, 1]")
         check_regime_loss_p(self.busy_loss_p, self.panicked_loss_p)
+        # each of these keys acts only beside the one that switches it on
+        if self.loss_onset_load is None and (
+                (self.busy_loss_p, self.panicked_loss_p) != (BUSY_LOSS_P, PANICKED_LOSS_P)):
+            raise ConfigError("busy and panicked loss need a loss onset load")
+        if self.capacity_step_at_s is None and self.capacity_step_factor != 1.0:
+            raise ConfigError("capacity step factor needs a capacity step time")
 
     @classmethod
     def fixed_rtt(cls, rtt_s: float, **kw) -> "EmulatedChannelSpec":

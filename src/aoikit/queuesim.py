@@ -393,6 +393,10 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 # ------------------------------------------------------- bottleneck channel
 
+# default loss probabilities of the busy and panicked load regimes
+BUSY_LOSS_P = 0.02
+PANICKED_LOSS_P = 0.15
+
 
 def check_regime_loss_p(busy_loss_p: float, panicked_loss_p: float) -> None:
     """Refuse a busy or panicked loss probability outside [0, 1)."""
@@ -425,8 +429,8 @@ class ChannelModel:
     bandwidth_bps: float = 130_000.0
     packet_bytes: int = 1058
     loss_onset_load: float = 0.6
-    busy_loss_p: float = 0.02
-    panicked_loss_p: float = 0.15
+    busy_loss_p: float = BUSY_LOSS_P
+    panicked_loss_p: float = PANICKED_LOSS_P
 
     def __post_init__(self):
         if not (0.0 < self.loss_onset_load <= 1.0):

@@ -1,8 +1,13 @@
-"""Shared generators for randomized trace tests."""
+"""Shared generators for randomized trace tests, and helpers for tests
+that start a Python child process."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -154,3 +159,29 @@ def reference_simulate_scheduler(cfg, frames: int, seed: int = 0, keep_traces: b
                 )
             )
     return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
+
+
+def child_env() -> dict:
+    """Environment for a `python -m aoikit.cli` child that imports the
+    same aoikit as this test run, installed or not."""
+    import aoikit
+
+    src = str(Path(aoikit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """Run `python *args` under child_env(); it must exit 0."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def imported_by(*args: str) -> set[str]:
+    """The modules a fresh `python *args` imports, read from its
+    `-X importtime` report on stderr."""
+    report = run_child("-X", "importtime", *args).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in report.splitlines()
+            if line.startswith("import time:")}

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import aoikit
+from helpers import imported_by, run_child
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,6 +15,37 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_every_exported_name_resolves():
     missing = [name for name in aoikit.__all__ if not hasattr(aoikit, name)]
     assert missing == []
+
+
+# a fresh interpreter's package: `import aoikit` loads no submodule
+FRESH = """
+import sys
+import aoikit
+assert [m for m in sys.modules if m.startswith("aoikit.")] == []
+"""
+
+
+def test_star_import_binds_every_export_of_the_lazy_package():
+    run_child("-c", FRESH + """
+from aoikit import *
+missing = [name for name in aoikit.__all__ if name not in globals()]
+assert missing == [], missing
+assert simulate is sys.modules["aoikit.queuesim"].simulate
+""")
+
+
+def test_dir_lists_every_export_before_it_loads():
+    run_child("-c", FRESH + """
+missing = set(aoikit.__all__) - set(dir(aoikit))
+assert missing == set(), missing
+assert [m for m in sys.modules if m.startswith("aoikit.")] == []
+""")
+
+
+def test_importing_one_module_loads_only_what_it_uses():
+    loaded = imported_by("-c", "from aoikit import scheduler")
+    assert {m for m in loaded if m.startswith("aoikit.")} == {
+        "aoikit.errors", "aoikit.trace", "aoikit.scheduler"}
 
 
 def test_readme_library_snippet_runs_as_written():

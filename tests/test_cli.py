@@ -7,6 +7,7 @@ import pytest
 
 from aoikit.cli import main, parse_emulated, parse_seconds, read_policy_config
 from aoikit.errors import ConfigError
+from helpers import child_env, imported_by
 
 GOLDEN_TWO_PACKET = (
     "id,gen_ns,recv_ns,size_bytes\n"
@@ -19,16 +20,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env() -> dict:
-    """Environment for a `python -m aoikit.cli` child that imports the
-    same aoikit as this test run, installed or not."""
-    import aoikit
-
-    src = str(Path(aoikit.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def kv(out: str) -> dict:
@@ -313,6 +304,11 @@ def test_measure_sampler_emulated(tmp_path, capsys):
     ("fixed_rtt=20ms,step_at=1s", "buffer, capacity step and loss schedule need"),
     ("lognormal_median=100ms,fixed_rtt=20ms", "lognormal round trips take no"),
     ("lognormal_median=100ms,jitter=1ms", "lognormal round trips take no"),
+    ("capacity=50,fixed_rtt=20ms,busy_loss=0.9", "busy and panicked loss need"),
+    ("capacity=50,fixed_rtt=20ms,panicked_loss=0.9", "busy and panicked loss need"),
+    ("capacity=50,fixed_rtt=20ms,step_factor=0.1", "capacity step factor needs"),
+    ("capacity=50,fixed_rtt=20ms,busy_loss=0.9,panicked_loss=0.9,step_factor=0.1",
+     "busy and panicked loss need"),
 ])
 def test_measure_sampler_unusable_channel_exits_2(tmp_path, capsys, channel, message):
     out = tmp_path / "m.csv"
@@ -373,6 +369,22 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,jitter=40ms"],
      None, None),
     (["policy", "--name", "qlearn", "--emulated", "capacity_step"], None, None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,seed=5",
+      "--iters", "300", "--seed", "1"], None, None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,seed=5",
+      "--iters", "300"], None, "1"),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s",
+      "--iters", "300", "--duration", "5"], None, None),
+    (POLICY + ["--name", "lazy", "--iters", "5"], None, None),
+    (POLICY + ["--name", "acp", "--iters", "5"], None, None),
+    (POLICY + ["--name", "zero-wait", "--iters", "5"], None, None),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10",
+      "--arrival", "poisson"], None, None),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10",
+      "--rate", "2"], None, None),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10",
+      "--service", "exponential"], None, None),
+    (["sim", "--rho", "0.5", "--rate", "1", "--arrivals", "10"], None, None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkeypatch,
                                                         argv, config, aoi_seed):
@@ -574,6 +586,16 @@ def test_measure_echo_server_lifecycle():
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+@pytest.mark.parametrize("args", [["-m", "aoikit.cli", "--version"],
+                                  ["-c", "import aoikit.cli"]])
+def test_cli_loads_no_socket_layer_outside_measure(args):
+    # only the live measure commands import udp, and with it socket and
+    # selectors; nothing in the CLI uses the scheduler
+    loaded = imported_by(*args)
+    assert "aoikit.emulate" in loaded  # the report lists the CLI's imports
+    assert loaded & {"aoikit.udp", "aoikit.scheduler", "socket", "selectors"} == set()
 
 
 def test_measure_echo_server_bind_failure_exits_3(capsys):

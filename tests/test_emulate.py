@@ -92,6 +92,9 @@ def test_dropped_transit_has_no_arrival():
     (dict(loss_onset_load=0.5), "need a capacity"),
     (dict(rtt_lognorm_median_s=0.1, fwd_delay_s=0.01), "lognormal"),
     (dict(rtt_lognorm_median_s=0.1, jitter_s=0.001), "lognormal"),
+    (dict(capacity_hz=100.0, busy_loss_p=0.1), "loss onset"),
+    (dict(capacity_hz=100.0, panicked_loss_p=0.5), "loss onset"),
+    (dict(capacity_hz=100.0, capacity_step_factor=0.5), "step time"),
 ])
 def test_spec_refuses_unusable_impairments(kw, message):
     with pytest.raises(ConfigError, match=message):
