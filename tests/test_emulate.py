@@ -473,11 +473,26 @@ def _golden_policy_runs():
                    duration, None)
         yield (f"acp-slow/capacity-step/{duration}", "acp", channels["capacity-step"],
                duration, AcpState(kappa=0.5, epoch_floor_s=0.02))
+    # dyadic round trips, service times and epoch floors: send, ack and
+    # epoch times coincide exactly in floating point, so these runs pin
+    # the rule that equal times fire in the order they were scheduled
+    dyadic = {
+        "dyadic": EmulatedChannelSpec.fixed_rtt(2**-6, seed=1),
+        "dyadic-bottleneck": EmulatedChannelSpec.fixed_rtt(2**-7, capacity_hz=64.0,
+                                                           seed=1),
+    }
+    for duration in (0.25, 4.0):
+        for name, spec in dyadic.items():
+            yield f"lazy/{name}/{duration}", "lazy", spec, duration, None
+            yield (f"acp/{name}/{duration}", "acp", spec, duration,
+                   AcpState(epoch_floor_s=2**-6))
+            yield f"zero-wait/{name}/{duration}", "zero-wait", spec, duration, None
 
 
 def test_policy_golden_digests():
     # sha256 of traces, decision log and every result figure, pinned
-    # before the policies moved behind one interface
+    # before the policies moved behind one interface (the dyadic runs:
+    # before the runner kept only acks in its heap)
     got = {}
     for key, policy, spec, duration, acp in _golden_policy_runs():
         res = run_rate_policy(policy, spec, duration, acp=acp)
@@ -570,6 +585,31 @@ POLICY_GOLDEN = {
         "0543f231a5cd3615397eb722c8d5114886e39266b229467b4c8aeaf3fa8d1cc9",
     "acp-slow/capacity-step/30.0":
         "80fb6c94b32024d46d7bb4359944e926d23660cf73a8c9f815759f0d56180ef9",
+    # pinned before the runner kept only acks in its heap
+    "lazy/dyadic/0.25":
+        "6af80d3618aa04856d30b67e633a5c78f09915e304fc3584cd41ad149fe7606f",
+    "acp/dyadic/0.25":
+        "3c1d417055cdb8f302a710ddd0a1e3449032b0ac3c1ea8c2899122e4e0dd160a",
+    "zero-wait/dyadic/0.25":
+        "46129e6aad5b7c9d14653e6d2593f4f8388c9b5de8e2ef21ba886dc1f7eddb79",
+    "lazy/dyadic-bottleneck/0.25":
+        "8ae26705db057b3179117e2d81812fd043d72d584fa0d1825e07656b26cc892d",
+    "acp/dyadic-bottleneck/0.25":
+        "201e0ba6b448928a3ebf6c78b97474b6b53f28c00f507aeb11e79e12d260b979",
+    "zero-wait/dyadic-bottleneck/0.25":
+        "da12a2902d6bb839fe7caf1048fec2b0ca12f8e56c632ffbeed9b7d14e997222",
+    "lazy/dyadic/4.0":
+        "d22d89b8b2b41bf2cbf9ae6e27381fe2369f2ba6996986ead2392b118c12ef97",
+    "acp/dyadic/4.0":
+        "b5559f0756c28ad78df063bb65a7b1e5bca7dfa1db853c29234d815584b1aea2",
+    "zero-wait/dyadic/4.0":
+        "43f58b2716ca68330424a749f37ac268925a8511c3b93d135b3cd459af5556f1",
+    "lazy/dyadic-bottleneck/4.0":
+        "3a15460da706c962630ede374b5718b236638d059073001e476430c092242f71",
+    "acp/dyadic-bottleneck/4.0":
+        "b94df8c1e959da004d6250c8d5825ca7e81bf9989d179218053e331050acc946",
+    "zero-wait/dyadic-bottleneck/4.0":
+        "a0d4417e52246ffe684317c91338ea9126573914289f3c34b79712982255a5e7",
 }
 
 
