@@ -63,11 +63,6 @@ def _number(text: str, item: str, kind=float):
     return value if unit is None else value * _UNITS[unit]
 
 
-def parse_seconds(text: str) -> float:
-    """'12.5ms' -> 0.0125; bare numbers are seconds."""
-    return _number(text, "duration", "s")
-
-
 CAPACITY_STEP_PRESET = dict(
     fwd_delay_s=0.02, bwd_delay_s=0.02,
     capacity_hz=80.0, capacity_step_at_s=10.0, capacity_step_factor=0.25,
@@ -127,6 +122,14 @@ def resolve_seed(value) -> int:
     env = os.environ.get("AOI_SEED")
     return _number(env, "AOI_SEED", int) if env else 0
 
+
+# the config keys each policy reads
+POLICY_KEYS = {
+    "acp": ("kappa", "backlog_cap", "epoch_ms", "ewma_alpha"),
+    "lazy": ("ewma_alpha",),
+    "zero-wait": ("ewma_alpha",),
+    "qlearn": ("gamma", "lr", "epsilon0", "epsilon_decay", "bins"),
+}
 
 # policy config key -> its default, whose type is the kind of its value
 POLICY_DEFAULTS = {
@@ -200,6 +203,11 @@ def _gnuplot_hint(kind: str, path: str) -> str:
 
 def _queue_config(args, arrival: ArrivalSpec, service: ServiceSpec) -> SimConfig:
     """The queue `sim` and `sweep` simulate, from their shared flags."""
+    if args.discipline == "lcfs1" and args.capacity is not None:
+        raise ConfigError("--discipline lcfs1 holds one waiting packet "
+                          "and takes no --capacity")
+    if args.retransmit and not args.loss:
+        raise ConfigError("--retransmit resends lost packets and needs --loss")
     return SimConfig(arrival, service, discipline=args.discipline,
                      capacity=args.capacity, loss_p=args.loss,
                      retransmit=args.retransmit, horizon=args.arrivals,
@@ -219,6 +227,9 @@ def cmd_sim(args, argv) -> int:
     else:
         if args.rho is not None:
             raise ConfigError("--rho needs --model mm1")
+        if args.arrival == "zero-wait" and args.rate is not None:
+            # a zero-wait source sends when the previous packet leaves
+            raise ConfigError("--arrival zero-wait takes no --rate")
         arrival = ArrivalSpec(args.arrival or "poisson", args.rate or 0.0)
         service = ServiceSpec(args.service or "exponential", args.mu)
     cfg = _queue_config(args, arrival, service)
@@ -390,6 +401,10 @@ def cmd_measure_sync(args, argv) -> int:
 
 def cmd_policy(args, argv) -> int:
     cfg = read_policy_config(args.config) if args.config else {}
+    unread = [key for key in cfg if key not in POLICY_KEYS[args.name]]
+    if unread:
+        raise ConfigError(f"{args.config}: {args.name} does not read "
+                          f"{', '.join(unread)}")
     params = {key: _number(cfg[key], f"{args.config}: {key}", type(default))
               if key in cfg else default
               for key, default in POLICY_DEFAULTS.items()}

@@ -111,7 +111,7 @@ class EmulatedChannelSpec:
         return cls(fwd_delay_s=rtt_s / 2.0, bwd_delay_s=rtt_s / 2.0, **kw)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelTransit:
     """Outcome of one data packet through the channel, all on the
     sender's virtual clock."""
@@ -183,24 +183,39 @@ class EmulatedChannel:
         return p
 
     def transit(self, send_s: float) -> ChannelTransit:
-        """Route one data packet; must be called in send-time order."""
+        """Route one data packet; must be called in send-time order.
+        The closed-loop runner calls this once per send, so it inlines
+        `_capacity_at` and `_leg_delays`."""
         spec = self.spec
-        loss_p = self._loss_probability(send_s)
+        loss_p = (spec.loss_p if spec.loss_onset_load is None
+                  else self._loss_probability(send_s))
         # bottleneck stage
         depart = send_s
-        if spec.capacity_hz is not None:
-            while self._in_system and self._in_system[0] <= send_s:
-                self._in_system.popleft()
-            if spec.buffer is not None and len(self._in_system) > spec.buffer:
+        cap = spec.capacity_hz
+        if cap is not None:
+            in_system = self._in_system
+            while in_system and in_system[0] <= send_s:
+                in_system.popleft()
+            if spec.buffer is not None and len(in_system) > spec.buffer:
                 return ChannelTransit(send_s, None, None)
-            start = max(send_s, self._server_free_at)
-            cap = self._capacity_at(start)
+            free_at = self._server_free_at
+            start = free_at if free_at > send_s else send_s
+            step_at = spec.capacity_step_at_s
+            if step_at is not None and start >= step_at:
+                cap = cap * spec.capacity_step_factor
             depart = start + 1.0 / cap
             self._server_free_at = depart
-            self._in_system.append(depart)
+            in_system.append(depart)
         if loss_p > 0 and next(self._coins) < loss_p:
             return ChannelTransit(send_s, None, None)
-        fwd, bwd = self._leg_delays()
+        if self._rtts is not None:
+            fwd = bwd = next(self._rtts) / 2.0
+        else:
+            fwd = spec.fwd_delay_s
+            bwd = spec.bwd_delay_s
+            if self._jitters is not None:
+                fwd += next(self._jitters)
+                bwd += next(self._jitters)
         arrive = depart + fwd
         return ChannelTransit(send_s, arrive, arrive + bwd)
 
@@ -261,20 +276,16 @@ def run_sampler_emulated(
             send_times.append(start + (k + 1) / rate)
             k += 1
         t = start + duration
-    gen, ack, fwd = [], [], []
-    received = 0
+    fwd_s: list[float] = []  # nan where the channel dropped the packet
+    ack_s: list[float] = []
     for s in send_times:
         tr = channel.transit(s)
-        gen.append(seconds_to_ns(s))
-        fwd.append(None if tr.arrive_fwd_s is None else seconds_to_ns(tr.arrive_fwd_s))
-        ack.append(None if tr.ack_s is None else seconds_to_ns(tr.ack_s))
-        if tr.ack_s is not None:
-            received += 1
-    ids = np.arange(len(gen), dtype=np.int64)
-    sizes = np.full(len(gen), size_bytes, dtype=np.int64)
-    trace = AgeTrace.from_arrays(ids, gen, ack, sizes, t_start_ns=0)
-    truth = AgeTrace.from_arrays(ids, gen, fwd, sizes, t_start_ns=0)
-    return EmulatedSamplerResult(trace, truth, len(gen), received)
+        fwd_s.append(math.nan if tr.arrive_fwd_s is None else tr.arrive_fwd_s)
+        ack_s.append(math.nan if tr.ack_s is None else tr.ack_s)
+    trace = AgeTrace.from_seconds(send_times, ack_s, size_bytes=size_bytes)
+    truth = AgeTrace.from_seconds(send_times, fwd_s, size_bytes=size_bytes)
+    sent = len(send_times)
+    return EmulatedSamplerResult(trace, truth, sent, sent - trace.loss_count)
 
 
 # ------------------------------------------------------- offset estimation
@@ -361,7 +372,8 @@ class PolicyRunResult:
     acked: int
 
 
-_PROBE, _SEND, _ACK, _EPOCH = 0, 1, 2, 3
+# what a pending event sends or does, in place of an acked packet index
+_PROBE, _SEND, _EPOCH = -1, -2, -3
 _PROBE_SPACING_S = 0.05
 _MAX_PROBES = 10
 _MEDIAN_GRID_S = 0.01  # age sampling step of the reported median
@@ -381,6 +393,12 @@ def run_rate_policy(
     sender) until the first acknowledgement initializes the smoothed
     rtt; then epochs of max(epoch floor, smoothed rtt) start, and a
     paced sender sends at its current rate.
+
+    Only acknowledgements can overtake each other (under jitter or
+    lognormal delay), so only they, and the probes, wait in a heap; the
+    one pending send and the one pending epoch are (time, sequence)
+    slots. Every event takes the next insertion sequence number when it
+    is scheduled, and equal times fire in that order.
     """
     sender = rate_policy(policy, acp)
     if not 0 < duration_s < math.inf:
@@ -388,19 +406,26 @@ def run_rate_policy(
     if (spec.fwd_delay_s + spec.bwd_delay_s == 0 and spec.jitter_s == 0
             and spec.rtt_lognorm_median_s is None and spec.capacity_hz is None):
         raise ConfigError("closed-loop policies need a positive round trip")
-    if not sender.paced and (spec.loss_p > 0 or spec.loss_onset_load is not None):
+    paced = sender.paced
+    if not paced and (spec.loss_p > 0 or spec.loss_onset_load is not None):
         raise ConfigError(f"{policy} waits for every ack and has no loss timeout; "
                           "it needs a loss-free channel")
 
-    channel = EmulatedChannel(spec)
-    ewma_rtt = EwmaEstimator(ewma_alpha)
-    # (time, insertion seq, kind, packet index); acks can overtake each
-    # other under jitter or lognormal delay
-    heap: list[tuple[float, int, int, int]] = [(0.0, 0, _PROBE, -1)]
+    transit = EmulatedChannel(spec).transit
+    update_rtt = EwmaEstimator(ewma_alpha).update
+    on_ack, on_epoch = sender.on_ack, sender.on_epoch
+    epoch_floor_s = sender.epoch_floor_s
+    heappush, heappop = heapq.heappush, heapq.heappop
+    inf = math.inf
+    # (time, insertion seq, packet index or _PROBE)
+    acks: list[tuple[float, int, int]] = [(0.0, 0, _PROBE)]
+    send_at = epoch_at = inf  # inf while nothing is pending
+    send_seq = epoch_seq = 0
     seq = 1
     send_s: list[float] = []
     ack_s: list[float] = []  # nan until acknowledged
-    acked = 0
+    sent = acked = 0
+    rtt: Optional[float] = None  # the smoothed rtt
     newest_acked_send: Optional[float] = None
     clock = 0.0  # the integrals below run up to here
     backlog_area = epoch_backlog_area = epoch_age_area = 0.0
@@ -411,97 +436,109 @@ def run_rate_policy(
     rate_area = 0.0
     rate_clock = 0.0
 
-    def push(t: float, kind: int, packet: int = -1):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, packet))
-        seq += 1
-
-    def set_rate(now: float, new_rate: Optional[float]):
-        nonlocal rate_hz, rate_area, rate_clock
-        if rate_hz is not None:
-            rate_area += rate_hz * (now - rate_clock)
-        rate_clock = now
-        rate_hz = new_rate
-
-    def start_epoch(now: float):
-        nonlocal epoch_started, epoch_age_area, epoch_backlog_area, epoch_acks
-        epoch_started = now
-        epoch_age_area = epoch_backlog_area = 0.0
-        epoch_acks = 0
-        push(now + max(sender.epoch_floor_s, ewma_rtt.value), _EPOCH)
-
-    while heap:
-        now, _, kind, packet = heapq.heappop(heap)
+    while True:
+        if send_at < epoch_at or (send_at == epoch_at and send_seq < epoch_seq):
+            now, event, event_seq = send_at, _SEND, send_seq
+        else:
+            now, event, event_seq = epoch_at, _EPOCH, epoch_seq
+        if acks:
+            top = acks[0]
+            if top[0] < now or (top[0] == now and top[1] < event_seq):
+                now, _, event = heappop(acks)
         if now > duration_s:
             break
         dt = now - clock
         if dt > 0:
-            backlog = len(send_s) - acked
-            backlog_area += backlog * dt
-            epoch_backlog_area += backlog * dt
+            area = (sent - acked) * dt
+            backlog_area += area
+            epoch_backlog_area += area
             if newest_acked_send is not None:
                 epoch_age_area += (clock - newest_acked_send) * dt + dt * dt / 2.0
             clock = now
-        if kind == _ACK:
-            sent_at = send_s[packet]
-            ack_s[packet] = now
+        if event >= 0:  # the ack of packet `event`
+            sent_at = send_s[event]
+            ack_s[event] = now
             acked += 1
             epoch_acks += 1
-            ewma_rtt.update(now - sent_at)
+            rtt = update_rtt(now - sent_at)
             if newest_acked_send is None or sent_at > newest_acked_send:
                 newest_acked_send = sent_at
             first_ack = acked == 1
-            new_rate = sender.on_ack(ewma_rtt.value, first_ack)
+            new_rate = on_ack(rtt, first_ack)
             if new_rate is not None:
-                set_rate(now, new_rate)
-            if first_ack or (not sender.paced and len(send_s) == acked):
-                push(now, _SEND)
+                if rate_hz is not None:
+                    rate_area += rate_hz * (now - rate_clock)
+                rate_clock = now
+                rate_hz = new_rate
+            if first_ack or (not paced and sent == acked):
+                send_at, send_seq = now, seq
+                seq += 1
             if first_ack:
-                start_epoch(now)
-        elif kind == _EPOCH:
+                epoch_started = now
+                epoch_age_area = epoch_backlog_area = 0.0
+                epoch_acks = 0
+                epoch_at = now + (rtt if rtt > epoch_floor_s else epoch_floor_s)
+                epoch_seq = seq
+                seq += 1
+        elif event == _EPOCH:
             epoch_s = now - epoch_started
+            # ewma_rtt_s, epoch_s, avg_age_epoch_s, avg_backlog_epoch, epoch_acks
             obs = PolicyObservation(
-                ewma_rtt_s=ewma_rtt.value,
-                epoch_s=epoch_s,
-                avg_age_epoch_s=epoch_age_area / epoch_s if epoch_s > 0 else 0.0,
-                avg_backlog_epoch=epoch_backlog_area / epoch_s if epoch_s > 0 else 0.0,
-                epoch_acks=epoch_acks,
+                rtt, epoch_s,
+                epoch_age_area / epoch_s if epoch_s > 0 else 0.0,
+                epoch_backlog_area / epoch_s if epoch_s > 0 else 0.0,
+                epoch_acks,
             )
-            action, target, logged_rate, new_rate = sender.on_epoch(obs, rate_hz)
+            action, target, logged_rate, new_rate = on_epoch(obs, rate_hz)
             if new_rate is not None:
-                set_rate(now, new_rate)
+                if rate_hz is not None:
+                    rate_area += rate_hz * (now - rate_clock)
+                rate_clock = now
+                rate_hz = new_rate
             decisions.append(DecisionRow(
                 len(decisions) + 1, action, target, logged_rate,
-                obs.avg_age_epoch_s, len(send_s) - acked, now,
+                obs.avg_age_epoch_s, sent - acked, now,
             ))
-            start_epoch(now)
+            epoch_started = now
+            epoch_age_area = epoch_backlog_area = 0.0
+            epoch_acks = 0
+            epoch_at = now + (rtt if rtt > epoch_floor_s else epoch_floor_s)
+            epoch_seq = seq
+            seq += 1
         else:  # a send; probes stop once the first ack is in
-            if kind == _PROBE and acked:
+            if event == _PROBE and acked:
                 continue
-            tr = channel.transit(now)
+            ack_at = transit(now).ack_s
             send_s.append(now)
             ack_s.append(math.nan)
-            if tr.ack_s is not None and tr.ack_s <= duration_s:
-                push(tr.ack_s, _ACK, len(send_s) - 1)
-            if kind == _PROBE:
-                if sender.paced and len(send_s) < _MAX_PROBES:
-                    push(now + _PROBE_SPACING_S, _PROBE)
-            elif sender.paced:
-                push(now + 1.0 / rate_hz, _SEND)
+            sent += 1
+            if ack_at is not None and ack_at <= duration_s:
+                heappush(acks, (ack_at, seq, sent - 1))
+                seq += 1
+            if event == _PROBE:
+                if paced and sent < _MAX_PROBES:
+                    heappush(acks, (now + _PROBE_SPACING_S, seq, _PROBE))
+                    seq += 1
+            elif paced:
+                send_at, send_seq = now + 1.0 / rate_hz, seq
+                seq += 1
+            else:
+                send_at = inf
 
     if duration_s > clock:
-        backlog_area += (len(send_s) - acked) * (duration_s - clock)
-    set_rate(duration_s, rate_hz)
+        backlog_area += (sent - acked) * (duration_s - clock)
+    if rate_hz is not None:
+        rate_area += rate_hz * (duration_s - rate_clock)
 
     trace = AgeTrace.from_seconds(send_s, ack_s, t_end_ns=seconds_to_ns(duration_s))
     return PolicyRunResult(
         trace=trace,
         decisions=decisions,
         mean_inflight=backlog_area / duration_s,
-        mean_rate_hz=(rate_area if sender.paced else len(send_s)) / duration_s,
+        mean_rate_hz=(rate_area if paced else sent) / duration_s,
         final_rate_hz=rate_hz if rate_hz is not None else 0.0,
         median_age_s=_median_age(trace, _MEDIAN_GRID_S),
-        sent=len(send_s),
+        sent=sent,
         acked=acked,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,11 +24,11 @@ ACTION_DEC = "DEC"
 ACTION_MDEC = "MDEC"
 
 
-@dataclass(frozen=True)
-class PolicyObservation:
+class PolicyObservation(NamedTuple):
     """What a closed-loop sender sees at an epoch end: the smoothed
     rtt, the epoch's length and acknowledgements, and its time-averaged
-    age and packets in flight."""
+    age and packets in flight. A named tuple, so that the runner builds
+    one per epoch cheaply."""
 
     ewma_rtt_s: Optional[float] = None
     epoch_s: float = 0.0

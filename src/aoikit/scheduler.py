@@ -55,10 +55,6 @@ class SchedulerRun:
     successes: list[int]
     traces: list[AgeTrace] = field(default_factory=list)
 
-    @property
-    def total_avg_age(self) -> float:
-        return float(sum(self.avg_age_per_source))
-
 
 def simulate_scheduler(
     cfg: SchedulerConfig, frames: int, seed: int = 0, keep_traces: bool = True

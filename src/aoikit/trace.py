@@ -115,10 +115,11 @@ class AgeTrace:
         gen_s: Sequence[float],
         recv_s: Sequence[float],
         t_end_ns: Optional[int] = None,
+        size_bytes: int = 0,
     ) -> "AgeTrace":
-        """Trace with ids 0..n-1, observed from time 0, from float-second
-        stamps, nan marking a lost packet, converted in bulk by
-        `seconds_to_ns`."""
+        """Trace with ids 0..n-1 of `size_bytes` each, observed from time
+        0, from float-second stamps, nan marking a lost packet,
+        converted in bulk by `seconds_to_ns`."""
         recv = np.array(recv_s, dtype=float)
         recv_ns = np.full(len(recv), _LOST, dtype=np.int64)
         got = ~np.isnan(recv)
@@ -126,6 +127,7 @@ class AgeTrace:
         return cls.from_arrays(
             np.arange(len(recv), dtype=np.int64),
             seconds_to_ns(np.array(gen_s, dtype=float)), recv_ns,
+            np.full(len(recv), size_bytes, dtype=np.int64),
             t_start_ns=0, t_end_ns=t_end_ns,
         )
 

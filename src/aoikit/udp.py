@@ -113,10 +113,6 @@ class SamplerResult:
     unmatched: int
     aborted: bool = False
 
-    @property
-    def echo_ratio(self) -> float:
-        return self.received / self.sent if self.sent else 0.0
-
 
 class _TraceSink:
     """Serialized append-only store matching replies to sends by id."""

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from aoikit.cli import _number
 from aoikit.trace import AgeTrace, seconds_to_ns
 
 
@@ -85,6 +86,22 @@ def reference_median_age(trace: AgeTrace, grid_s: float) -> float:
     idx = np.searchsorted(recv, ts, side="right") - 1
     ages = (ts - gen[idx]).astype(float) / 1e9
     return float(np.median(ages))
+
+
+def parse_seconds(text: str) -> float:
+    """'12.5ms' -> 0.0125 through the CLI's one number parser; bare
+    numbers are seconds."""
+    return _number(text, "duration", "s")
+
+
+def echo_ratio(res) -> float:
+    """Share of a live sampler run's packets that were echoed."""
+    return res.received / res.sent if res.sent else 0.0
+
+
+def total_avg_age(run) -> float:
+    """Sum over the sources of a scheduler run's average ages."""
+    return float(sum(run.avg_age_per_source))
 
 
 def sha256_of(*parts) -> str:

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from aoikit.cli import main, parse_emulated, parse_seconds, read_policy_config
+from aoikit.cli import main, parse_emulated, read_policy_config
 from aoikit.errors import ConfigError
-from helpers import child_env, imported_by
+from helpers import child_env, imported_by, parse_seconds
 
 GOLDEN_TWO_PACKET = (
     "id,gen_ns,recv_ns,size_bytes\n"
@@ -385,6 +385,22 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10",
       "--service", "exponential"], None, None),
     (["sim", "--rho", "0.5", "--rate", "1", "--arrivals", "10"], None, None),
+    (["sim", "--rate", "0.5", "--arrivals", "10", "--discipline", "lcfs1",
+      "--capacity", "5"], None, None),
+    (["sim", "--rate", "0.5", "--arrivals", "10", "--discipline", "lcfs1",
+      "--capacity", "0"], None, None),
+    (["sweep", "--rates", "0.5,1", "--discipline", "lcfs1", "--capacity", "5"],
+     None, None),
+    (["sim", "--rate", "0.5", "--arrivals", "10", "--retransmit"], None, None),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "10", "--retransmit"],
+     None, None),
+    (["sweep", "--rates", "0.5,1", "--retransmit", "--loss", "0"], None, None),
+    (["sim", "--arrival", "zero-wait", "--rate", "2", "--arrivals", "10"], None, None),
+    (POLICY + ["--name", "acp"], "gamma=0.5", None),
+    (POLICY + ["--name", "lazy"], "kappa=2", None),
+    (POLICY + ["--name", "zero-wait"], "ewma_alpha=0.2\nepoch_ms=20", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "backlog_cap=8", None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkeypatch,
                                                         argv, config, aoi_seed):
@@ -403,6 +419,26 @@ def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkey
     assert [line for line in err.splitlines() if "error: " in line] == \
         err.splitlines()[-1:]
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv, config", [
+    # the bottleneck sets the loss that --retransmit resends
+    (["sweep", "--bottleneck-kbps", "130", "--rates", "30", "--arrivals", "300",
+      "--retransmit"], None),
+    (["sim", "--rate", "0.5", "--arrivals", "10", "--loss", "0.1", "--retransmit"], None),
+    (["sim", "--arrival", "zero-wait", "--arrivals", "10"], None),
+    (POLICY + ["--name", "acp", "--duration", "1"],
+     "kappa=2\nbacklog_cap=8\nepoch_ms=20\newma_alpha=0.2"),
+    (POLICY + ["--name", "lazy", "--duration", "1"], "ewma_alpha=0.2"),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "gamma=0.9\nlr=0.2\nepsilon0=0.5\nepsilon_decay=0.99\nbins=16"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_accepts_the_flags_and_keys_each_run_reads(tmp_path, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "p.cfg").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "p.cfg")]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
 
 
 def test_readme_lists_every_channel_spec_key():

@@ -349,6 +349,34 @@ def test_zero_wait_needs_loss_free_channel():
     assert res.acked == res.sent - 1 > 0
 
 
+@pytest.mark.parametrize("policy, spec", [
+    # a 0.4 s round trip: a paced sender probes several times before
+    # the first ack, and loses some packets on the way
+    ("acp", EmulatedChannelSpec.fixed_rtt(0.4, loss_p=0.1, seed=3)),
+    ("lazy", EmulatedChannelSpec.fixed_rtt(0.4, jitter_s=0.05, loss_p=0.1, seed=3)),
+    ("zero-wait", EmulatedChannelSpec.fixed_rtt(0.4, capacity_hz=4.0, buffer=0)),
+])
+def test_rate_policy_routes_every_send_through_transit(monkeypatch, policy, spec):
+    # the traced benchmark times the channel by wrapping this method, so
+    # a runner that routed a send around it would empty those figures
+    calls = []
+    transit = EmulatedChannel.transit
+
+    def counting(self, send_s):
+        calls.append(send_s)
+        return transit(self, send_s)
+
+    monkeypatch.setattr(EmulatedChannel, "transit", counting)
+    res = run_rate_policy(policy, spec, 20.0)
+    assert len(calls) == res.sent > 20
+    probes = [t for t in calls if t < 0.4]
+    assert probes == pytest.approx([0.05 * k for k in range(len(probes))])
+    if policy == "zero-wait":  # an unpaced sender probes once
+        assert len(probes) == 1
+    else:
+        assert len(probes) > 5
+
+
 # --------------------------------------------------------------- median age
 
 
