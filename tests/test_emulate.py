@@ -515,6 +515,11 @@ def _golden_policy_runs():
             yield (f"acp/{name}/{duration}", "acp", spec, duration,
                    AcpState(epoch_floor_s=2**-6))
             yield f"zero-wait/{name}/{duration}", "zero-wait", spec, duration, None
+    # a probe skipped after the first ack still advances the integrals'
+    # clock: dropping that step changes the last bit of mean_inflight here
+    early = EmulatedChannelSpec(rtt_lognorm_median_s=0.1, rtt_lognorm_sigma=0.4, seed=0)
+    yield "lazy/lognormal-seed0/0.2", "lazy", early, 0.2, None
+    yield "acp/lognormal-seed0/0.2", "acp", early, 0.2, AcpState()
 
 
 def test_policy_golden_digests():
@@ -638,6 +643,11 @@ POLICY_GOLDEN = {
         "b94df8c1e959da004d6250c8d5825ca7e81bf9989d179218053e331050acc946",
     "zero-wait/dyadic-bottleneck/4.0":
         "a0d4417e52246ffe684317c91338ea9126573914289f3c34b79712982255a5e7",
+    # also recorded with the runner before the ack-only heap
+    "lazy/lognormal-seed0/0.2":
+        "5ed1724c59c720a85170ec791f8e05ece6d5b33770fb42a8c86d2338e013ce52",
+    "acp/lognormal-seed0/0.2":
+        "408296153a15e8f4bbe9924dd694e912694fdd6c44d3b3a44787c8d74c31c4f7",
 }
 
 
