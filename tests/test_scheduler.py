@@ -137,13 +137,49 @@ def test_large_exponent_runs_while_every_age_power_is_finite():
     assert run.polls == [24965, 23, 12]
 
 
-def test_exponent_overflow_raises_like_the_reference():
-    cfg = SchedulerConfig(2, (1e-9, 1e-9), policy="max-weight",
+@pytest.mark.parametrize("policy", ["greedy", "max-weight"])
+def test_exponent_overflow_raises_like_the_reference(policy):
+    cfg = SchedulerConfig(2, (1e-9, 1e-9), policy=policy,
                           weight_exponent=80.0)
     with pytest.raises(OverflowError):
         reference_simulate_scheduler(cfg, 8000)
     with pytest.raises(OverflowError):
         simulate_scheduler(cfg, 8000)
+
+
+def _assert_same_outcome(cfg, frames, seed):
+    """simulate_scheduler returns the reference's run, or raises the
+    reference's OverflowError."""
+    try:
+        want = reference_simulate_scheduler(cfg, frames, seed=seed)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            simulate_scheduler(cfg, frames, seed=seed)
+    else:
+        _assert_same_run(simulate_scheduler(cfg, frames, seed=seed), want)
+
+
+# w = 0 ties every score; 1e-300 ties every age past 0; 1e-12 ties
+# neighbouring ages in the thousands; 80 overflows past age 7131, which
+# the rare sources reach
+@pytest.mark.parametrize("w", [0.0, 1e-300, 1e-12, 80.0])
+@pytest.mark.parametrize("probs, frames", [
+    ((0.31, 0.9, 0.55, 0.2, 0.74), 3000),
+    ((0.0004, 0.0007, 0.5), 20_000),
+])
+def test_greedy_exponent_edges_match_the_reference(w, probs, frames):
+    cfg = SchedulerConfig(len(probs), probs, policy="greedy", weight_exponent=w)
+    _assert_same_outcome(cfg, frames, seed=2)
+
+
+@pytest.mark.parametrize("probs", [
+    (0.3,),  # one source
+    (1.0, 0.4, 0.7),  # source 0 succeeds at frame 0, where its age stays 0
+])
+def test_greedy_small_cases_match_the_reference(probs):
+    for seed in range(3):
+        cfg = SchedulerConfig(len(probs), probs, policy="greedy")
+        _assert_same_outcome(cfg, 2000, seed)
 
 
 def _golden_scheduler_runs():
@@ -174,6 +210,28 @@ def test_scheduler_golden_digests():
     got = {name: _run_digest(simulate_scheduler(cfg, 2000, seed=11))
            for name, cfg in _golden_scheduler_runs()}
     assert got == SCHEDULER_GOLDEN
+
+
+def test_greedy_golden_digests_at_benchmark_scale():
+    # greedy over 25,000 frames with p ~ U(0.2, 1.0), drawn as the
+    # benchmark's polling workload draws them; pinned before greedy's
+    # picks became a rotation pointer
+    got = {}
+    for seed in (0, 1):
+        for n in (8, 64):
+            rng = np.random.default_rng([seed, 2, n])
+            probs = tuple(round(float(p), 6) for p in rng.uniform(0.2, 1.0, n))
+            cfg = SchedulerConfig(n, probs, policy="greedy")
+            got[f"{seed}/{n}"] = _run_digest(simulate_scheduler(cfg, 25_000, seed=seed))
+    assert got == GREEDY_GOLDEN_25K
+
+
+GREEDY_GOLDEN_25K = {
+    "0/8": "03fdd4d0fc9c6e970185162fcb26100a68c7218bb09e0d43eba801a3596576a4",
+    "0/64": "78d91c6d64a1099df0d595be8bc82177c59b0a3219b529e5d64d6d2a8749df88",
+    "1/8": "7dd039c22b337b01dd4a5011a5fc6a3c8d536d246a94eef763b82997d0e399f9",
+    "1/64": "3ca4c0623dbc7ee950f91355495762a8befcd6597cac0239cf1391670317dce7",
+}
 
 
 SCHEDULER_GOLDEN = {
