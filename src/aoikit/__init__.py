@@ -21,7 +21,8 @@ _EXPORTS = {
                      "penalty_average", "penalty_bias"], "metrics"),
     **dict.fromkeys(["ArrivalSpec", "ChannelModel", "ServiceSpec", "SimConfig",
                      "analytic_mm1_age", "simulate", "sweep_rate"], "queuesim"),
-    **dict.fromkeys(["SchedulerConfig", "simulate_scheduler"], "scheduler"),
+    **dict.fromkeys(["SchedulerConfig", "analytic_avg_age_per_source",
+                     "simulate_scheduler"], "scheduler"),
     **dict.fromkeys(["AcpState", "QAgent", "acp_epoch_update"], "policies"),
     **dict.fromkeys(["EmulatedChannelSpec", "estimate_offset_emulated",
                      "run_rate_policy", "run_sampler_emulated"], "emulate"),

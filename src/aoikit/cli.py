@@ -152,6 +152,8 @@ def read_policy_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in POLICY_DEFAULTS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in out:
+                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
             out[key] = value
     return out
 
@@ -252,14 +254,19 @@ def cmd_sim(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     if args.rates is not None:
-        if args.rate_min is not None or args.rate_max is not None:
-            raise ConfigError("--rates takes neither --rate-min nor --rate-max")
+        if (args.rate_min is not None or args.rate_max is not None
+                or args.points is not None):
+            raise ConfigError("--rates takes neither --rate-min, --rate-max "
+                              "nor --points")
         rates = [_number(r, "--rates", float) for r in args.rates.split(",")
                  if r.strip()]
     elif args.rate_min is not None and args.rate_max is not None:
-        rates = geometric_rates(args.rate_min, args.rate_max, args.points)
+        rates = geometric_rates(args.rate_min, args.rate_max,
+                                10 if args.points is None else args.points)
     else:
         raise ConfigError("give --rates or --rate-min/--rate-max")
+    if args.bottleneck_kbps is None and args.packet_bytes is not None:
+        raise ConfigError("--packet-bytes needs --bottleneck-kbps")
     if args.bottleneck_kbps is not None:
         if (args.capacity is not None or args.loss or args.arrival is not None
                 or args.service is not None or args.mu is not None):
@@ -269,7 +276,8 @@ def cmd_sweep(args, argv) -> int:
                               "--arrival, --service nor --mu")
         model = ChannelModel(
             bandwidth_bps=args.bottleneck_kbps * 1000.0,
-            packet_bytes=args.packet_bytes,
+            packet_bytes=(wire.DEFAULT_DATA_SIZE if args.packet_bytes is None
+                          else args.packet_bytes),
         )
         rows = bottleneck_sweep(
             model, rates, horizon=args.arrivals, seed=args.seed,
@@ -522,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--rates", default=None, help="comma-separated rates")
     sw.add_argument("--rate-min", type=float, default=None)
     sw.add_argument("--rate-max", type=float, default=None)
-    sw.add_argument("--points", type=int, default=10)
+    sw.add_argument("--points", type=int, default=None,
+                    help="with --rate-min/--rate-max (default 10)")
     # without --bottleneck-kbps: deterministic, deterministic and 1.0
     sw.add_argument("--arrival", choices=["poisson", "deterministic"],
                     default=None)
@@ -530,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None)
     sw.add_argument("--mu", type=float, default=None)
     sw.add_argument("--bottleneck-kbps", type=float, default=None)
-    sw.add_argument("--packet-bytes", type=int, default=wire.DEFAULT_DATA_SIZE)
+    sw.add_argument("--packet-bytes", type=int, default=None,
+                    help=f"with --bottleneck-kbps (default {wire.DEFAULT_DATA_SIZE})")
     sw.add_argument("--arrivals", type=int, default=20000)
     sw.set_defaults(func=cmd_sweep)
 

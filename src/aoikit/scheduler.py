@@ -76,15 +76,18 @@ def simulate_scheduler(
 
     if cfg.policy == "round-robin":
         picks = np.arange(frames) % n
+    elif cfg.policy == "greedy":
+        picks = _greedy_picks(p, coins, cfg.weight_exponent)
     else:
-        weights = p if cfg.policy == "max-weight" else None
-        picks = _max_weight_picks(weights, p, coins, cfg.weight_exponent)
+        picks = _max_weight_picks(p, p, coins, cfg.weight_exponent)
     success = coins < p[picks]
     hits = np.flatnonzero(success)
     owner = picks[hits]
     deliveries = [hits[owner == i] for i in range(n)]  # in frame order
     polls = np.bincount(picks, minlength=n).tolist()
     successes = [len(ks) for ks in deliveries]
+    # drop the frame-length arrays before the traces are built
+    del coins, picks, success, hits, owner
 
     # age in frame k is k minus the newest delivery before k (0 before
     # any): between consecutive delivery frames L apart (frame 0 and
@@ -111,6 +114,76 @@ def simulate_scheduler(
                 )
             )
     return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
+
+
+def analytic_avg_age_per_source(cfg: SchedulerConfig) -> Optional[list[float]]:
+    """Long-run average age of each source, in seconds, by
+    renewal-reward, or None where the policy has no closed form here.
+
+    With L frames between a source's deliveries, the per-frame ages of
+    `simulate_scheduler` average E[L^2] / (2 E[L]) + 1 frames. Under
+    round-robin L is n times a geometric count of polls (any p).
+    Greedy with w > 0 polls each source until it succeeds, in index
+    order, so L is the sum of one geometric count per source; so does
+    max-weight when every p is equal. Greedy with w = 0 polls source 0
+    only, and max-weight with unequal p has no form here. The forms
+    assume age**w strictly increases, which float powers of a tiny w
+    (such as 1e-300) do not.
+    """
+    n, p, w = cfg.n_sources, cfg.success_prob, cfg.weight_exponent
+    if cfg.policy == "round-robin":
+        moments = [(n / q, n * n * (1 - q) / (q * q)) for q in p]
+    elif w > 0 and (cfg.policy == "greedy" or len(set(p)) == 1):
+        mean = sum(1 / q for q in p)
+        var = sum((1 - q) / (q * q) for q in p)
+        moments = [(mean, var)] * n
+    else:
+        return None
+    return [cfg.frame_s * ((var + mean * mean) / (2 * mean) + 1)
+            for mean, var in moments]
+
+
+def _greedy_picks(p: np.ndarray, coins: np.ndarray, w: float) -> np.ndarray:
+    """Greedy's picks as a rotation: poll the pointer source until it
+    succeeds, then move the pointer to the next index.
+
+    While float(a) ** w strictly increases over the ages looked up,
+    greedy polls the first source with the oldest delivery. A success
+    at frame k > 0 makes its source the newest, so the order by
+    (newest delivery, index) stays a rotation of 0..n-1 and the pointer
+    is its head; a success at frame 0 changes no delivery frame and
+    keeps the pointer. The pointer always holds the oldest age, so the
+    oldest age looked up is checked afterwards: on a tie or an overflow
+    among the powers up to it, the per-frame argmax decides instead,
+    and raises where the scan would.
+
+    The loop reads coins and writes picks through memoryviews, one
+    Python float at a time, so the run holds no per-frame list.
+    """
+    n = len(p)
+    probs = p.tolist()
+    last = [0] * n  # newest delivered frame
+    picks = np.empty(len(coins), dtype=np.int64)
+    out = memoryview(picks)
+    c, pc, oldest = 0, probs[0], 0
+    for k, coin in enumerate(memoryview(coins)):
+        out[k] = c
+        if coin < pc and k:
+            if k - last[c] > oldest:
+                oldest = k - last[c]
+            last[c] = k
+            c += 1
+            if c == n:
+                c = 0
+            pc = probs[c]
+    oldest = max(oldest, len(coins) - 1 - last[c])
+    try:
+        pw = _extend_powers(np.empty(0), oldest, w)
+    except OverflowError:
+        pw = None
+    if pw is None or not (np.diff(pw) > 0).all():
+        return _max_weight_picks(None, p, coins, w)
+    return picks
 
 
 def _max_weight_picks(weights: Optional[np.ndarray], p: np.ndarray,

@@ -357,10 +357,15 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (EMULATED_SAMPLER + ["--schedule", "50:1", "--duration", "1"], None, None),
     (["sweep", "--rates", "1,2", "--rate-min", "1"], None, None),
     (["sweep", "--rates", "1,2", "--rate-max", "9"], None, None),
+    (["sweep", "--rates", "1,2", "--points", "5"], None, None),
+    (["sweep", "--rates", "1,2", "--packet-bytes", "500"], None, None),
+    (["sweep", "--rate-min", "1", "--rate-max", "2", "--packet-bytes", "500"],
+     None, None),
     (SAMPLER + ["--dest", "127.0.0.1:9", "--emulated", "fixed_rtt=10ms"], None, None),
     (["measure", "sync", "--peer", "127.0.0.1:9", "--emulated", "offset=5ms"],
      None, None),
     (POLICY + ["--name", "acp"], "kapa=5", None),
+    (POLICY + ["--name", "acp"], "kappa=1\nkappa=3", None),
     (POLICY + ["--name", "lazy"], "bogus=1", None),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,loss=0.5"],
      None, None),
@@ -426,6 +431,10 @@ def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkey
     (["sweep", "--bottleneck-kbps", "130", "--rates", "30", "--arrivals", "300",
       "--retransmit"], None),
     (["sim", "--rate", "0.5", "--arrivals", "10", "--loss", "0.1", "--retransmit"], None),
+    (["sweep", "--bottleneck-kbps", "130", "--rate-min", "20", "--rate-max", "40",
+      "--points", "3", "--packet-bytes", "500", "--arrivals", "300"], None),
+    (["sweep", "--rate-min", "0.5", "--rate-max", "1", "--points", "3",
+      "--arrivals", "300"], None),
     (["sim", "--arrival", "zero-wait", "--arrivals", "10"], None),
     (POLICY + ["--name", "acp", "--duration", "1"],
      "kappa=2\nbacklog_cap=8\nepoch_ms=20\newma_alpha=0.2"),
@@ -520,6 +529,14 @@ def test_policy_config_file(tmp_path, capsys):
     rows = Path(prefix + ".decisions.csv").read_text().splitlines()[1:]
     targets = [float(r.split(",")[2]) for r in rows]
     assert all(2.0 <= t <= 8.0 for t in targets)
+
+
+def test_policy_config_refuses_a_key_given_twice(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("kappa=1\n# comment\nkappa=3\n")
+    with pytest.raises(ConfigError) as e:
+        read_policy_config(str(cfg))
+    assert str(e.value) == f"{cfg}:3: duplicate key 'kappa'"
 
 
 def test_policy_qlearn_run(tmp_path, capsys):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from aoikit.errors import ConfigError
 from aoikit.metrics import average_age_by_reception
-from aoikit.scheduler import POLICIES, SchedulerConfig, simulate_scheduler
+from aoikit.scheduler import (
+    POLICIES,
+    SchedulerConfig,
+    analytic_avg_age_per_source,
+    simulate_scheduler,
+)
 
 from helpers import reference_simulate_scheduler, sha256_of, total_avg_age
 
@@ -91,6 +96,47 @@ def test_config_validation():
     for w in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError, match="weight exponent"):
             SchedulerConfig(2, (0.5, 0.5), policy="max-weight", weight_exponent=w)
+
+
+# ------------------------------------------------ renewal-reward closed forms
+
+ORACLE_SEEDS = range(8)
+ORACLE_Z = 4.0  # standard errors of the mean across seeds
+
+
+@pytest.mark.parametrize("policy, probs, frames", [
+    ("round-robin", (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), 200_000),
+    ("greedy", (0.6,) * 5, 200_000),
+    ("greedy", (0.3,) * 8, 200_000),
+    ("greedy", (0.25, 0.5, 0.9, 0.4), 200_000),
+    ("max-weight", (0.5,) * 4, 50_000),
+])
+def test_closed_forms_match_simulated_means(policy, probs, frames):
+    cfg = SchedulerConfig(len(probs), probs, frame_s=0.01, policy=policy)
+    ages = np.array([
+        simulate_scheduler(cfg, frames, seed=seed, keep_traces=False).avg_age_per_source
+        for seed in ORACLE_SEEDS])
+    se = ages.std(axis=0, ddof=1) / np.sqrt(len(ORACLE_SEEDS))
+    want = np.array(analytic_avg_age_per_source(cfg))
+    assert np.all(np.abs(ages.mean(axis=0) - want) <= ORACLE_Z * se)
+
+
+def test_closed_forms_in_frames():
+    # round-robin: N/p - N/2 + 1; greedy and equal-p max-weight:
+    # (N + 1 - p) / (2p) + 1
+    rr = SchedulerConfig(2, (1.0, 0.5), frame_s=2.0)
+    assert analytic_avg_age_per_source(rr) == [4.0, 8.0]
+    for policy in ("greedy", "max-weight"):
+        cfg = SchedulerConfig(5, (0.6,) * 5, policy=policy, weight_exponent=2.0)
+        assert analytic_avg_age_per_source(cfg) == pytest.approx([5.5] * 5)
+
+
+def test_no_closed_form_for_max_weight_on_unequal_sources_or_zero_exponent():
+    assert analytic_avg_age_per_source(
+        SchedulerConfig(2, (0.5, 0.6), policy="max-weight")) is None
+    for policy in ("greedy", "max-weight"):
+        assert analytic_avg_age_per_source(
+            SchedulerConfig(2, (0.5, 0.5), policy=policy, weight_exponent=0.0)) is None
 
 
 # ------------------------------------------------ equivalence and golden digests
