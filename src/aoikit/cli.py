@@ -27,7 +27,7 @@ from .emulate import (
 from .errors import AoiError, ConfigError, TraceFormatError
 from .manifest import RunManifest
 from .metrics import PenaltySpec, BiasModel, apply_bias, summary
-from .policies import AcpState, PauseResumeEnv, QAgent, Q_ACTIONS, train_pause_resume
+from .policies import AcpState, QAgent, Q_ACTIONS, train_pause_resume
 from .queuesim import (
     ArrivalSpec,
     ChannelModel,
@@ -128,14 +128,13 @@ POLICY_KEYS = {
     "acp": ("kappa", "backlog_cap", "epoch_ms", "ewma_alpha"),
     "lazy": ("ewma_alpha",),
     "zero-wait": ("ewma_alpha",),
-    "qlearn": ("gamma", "lr", "epsilon0", "epsilon_decay", "bins"),
+    "qlearn": ("lr", "epsilon0", "epsilon_decay", "bins"),
 }
 
 # policy config key -> its default, whose type is the kind of its value
 POLICY_DEFAULTS = {
-    "kappa": 1.0, "epoch_ms": 10.0, "ewma_alpha": 0.125, "gamma": 0.99,
-    "lr": 0.1, "epsilon0": 1.0, "epsilon_decay": 0.995, "bins": 64,
-    "backlog_cap": 64.0,
+    "kappa": 1.0, "epoch_ms": 10.0, "ewma_alpha": 0.125, "lr": 0.1,
+    "epsilon0": 1.0, "epsilon_decay": 0.995, "bins": 64, "backlog_cap": 64.0,
 }
 
 
@@ -426,20 +425,16 @@ def cmd_policy(args, argv) -> int:
             raise ConfigError("qlearn runs --iters steps and takes no --duration")
         # the agent sees only the path delay; other impairments would be ignored
         delay = spec.fwd_delay_s + spec.bwd_delay_s
-        if delay <= 0 or spec != EmulatedChannelSpec(spec.fwd_delay_s,
-                                                     spec.bwd_delay_s, seed=spec.seed):
-            raise ConfigError("qlearn needs a channel of positive fixed delays "
-                              "and at most a seed")
+        if spec != EmulatedChannelSpec(spec.fwd_delay_s, spec.bwd_delay_s, seed=spec.seed):
+            raise ConfigError("qlearn needs a channel of fixed delays and at most a seed")
         if spec.seed != args.seed:
             # the agent draws from the run seed; the channel draws nothing
             raise ConfigError(f"qlearn takes its seed from --seed, not the channel "
                               f"spec (seed={spec.seed}, run seed {args.seed})")
-        agent = QAgent(n_bins=params["bins"], gamma=params["gamma"], lr=params["lr"],
+        agent = QAgent(n_bins=params["bins"], lr=params["lr"],
                        epsilon=params["epsilon0"], epsilon_decay=params["epsilon_decay"],
                        seed=args.seed)
-        env = PauseResumeEnv(delay_s=delay)
-        res = train_pause_resume(agent, env, 10000 if args.iters is None else args.iters,
-                                 record_history=True)
+        res = train_pause_resume(agent, delay, 10000 if args.iters is None else args.iters)
         rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
                 for i, (a, age) in enumerate(zip(res.action_history,
                                                  res.age_history))]

@@ -146,46 +146,28 @@ class EmulatedChannel:
         self._last_send_s: Optional[float] = None
         self._send_rate_hz = EwmaEstimator(0.2)
 
-    def _capacity_at(self, t_s: float) -> Optional[float]:
-        c = self.spec.capacity_hz
-        if c is None:
-            return None
-        if (
-            self.spec.capacity_step_at_s is not None
-            and t_s >= self.spec.capacity_step_at_s
-        ):
-            return c * self.spec.capacity_step_factor
-        return c
-
-    def _leg_delays(self) -> tuple[float, float]:
-        if self._rtts is not None:
-            rtt = next(self._rtts)
-            return rtt / 2.0, rtt / 2.0
-        fwd = self.spec.fwd_delay_s
-        bwd = self.spec.bwd_delay_s
-        if self._jitters is not None:
-            fwd += next(self._jitters)
-            bwd += next(self._jitters)
-        return fwd, bwd
-
     def _loss_probability(self, send_s: float) -> float:
+        """The loss probability at a send under the load-driven loss
+        regime: the smoothed send rate over the capacity at the send
+        picks the regime."""
         spec = self.spec
         p = spec.loss_p
-        if spec.loss_onset_load is not None:
-            if self._last_send_s is not None and send_s > self._last_send_s:
-                self._send_rate_hz.update(1.0 / (send_s - self._last_send_s))
-            self._last_send_s = send_s
-            if self._send_rate_hz.value is not None:
-                p = max(p, regime_loss_p(
-                    self._send_rate_hz.value / self._capacity_at(send_s),
-                    spec.loss_onset_load, spec.busy_loss_p, spec.panicked_loss_p,
-                ))
+        if self._last_send_s is not None and send_s > self._last_send_s:
+            self._send_rate_hz.update(1.0 / (send_s - self._last_send_s))
+        self._last_send_s = send_s
+        if self._send_rate_hz.value is not None:
+            cap = spec.capacity_hz
+            if spec.capacity_step_at_s is not None and send_s >= spec.capacity_step_at_s:
+                cap = cap * spec.capacity_step_factor
+            p = max(p, regime_loss_p(self._send_rate_hz.value / cap, spec.loss_onset_load,
+                                     spec.busy_loss_p, spec.panicked_loss_p))
         return p
 
     def transit(self, send_s: float) -> ChannelTransit:
         """Route one data packet; must be called in send-time order.
-        The closed-loop runner calls this once per send, so it inlines
-        `_capacity_at` and `_leg_delays`."""
+        The packet queues at the bottleneck, is lost with the loss
+        probability at its send, then takes the forward leg; its ack
+        takes the backward leg."""
         spec = self.spec
         loss_p = (spec.loss_p if spec.loss_onset_load is None
                   else self._loss_probability(send_s))
@@ -224,12 +206,19 @@ class EmulatedChannel:
         clock, ack arrival time) or (None, None) on loss. Pings skip
         the bottleneck: they are small and sent before loading the
         path."""
-        if self.spec.loss_p > 0 and next(self._coins) < self.spec.loss_p:
+        spec = self.spec
+        if spec.loss_p > 0 and next(self._coins) < spec.loss_p:
             return None, None
-        fwd, bwd = self._leg_delays()
+        if self._rtts is not None:
+            fwd = bwd = next(self._rtts) / 2.0
+        else:
+            fwd = spec.fwd_delay_s
+            bwd = spec.bwd_delay_s
+            if self._jitters is not None:
+                fwd += next(self._jitters)  # forward jitter first
+                bwd += next(self._jitters)
         arrive = send_s + fwd
-        peer_stamp = arrive + self.spec.peer_offset_s
-        return peer_stamp, arrive + bwd
+        return arrive + spec.peer_offset_s, arrive + bwd
 
 
 # -------------------------------------------------------------- sampling

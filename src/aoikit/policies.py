@@ -241,20 +241,24 @@ def age_cost(age_s: float) -> float:
     return -math.expm1(-age_s)
 
 
+# the learner's age bins span these edges; ages outside clamp into the
+# end bins
+Q_AGE_LO_S = 1e-3
+Q_AGE_HI_S = 100.0
+PAUSE_STEP_S = 0.1  # how much older a pause leaves the age
+
+
 @dataclass
 class QAgent:
     """Tabular pause/resume learner over geometric age bins.
 
     The table maps an age bin to a value per action; decisions pick
     the action with the smallest expected cost. Exploration follows a
-    decaying epsilon-greedy schedule (decay applied once per episode
-    via `end_episode`).
+    decaying epsilon-greedy schedule (`train_pause_resume` decays it
+    after every step).
     """
 
     n_bins: int = 64
-    age_lo_s: float = 1e-3
-    age_hi_s: float = 100.0
-    gamma: float = 0.99
     lr: float = 0.1
     epsilon: float = 1.0
     epsilon_decay: float = 0.995
@@ -267,13 +271,11 @@ class QAgent:
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
             raise ConfigError("epsilon must be in [0, 1]")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ConfigError("discount must be in [0, 1)")
         if not (0.0 < self.lr <= 1.0):
             raise ConfigError("learning rate must be in (0, 1]")
-        if self.n_bins < 2 or not (0 < self.age_lo_s < self.age_hi_s):
-            raise ConfigError("bad age binning")
-        self.bins = np.geomspace(self.age_lo_s, self.age_hi_s, self.n_bins + 1)
+        if self.n_bins < 2:
+            raise ConfigError("need at least two age bins")
+        self.bins = np.geomspace(Q_AGE_LO_S, Q_AGE_HI_S, self.n_bins + 1)
         self._edges = self.bins.tolist()
         self.q_table = np.full((self.n_bins, len(Q_ACTIONS)), Q_INIT)
         self.rng = np.random.Generator(
@@ -286,107 +288,47 @@ class QAgent:
         # searching the inner edges only is what clamps
         return bisect_right(self._edges, age_s, 1, self.n_bins) - 1
 
-    def step(self, s_age_s: float, action: int, s_next_age_s: float,
-             done: bool) -> float:
-        """Temporal-difference update toward cost + discounted best
-        next value, or toward the bare cost at a terminal transition.
-        The cost is charged for the age the action produced. Returns
-        the update target."""
-        s = self.bin_of(s_age_s)
-        target = age_cost(s_next_age_s)
-        if not done:
-            target += self.gamma * min(self.q_table[self.bin_of(s_next_age_s)].tolist())
-        q = self.q_table.item(s, action)
-        self.q_table[s, action] = q + self.lr * (target - q)
-        return target
-
     def act(self, age_s: float) -> int:
         if self.rng.random() < self.epsilon:
             return int(self.rng.integers(len(Q_ACTIONS)))
         values = self.q_table[self.bin_of(age_s)].tolist()
         return values.index(min(values))  # the first minimum, as argmin
 
-    def end_episode(self) -> None:
-        self.epsilon *= self.epsilon_decay
-
-
-class PauseResumeEnv:
-    """Minimal age dynamics for the pause/resume learner: on resume a
-    fresh sample arrives after the fixed path delay, pinning the age
-    at that delay; on pause the age keeps growing by the step length.
-    Every episode starts at the path delay, since the first sample
-    cannot arrive sooner. Bandwidth is unlimited, so resume is never
-    penalized by queueing and the optimal policy is to always resume.
-    """
-
-    def __init__(self, delay_s: float = 1.0, step_s: float = 0.1):
-        if delay_s <= 0 or step_s <= 0:
-            raise ConfigError("delay and step must be positive")
-        self.delay_s = delay_s
-        self.step_s = step_s
-        self.age_s = delay_s
-
-    def reset(self) -> float:
-        self.age_s = self.delay_s
-        return self.age_s
-
-    def step(self, action: int) -> float:
-        if action == ACTION_RESUME:
-            self.age_s = self.delay_s
-        else:
-            self.age_s += self.step_s
-        return self.age_s
-
 
 @dataclass
 class QTrainResult:
     iterations: int
-    visited_bins: list[int]
-    final_resume_values: dict[int, float]
-    age_history: list[float]
+    final_resume_values: dict[int, float]  # by visited bin
+    age_history: list[float]  # the age each step's action produced
     action_history: list[int]
 
 
-def train_pause_resume(
-    agent: QAgent,
-    env: PauseResumeEnv,
-    iterations: int,
-    episode_len: int = 1,
-    record_history: bool = False,
-) -> QTrainResult:
-    """Drive the learner against the environment.
+def train_pause_resume(agent: QAgent, delay_s: float,
+                       iterations: int) -> QTrainResult:
+    """Train the learner on one-step episodes over a fixed path delay.
 
-    Episodes default to a single step, so every update is terminal and
-    the learned value of each (bin, action) pair converges to the bare
-    cost of the age that action produces; with a fixed path delay that
-    fixed point for resume is 1 - exp(-delay).
+    Every episode starts at the delay, since the first sample cannot
+    arrive sooner. Resume pins the age at the delay; pause lets it grow
+    by `PAUSE_STEP_S`. Each update is terminal: the (bin, action) value
+    moves toward the cost of the age the action produced, so the resume
+    value converges to 1 - exp(-delay). Bandwidth is unlimited, so
+    resume is never penalized by queueing and always resuming is
+    optimal.
     """
-    if iterations < 1 or episode_len < 1:
-        raise ConfigError("iterations and episode length must be >= 1")
-    visited: set[int] = set()
-    ages: list[float] = []
-    actions: list[int] = []
-    done_mod = episode_len
-    s = env.reset()
-    step_in_episode = 0
+    if not delay_s > 0:
+        raise ConfigError("path delay must be positive")
+    if iterations < 1:
+        raise ConfigError("iterations must be >= 1")
+    b = agent.bin_of(delay_s)
+    next_age = (delay_s + PAUSE_STEP_S, delay_s)  # by action
+    cost = [age_cost(age) for age in next_age]
+    q = agent.q_table
+    actions = []
     for _ in range(iterations):
-        a = agent.act(s)
-        s_next = env.step(a)
-        step_in_episode += 1
-        done = step_in_episode >= done_mod
-        agent.step(s, a, s_next, done)
-        visited.add(agent.bin_of(s))
-        if record_history:
-            ages.append(s_next)
-            actions.append(a)
-        if done:
-            agent.end_episode()
-            s = env.reset()
-            step_in_episode = 0
-        else:
-            s = s_next
-    resume_vals = {
-        b: float(agent.q_table[b, ACTION_RESUME]) for b in sorted(visited)
-    }
-    return QTrainResult(iterations, sorted(visited), resume_vals,
-                        ages, actions)
+        a = agent.act(delay_s)
+        value = q.item(b, a)
+        q[b, a] = value + agent.lr * (cost[a] - value)
+        agent.epsilon *= agent.epsilon_decay
+        actions.append(a)
+    return QTrainResult(iterations, {b: q.item(b, ACTION_RESUME)},
+                        [next_age[a] for a in actions], actions)

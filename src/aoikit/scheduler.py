@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,12 +54,23 @@ class SchedulerRun:
     avg_age_per_source: list[float]  # exact time averages, seconds
     polls: list[int]
     successes: list[int]
-    traces: list[AgeTrace] = field(default_factory=list)
+    # each source's successful frames, in order
+    delivery_frames: list[np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def traces(self) -> list[AgeTrace]:
+        """Each source's age trace, built on first read: a success in
+        frame k delivers the sample generated at the frame's start, at
+        its end."""
+        frame_ns = seconds_to_ns(self.config.frame_s)
+        if self.frames * frame_ns > np.iinfo(np.int64).max:
+            raise ConfigError("trace stamps would pass the int64 nanosecond range")
+        return [AgeTrace.from_arrays(np.arange(len(ks)), ks * frame_ns, (ks + 1) * frame_ns,
+                                     t_start_ns=0, t_end_ns=self.frames * frame_ns)
+                for ks in self.delivery_frames]
 
 
-def simulate_scheduler(
-    cfg: SchedulerConfig, frames: int, seed: int = 0, keep_traces: bool = True
-) -> SchedulerRun:
+def simulate_scheduler(cfg: SchedulerConfig, frames: int, seed: int = 0) -> SchedulerRun:
     """Run the polling loop for the given number of frames.
 
     Ages are tracked in frame units with exact per-frame trapezoid
@@ -67,8 +79,6 @@ def simulate_scheduler(
     """
     if frames < 1:
         raise ConfigError("need at least one frame")
-    if keep_traces and frames * seconds_to_ns(cfg.frame_s) > np.iinfo(np.int64).max:
-        raise ConfigError("trace stamps would pass the int64 nanosecond range")
     n = cfg.n_sources
     p = np.asarray(cfg.success_prob, dtype=float)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -86,34 +96,17 @@ def simulate_scheduler(
     deliveries = [hits[owner == i] for i in range(n)]  # in frame order
     polls = np.bincount(picks, minlength=n).tolist()
     successes = [len(ks) for ks in deliveries]
-    # drop the frame-length arrays before the traces are built
-    del coins, picks, success, hits, owner
 
     # age in frame k is k minus the newest delivery before k (0 before
     # any): between consecutive delivery frames L apart (frame 0 and
     # the last frame count as ends) the ages sum to 1 + ... + L, and
     # each frame's trapezoid adds 0.5
-    frame = cfg.frame_s
     avg = []
     for ks in deliveries:
         runs = np.diff(ks, prepend=0, append=frames - 1)
         area = int((runs * (runs + 1)).sum()) // 2 + 0.5 * frames
-        avg.append(area / frames * frame)
-
-    traces = []
-    if keep_traces:
-        frame_ns = seconds_to_ns(frame)
-        for ks in deliveries:
-            traces.append(
-                AgeTrace.from_arrays(
-                    np.arange(len(ks)),
-                    ks * frame_ns,
-                    (ks + 1) * frame_ns,
-                    t_start_ns=0,
-                    t_end_ns=frames * frame_ns,
-                )
-            )
-    return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
+        avg.append(area / frames * cfg.frame_s)
+    return SchedulerRun(cfg, frames, seed, avg, polls, successes, deliveries)
 
 
 def analytic_avg_age_per_source(cfg: SchedulerConfig) -> Optional[list[float]]:

@@ -113,7 +113,7 @@ def sha256_of(*parts) -> str:
     return h.hexdigest()
 
 
-def reference_simulate_scheduler(cfg, frames: int, seed: int = 0, keep_traces: bool = True):
+def reference_simulate_scheduler(cfg, frames: int, seed: int = 0):
     """The polling loop as first written, scoring every source in every
     frame in Python: the reference `simulate_scheduler` must equal
     exactly, in polls, successes, ages and traces."""
@@ -161,21 +161,21 @@ def reference_simulate_scheduler(cfg, frames: int, seed: int = 0, keep_traces: b
     frame = cfg.frame_s
     avg = [a / frames * frame for a in area]
 
-    traces = []
-    if keep_traces:
-        frame_ns = seconds_to_ns(frame)
-        for i in range(n):
-            ks = np.asarray(deliveries[i], dtype=np.int64)
-            traces.append(
-                AgeTrace.from_arrays(
-                    np.arange(len(ks)),
-                    ks * frame_ns,
-                    (ks + 1) * frame_ns,
-                    t_start_ns=0,
-                    t_end_ns=frames * frame_ns,
-                )
-            )
-    return SchedulerRun(cfg, frames, seed, avg, polls, successes, traces)
+    frames_of = [np.asarray(ks, dtype=np.int64) for ks in deliveries]
+    frame_ns = seconds_to_ns(frame)
+    run = SchedulerRun(cfg, frames, seed, avg, polls, successes, frames_of)
+    # built here, not by the run on first read
+    run.traces = [
+        AgeTrace.from_arrays(
+            np.arange(len(ks)),
+            ks * frame_ns,
+            (ks + 1) * frame_ns,
+            t_start_ns=0,
+            t_end_ns=frames * frame_ns,
+        )
+        for ks in frames_of
+    ]
+    return run
 
 
 def child_env() -> dict:

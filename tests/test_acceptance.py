@@ -30,7 +30,6 @@ from aoikit.metrics import (
 from aoikit.policies import (
     ACTION_RESUME,
     AcpState,
-    PauseResumeEnv,
     QAgent,
     train_pause_resume,
 )
@@ -184,13 +183,11 @@ def test_criterion_6_u_shape():
 def test_criterion_7_q_learning_fixed_point():
     started = time.monotonic()
     agent = QAgent(seed=11)
-    env = PauseResumeEnv(delay_s=1.0, step_s=0.1)
-    res = train_pause_resume(agent, env, 10_000)
+    res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert res.visited_bins
+    assert res.final_resume_values
     for b, value in res.final_resume_values.items():
         assert value == pytest.approx(target, abs=0.02)
-    for b in res.visited_bins:
         assert int(agent.q_table[b].argmin()) == ACTION_RESUME
     _report(7, "pause/resume value fixed point", started, 60.0)
 
@@ -240,20 +237,16 @@ def test_criterion_10_scheduler_ordering():
     started = time.monotonic()
     p = (0.9, 0.9, 0.3, 0.3)
     for seed in range(10):
-        mw = simulate_scheduler(
-            SchedulerConfig(4, p, policy="max-weight"), 100_000, seed=seed,
-            keep_traces=False,
-        )
-        rr = simulate_scheduler(
-            SchedulerConfig(4, p, policy="round-robin"), 100_000, seed=seed,
-            keep_traces=False,
-        )
+        mw = simulate_scheduler(SchedulerConfig(4, p, policy="max-weight"), 100_000,
+                                seed=seed)
+        rr = simulate_scheduler(SchedulerConfig(4, p, policy="round-robin"), 100_000,
+                                seed=seed)
         assert total_avg_age(mw) < total_avg_age(rr)
     totals = []
     for policy in ("round-robin", "greedy", "max-weight"):
         cfg = SchedulerConfig(4, (0.95,) * 4, policy=policy)
         totals.append(
-            total_avg_age(simulate_scheduler(cfg, 100_000, seed=3, keep_traces=False))
+            total_avg_age(simulate_scheduler(cfg, 100_000, seed=3))
         )
     assert max(totals) <= min(totals) * 1.05
     _report(10, "poll scheduling policy ordering", started, 60.0)

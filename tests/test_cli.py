@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aoikit.cli import main, parse_emulated, read_policy_config
+from aoikit.cli import POLICY_DEFAULTS, POLICY_KEYS, main, parse_emulated, read_policy_config
 from aoikit.errors import ConfigError
 from helpers import child_env, imported_by, parse_seconds
 
@@ -406,6 +406,8 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (POLICY + ["--name", "zero-wait"], "ewma_alpha=0.2\nepoch_ms=20", None),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
      "backlog_cap=8", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "gamma=0.9", None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkeypatch,
                                                         argv, config, aoi_seed):
@@ -440,7 +442,7 @@ def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkey
      "kappa=2\nbacklog_cap=8\nepoch_ms=20\newma_alpha=0.2"),
     (POLICY + ["--name", "lazy", "--duration", "1"], "ewma_alpha=0.2"),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
-     "gamma=0.9\nlr=0.2\nepsilon0=0.5\nepsilon_decay=0.99\nbins=16"),
+     "lr=0.2\nepsilon0=0.5\nepsilon_decay=0.99\nbins=16"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_accepts_the_flags_and_keys_each_run_reads(tmp_path, capsys, argv, config):
     if config is not None:
@@ -448,6 +450,36 @@ def test_cli_accepts_the_flags_and_keys_each_run_reads(tmp_path, capsys, argv, c
         argv = argv + ["--config", str(tmp_path / "p.cfg")]
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert (code, err) == (0, "")
+
+
+# a value each key can act on: the cap at the floor clamps every
+# target, and epochs longer than the 20 ms round trip end on acks
+POLICY_KEY_VALUES = {"backlog_cap": "1", "epoch_ms": "50"}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in POLICY_KEYS.items()
+                                       for key in keys])
+def test_every_policy_key_a_run_reads_changes_its_outputs(tmp_path, capsys, name, key):
+    # a key the policy accepts but ignores would leave stdout and every
+    # output file as the default run's; the manifest records the config,
+    # so it is left out
+    if name == "qlearn":
+        argv = ["policy", "--name", name, "--emulated", "fixed_delay=250ms", "--iters", "2000"]
+    else:
+        argv = ["policy", "--name", name, "--emulated", "fixed_rtt=20ms,jitter=5ms",
+                "--duration", "2"]
+    default = POLICY_DEFAULTS[key]
+    (tmp_path / "p.cfg").write_text(
+        f"{key}={POLICY_KEY_VALUES.get(key, type(default)(default / 2))}\n")
+    runs = []
+    for out, extra in (("default", []), ("keyed", ["--config", str(tmp_path / "p.cfg")])):
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "1",
+                                    "--out", str(tmp_path / out), *extra)
+        assert (code, err) == (0, "")
+        files = sorted(tmp_path.glob(out + ".*.csv"))
+        runs.append([stdout.replace(str(tmp_path / out), "OUT")]
+                    + [f.read_bytes() for f in files])
+    assert runs[0] != runs[1]
 
 
 def test_readme_lists_every_channel_spec_key():

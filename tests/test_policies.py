@@ -10,9 +10,9 @@ from aoikit.policies import (
     ACTION_MDEC,
     ACTION_PAUSE,
     ACTION_RESUME,
+    PAUSE_STEP_S,
     AcpState,
     EwmaEstimator,
-    PauseResumeEnv,
     PolicyObservation,
     QAgent,
     acp_epoch_update,
@@ -168,20 +168,17 @@ def test_age_cost_range_and_monotonicity():
 
 
 def test_terminal_target_is_bare_cost():
+    # a full-rate step sets the value to the cost of the age produced:
+    # the delay on resume, the delay plus the pause step on pause
     agent = QAgent(lr=1.0, epsilon=0.0, seed=0)
-    target = agent.step(2.0, ACTION_RESUME, 1.0, done=True)
-    assert target == pytest.approx(1 - math.exp(-1))
-    assert agent.q_table[agent.bin_of(2.0), ACTION_RESUME] == pytest.approx(target)
-
-
-def test_one_step_reaches_bellman_target_exactly():
-    agent = QAgent(lr=1.0, epsilon=0.0, seed=0)
-    s_next = 0.5
-    expected = age_cost(s_next) + agent.gamma * float(
-        np.min(agent.q_table[agent.bin_of(s_next)])
-    )
-    agent.step(1.0, ACTION_PAUSE, s_next, done=False)
-    assert agent.q_table[agent.bin_of(1.0), ACTION_PAUSE] == expected
+    b = agent.bin_of(1.0)
+    train_pause_resume(agent, 1.0, 1)  # a tie pauses, as argmin
+    assert agent.q_table[b, ACTION_PAUSE] == age_cost(1.0 + PAUSE_STEP_S)
+    agent.q_table[b, ACTION_PAUSE] = 2.0
+    res = train_pause_resume(agent, 1.0, 1)
+    assert res.action_history == [ACTION_RESUME]
+    assert res.final_resume_values == {b: pytest.approx(1 - math.exp(-1))}
+    assert agent.q_table[b, ACTION_RESUME] == age_cost(1.0)
 
 
 def test_bin_clamping():
@@ -191,7 +188,7 @@ def test_bin_clamping():
 
 
 def test_bin_of_equals_clamped_searchsorted():
-    agent = QAgent(n_bins=16, age_lo_s=0.01, age_hi_s=50.0)
+    agent = QAgent()
     edges = agent.bins
     ages = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
@@ -224,18 +221,17 @@ def test_full_exploration_is_uniform():
 
 
 def test_epsilon_decays_per_episode():
+    # every step is a one-step episode
     agent = QAgent(epsilon=1.0, epsilon_decay=0.5)
-    agent.end_episode()
-    agent.end_episode()
-    assert agent.epsilon == pytest.approx(0.25)
+    train_pause_resume(agent, 1.0, 2)
+    assert agent.epsilon == 0.25
 
 
 def test_training_converges_to_boundary_value():
     agent = QAgent(seed=11)
-    env = PauseResumeEnv(delay_s=1.0, step_s=0.1)
-    res = train_pause_resume(agent, env, 10_000)
+    res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert res.visited_bins
+    assert list(res.final_resume_values) == [agent.bin_of(1.0)]
     for b, value in res.final_resume_values.items():
         assert value == pytest.approx(target, abs=0.02)
         assert int(agent.q_table[b].argmin()) == ACTION_RESUME
@@ -245,42 +241,32 @@ def test_agent_validation():
     with pytest.raises(ConfigError):
         QAgent(epsilon=1.5)
     with pytest.raises(ConfigError):
-        QAgent(gamma=1.0)
-    with pytest.raises(ConfigError):
         QAgent(lr=0.0)
     with pytest.raises(ConfigError):
-        PauseResumeEnv(delay_s=0.0)
+        QAgent(n_bins=1)
+    for delay_s in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="delay"):
+            train_pause_resume(QAgent(), delay_s, 10)
+    with pytest.raises(ConfigError, match="iterations"):
+        train_pause_resume(QAgent(), 1.0, 0)
 
 
 # ------------------------------------------------------------ golden digests
 
 
-def _golden_q_runs():
-    # (agent, environment, episode length, iterations); the default
-    # agent sees only terminal steps, the episodic runs exercise the
-    # discounted next-state minimum and the greedy branch of `act`
-    yield "default/seed0", QAgent(seed=0), PauseResumeEnv(), 1, 20_000
-    yield "default/seed11", QAgent(seed=11), PauseResumeEnv(), 1, 20_000
-    yield ("episodes", QAgent(gamma=0.9, epsilon=0.3, epsilon_decay=0.9, seed=5),
-           PauseResumeEnv(), 5, 20_000)
-    # ages below the first edge and past the last one clamp
-    yield ("episodes/clamped",
-           QAgent(n_bins=8, age_lo_s=0.1, age_hi_s=10.0, gamma=0.5, lr=0.3,
-                  epsilon=0.5, epsilon_decay=0.99, seed=2),
-           PauseResumeEnv(delay_s=0.05, step_s=4.0), 4, 10_000)
-
-
 def test_q_learning_golden_digests():
-    # sha256 of the Q-table, histories, visited bins and resume values,
-    # pinned before the learner's step stopped calling numpy per step
+    # sha256 of the Q-table, histories, visited bins and resume values
+    # over 20k steps at a 1 s delay, pinned before the learner's step
+    # stopped calling numpy per step
     got = {}
-    for key, agent, env, episode_len, iterations in _golden_q_runs():
-        res = train_pause_resume(agent, env, iterations, episode_len=episode_len,
-                                 record_history=True)
-        got[key] = sha256_of(agent.q_table, np.array(res.age_history),
-                             np.array(res.action_history, dtype=np.int64),
-                             repr((res.visited_bins, res.final_resume_values,
-                                   agent.epsilon)))
+    for seed in (0, 11):
+        agent = QAgent(seed=seed)
+        res = train_pause_resume(agent, 1.0, 20_000)
+        got[f"default/seed{seed}"] = sha256_of(
+            agent.q_table, np.array(res.age_history),
+            np.array(res.action_history, dtype=np.int64),
+            repr((list(res.final_resume_values), res.final_resume_values,
+                  agent.epsilon)))
     assert got == Q_GOLDEN
 
 
@@ -288,7 +274,7 @@ def test_qlearn_cli_golden_digest(tmp_path, capsys, monkeypatch):
     from aoikit.cli import main
 
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "q.cfg").write_text("bins=16\ngamma=0.8\nepsilon0=0.6\n")
+    (tmp_path / "q.cfg").write_text("bins=16\nepsilon0=0.6\n")
     got = {}
     for key, extra in (("default", []), ("config", ["--config", "q.cfg"])):
         code = main(["policy", "--name", "qlearn", "--emulated", "fixed_delay=250ms",
@@ -304,10 +290,6 @@ Q_GOLDEN = {
         "a497f7817cc1946bc5fa3ac15011feda8d03a1666d7d0497d81b190f1d2224e7",
     "default/seed11":
         "f04a3f4d567bdb474012cd7b88e1939f71c71c1e6fc99d2fb7d94b9ade3a09c4",
-    "episodes":
-        "1b0979a2304fe5f80f13b94f6ccaa3f30f3812ce13a572caa1ecf8f5de563884",
-    "episodes/clamped":
-        "ba5245a62c281f3be4ac212c0794d0f953417c635c2fa3f1732295c876357379",
 }
 
 QLEARN_CLI_GOLDEN = {

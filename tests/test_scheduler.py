@@ -44,9 +44,7 @@ def test_symmetric_sources_all_policies_close():
     totals = {}
     for policy in ("round-robin", "greedy", "max-weight"):
         cfg = SchedulerConfig(4, (0.95,) * 4, policy=policy)
-        totals[policy] = total_avg_age(simulate_scheduler(
-            cfg, 100_000, seed=3, keep_traces=False
-        ))
+        totals[policy] = total_avg_age(simulate_scheduler(cfg, 100_000, seed=3))
     vals = list(totals.values())
     assert max(vals) <= min(vals) * 1.05
 
@@ -55,14 +53,10 @@ def test_max_weight_beats_round_robin_on_asymmetric_sources():
     p = (0.9, 0.9, 0.3, 0.3)
     wins = 0
     for seed in range(5):
-        mw = simulate_scheduler(
-            SchedulerConfig(4, p, policy="max-weight"), 50_000, seed=seed,
-            keep_traces=False,
-        )
-        rr = simulate_scheduler(
-            SchedulerConfig(4, p, policy="round-robin"), 50_000, seed=seed,
-            keep_traces=False,
-        )
+        mw = simulate_scheduler(SchedulerConfig(4, p, policy="max-weight"), 50_000,
+                                seed=seed)
+        rr = simulate_scheduler(SchedulerConfig(4, p, policy="round-robin"), 50_000,
+                                seed=seed)
         wins += total_avg_age(mw) < total_avg_age(rr)
     assert wins == 5
 
@@ -70,7 +64,7 @@ def test_max_weight_beats_round_robin_on_asymmetric_sources():
 def test_weight_exponent_knob():
     cfg = SchedulerConfig(2, (0.9, 0.2), policy="max-weight",
                           weight_exponent=2.0)
-    run = simulate_scheduler(cfg, 2000, seed=5, keep_traces=False)
+    run = simulate_scheduler(cfg, 2000, seed=5)
     assert sum(run.polls) == 2000
 
 
@@ -85,12 +79,14 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="frame"):
             SchedulerConfig(1, (0.5,), frame_s=frame_s)
     # trace stamps past int64: a frame beyond it, and a last frame end
-    # beyond it (1e9 s x 10 frames); without traces the run is fine
+    # beyond it (1e9 s x 10 frames); the run is fine until its traces
+    # are read
     for frame_s in (1e10, 1e9):
         cfg = SchedulerConfig(1, (0.5,), frame_s=frame_s)
+        run = simulate_scheduler(cfg, 10)
+        assert run.frames == 10 and sum(run.polls) == 10
         with pytest.raises(ConfigError, match="int64"):
-            simulate_scheduler(cfg, 10, keep_traces=True)
-        assert simulate_scheduler(cfg, 10, keep_traces=False).frames == 10
+            run.traces
     # a negative exponent divides by zero at age 0, and nan makes every
     # score nan, which silently polls source 0 in every frame
     for w in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
@@ -114,7 +110,7 @@ ORACLE_Z = 4.0  # standard errors of the mean across seeds
 def test_closed_forms_match_simulated_means(policy, probs, frames):
     cfg = SchedulerConfig(len(probs), probs, frame_s=0.01, policy=policy)
     ages = np.array([
-        simulate_scheduler(cfg, frames, seed=seed, keep_traces=False).avg_age_per_source
+        simulate_scheduler(cfg, frames, seed=seed).avg_age_per_source
         for seed in ORACLE_SEEDS])
     se = ages.std(axis=0, ddof=1) / np.sqrt(len(ORACLE_SEEDS))
     want = np.array(analytic_avg_age_per_source(cfg))
@@ -161,14 +157,13 @@ def _assert_same_run(got, want):
     seed=st.integers(0, 2**32 - 1),
     frame_s=st.sampled_from([1.0, 0.01, 0.0037, 2.5]),
     w=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 80.0]), st.floats(0.0, 80.0)),
-    keep_traces=st.booleans(),
 )
-def test_matches_reference_loop(policy, probs, frames, seed, frame_s, w, keep_traces):
+def test_matches_reference_loop(policy, probs, frames, seed, frame_s, w):
     cfg = SchedulerConfig(len(probs), tuple(probs), frame_s=frame_s,
                           policy=policy, weight_exponent=w)
     _assert_same_run(
-        simulate_scheduler(cfg, frames, seed=seed, keep_traces=keep_traces),
-        reference_simulate_scheduler(cfg, frames, seed=seed, keep_traces=keep_traces),
+        simulate_scheduler(cfg, frames, seed=seed),
+        reference_simulate_scheduler(cfg, frames, seed=seed),
     )
 
 
