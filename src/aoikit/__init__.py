@@ -23,7 +23,8 @@ _EXPORTS = {
                      "analytic_mm1_age", "simulate", "sweep_rate"], "queuesim"),
     **dict.fromkeys(["SchedulerConfig", "analytic_avg_age_per_source",
                      "simulate_scheduler"], "scheduler"),
-    **dict.fromkeys(["AcpState", "QAgent", "acp_epoch_update"], "policies"),
+    **dict.fromkeys(["AcpState", "Lazy", "QAgent", "ZeroWait", "acp_epoch_update"],
+                    "policies"),
     **dict.fromkeys(["EmulatedChannelSpec", "estimate_offset_emulated",
                      "run_rate_policy", "run_sampler_emulated"], "emulate"),
     **dict.fromkeys(["EchoServer", "estimate_offset", "run_sampler"], "udp"),

@@ -27,7 +27,7 @@ from .emulate import (
 from .errors import AoiError, ConfigError, TraceFormatError
 from .manifest import RunManifest
 from .metrics import PenaltySpec, BiasModel, apply_bias, summary
-from .policies import AcpState, QAgent, Q_ACTIONS, train_pause_resume
+from .policies import SENDERS, QAgent, Q_ACTIONS, train_pause_resume
 from .queuesim import (
     ArrivalSpec,
     ChannelModel,
@@ -48,8 +48,11 @@ _UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 def _number(text: str, item: str, kind=float):
     """The one conversion of user text to a number. `kind` is float,
-    int, or "s" for seconds with an optional ns/us/ms/s suffix.
-    Malformed text raises ConfigError naming `item`."""
+    int, "s" for seconds with an optional ns/us/ms/s suffix, or "ms"
+    for a bare number of milliseconds, returned in seconds. Malformed
+    text raises ConfigError naming `item`."""
+    if kind == "ms":
+        return _number(text, item) / 1e3
     digits, unit = text, None
     if kind == "s":
         kind, digits = float, text.strip().lower()
@@ -123,18 +126,18 @@ def resolve_seed(value) -> int:
     return _number(env, "AOI_SEED", int) if env else 0
 
 
-# the config keys each policy reads
+# policy -> {config key it reads: (the argument the key sets, the kind
+# of its value)}; `ewma_alpha` sets the runner's, every other key the
+# sender's or the agent's constructor argument, and an absent key
+# leaves the library's default
+_RUNNER_KEYS = {"ewma_alpha": ("ewma_alpha", float)}
 POLICY_KEYS = {
-    "acp": ("kappa", "backlog_cap", "epoch_ms", "ewma_alpha"),
-    "lazy": ("ewma_alpha",),
-    "zero-wait": ("ewma_alpha",),
-    "qlearn": ("lr", "epsilon0", "epsilon_decay", "bins"),
-}
-
-# policy config key -> its default, whose type is the kind of its value
-POLICY_DEFAULTS = {
-    "kappa": 1.0, "epoch_ms": 10.0, "ewma_alpha": 0.125, "lr": 0.1,
-    "epsilon0": 1.0, "epsilon_decay": 0.995, "bins": 64, "backlog_cap": 64.0,
+    "acp": {"kappa": ("kappa", float), "backlog_cap": ("backlog_cap", float),
+            "epoch_ms": ("epoch_floor_s", "ms"), **_RUNNER_KEYS},
+    "lazy": _RUNNER_KEYS,
+    "zero-wait": _RUNNER_KEYS,
+    "qlearn": {"lr": ("lr", float), "epsilon0": ("epsilon", float),
+               "epsilon_decay": ("epsilon_decay", float), "bins": ("n_bins", int)},
 }
 
 
@@ -149,7 +152,7 @@ def read_policy_config(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in POLICY_DEFAULTS:
+            if not any(key in keys for keys in POLICY_KEYS.values()):
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             if key in out:
                 raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
@@ -241,9 +244,8 @@ def cmd_sim(args, argv) -> int:
                               (args.out + ".meta", run.meta_lines())])
     stats = summary(run.trace)
     _print_kv([("trace", args.out)] + [(k, f"{v:.9g}") for k, v in stats.items()])
-    # the closed form holds only for the loss-free infinite-buffer FCFS queue
-    if (args.model == "mm1" and 0 < args.rho < 1 and cfg.discipline == "fcfs"
-            and cfg.capacity is None and cfg.loss_p == 0.0 and not cfg.retransmit):
+    # the closed form holds only for the queue the Lindley path solves
+    if args.model == "mm1" and 0 < args.rho < 1 and cfg.lindley:
         _print_kv([("analytic_avg_age_s",
                     f"{analytic_mm1_age(args.rho, args.mu):.9g}")])
     if args.gnuplot_hints:
@@ -408,13 +410,13 @@ def cmd_measure_sync(args, argv) -> int:
 
 def cmd_policy(args, argv) -> int:
     cfg = read_policy_config(args.config) if args.config else {}
-    unread = [key for key in cfg if key not in POLICY_KEYS[args.name]]
+    keys = POLICY_KEYS[args.name]
+    unread = [key for key in cfg if key not in keys]
     if unread:
         raise ConfigError(f"{args.config}: {args.name} does not read "
                           f"{', '.join(unread)}")
-    params = {key: _number(cfg[key], f"{args.config}: {key}", type(default))
-              if key in cfg else default
-              for key, default in POLICY_DEFAULTS.items()}
+    params = {keys[key][0]: _number(text, f"{args.config}: {key}", keys[key][1])
+              for key, text in cfg.items()}
     spec = parse_emulated(args.emulated, args.seed)
     log_path = args.out + ".decisions.csv"
     manifest = RunManifest("policy", argv,
@@ -431,32 +433,28 @@ def cmd_policy(args, argv) -> int:
             # the agent draws from the run seed; the channel draws nothing
             raise ConfigError(f"qlearn takes its seed from --seed, not the channel "
                               f"spec (seed={spec.seed}, run seed {args.seed})")
-        agent = QAgent(n_bins=params["bins"], lr=params["lr"],
-                       epsilon=params["epsilon0"], epsilon_decay=params["epsilon_decay"],
-                       seed=args.seed)
+        agent = QAgent(seed=args.seed, **params)
         res = train_pause_resume(agent, delay, 10000 if args.iters is None else args.iters)
         rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
                 for i, (a, age) in enumerate(zip(res.action_history,
                                                  res.age_history))]
         _write_outputs(manifest, [(log_path, decision_csv(rows))])
-        pairs = [("decisions", log_path), ("iterations", res.iterations)]
-        for b, v in res.final_resume_values.items():
-            pairs.append((f"q_resume_bin{b}", f"{v:.4f}"))
-            pairs.append((f"q_pause_bin{b}", f"{agent.q_table[b, 0]:.4f}"))
-            pairs.append(
-                (f"greedy_bin{b}",
-                 Q_ACTIONS[int(agent.q_table[b].argmin())])
-            )
-        _print_kv(pairs)
+        b = res.resume_bin
+        _print_kv([
+            ("decisions", log_path),
+            ("iterations", res.iterations),
+            (f"q_resume_bin{b}", f"{res.resume_value:.4f}"),
+            (f"q_pause_bin{b}", f"{agent.q_table[b, 0]:.4f}"),
+            (f"greedy_bin{b}", Q_ACTIONS[int(agent.q_table[b].argmin())]),
+        ])
         return 0
 
     if args.iters is not None:
         raise ConfigError(f"{args.name} runs for --duration and takes no --iters")
-    acp = AcpState(kappa=params["kappa"], backlog_cap=params["backlog_cap"],
-                   epoch_floor_s=params["epoch_ms"] / 1e3) if args.name == "acp" else None
+    runner = {"ewma_alpha": params.pop("ewma_alpha")} if "ewma_alpha" in params else {}
+    sender = SENDERS[args.name](**params)
     duration = 30.0 if args.duration is None else args.duration
-    res = run_rate_policy(args.name, spec, duration, acp=acp,
-                          ewma_alpha=params["ewma_alpha"])
+    res = run_rate_policy(sender, spec, duration, **runner)
     trace_path = args.out + ".trace.csv"
     _write_outputs(manifest, [(trace_path, res.trace),
                               (log_path, decision_csv(res.decisions))])
@@ -578,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("policy", help="closed-loop rate control run",
                         parents=[seeded, written])
-    po.add_argument("--name", choices=["lazy", "acp", "zero-wait", "qlearn"],
-                    required=True)
+    po.add_argument("--name", choices=[*SENDERS, "qlearn"], required=True)
     po.add_argument("--emulated", required=True, help="channel spec")
     po.add_argument("--duration", type=float, default=None,
                     help="virtual seconds (lazy, acp, zero-wait; default 30)")

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .policies import AcpState, EwmaEstimator, PolicyObservation, rate_policy
+from .policies import EWMA_ALPHA, EwmaEstimator, PolicyObservation
 from .queuesim import (
     BUSY_LOSS_P,
     PANICKED_LOSS_P,
@@ -369,14 +369,13 @@ _MEDIAN_GRID_S = 0.01  # age sampling step of the reported median
 
 
 def run_rate_policy(
-    policy: str,
+    sender,
     spec: EmulatedChannelSpec,
     duration_s: float,
-    acp: Optional[AcpState] = None,
-    ewma_alpha: float = 0.125,
+    ewma_alpha: float = EWMA_ALPHA,
 ) -> PolicyRunResult:
-    """Drive the closed-loop sender `policies.rate_policy(policy, acp)`
-    over the emulated channel in virtual time.
+    """Drive a closed-loop sender (`policies.Lazy`, `AcpState` or
+    `ZeroWait`) over the emulated channel in virtual time.
 
     The loop bootstraps with probe packets (a single one for an unpaced
     sender) until the first acknowledgement initializes the smoothed
@@ -389,7 +388,6 @@ def run_rate_policy(
     slots. Every event takes the next insertion sequence number when it
     is scheduled, and equal times fire in that order.
     """
-    sender = rate_policy(policy, acp)
     if not 0 < duration_s < math.inf:
         raise ConfigError(f"duration must be positive and finite, not {duration_s:g}")
     if (spec.fwd_delay_s + spec.bwd_delay_s == 0 and spec.jitter_s == 0
@@ -397,7 +395,8 @@ def run_rate_policy(
         raise ConfigError("closed-loop policies need a positive round trip")
     paced = sender.paced
     if not paced and (spec.loss_p > 0 or spec.loss_onset_load is not None):
-        raise ConfigError(f"{policy} waits for every ack and has no loss timeout; "
+        # zero-wait is the one unpaced sender
+        raise ConfigError("zero-wait waits for every ack and has no loss timeout; "
                           "it needs a loss-free channel")
 
     transit = EmulatedChannel(spec).transit
@@ -452,22 +451,10 @@ def run_rate_policy(
             rtt = update_rtt(now - sent_at)
             if newest_acked_send is None or sent_at > newest_acked_send:
                 newest_acked_send = sent_at
-            first_ack = acked == 1
-            new_rate = on_ack(rtt, first_ack)
-            if new_rate is not None:
-                if rate_hz is not None:
-                    rate_area += rate_hz * (now - rate_clock)
-                rate_clock = now
-                rate_hz = new_rate
-            if first_ack or (not paced and sent == acked):
+            restart = acked == 1  # the first ack starts the epochs
+            new_rate = on_ack(rtt, restart)
+            if restart or (not paced and sent == acked):
                 send_at, send_seq = now, seq
-                seq += 1
-            if first_ack:
-                epoch_started = now
-                epoch_age_area = epoch_backlog_area = 0.0
-                epoch_acks = 0
-                epoch_at = now + (rtt if rtt > epoch_floor_s else epoch_floor_s)
-                epoch_seq = seq
                 seq += 1
         elif event == _EPOCH:
             epoch_s = now - epoch_started
@@ -479,21 +466,11 @@ def run_rate_policy(
                 epoch_acks,
             )
             action, target, logged_rate, new_rate = on_epoch(obs, rate_hz)
-            if new_rate is not None:
-                if rate_hz is not None:
-                    rate_area += rate_hz * (now - rate_clock)
-                rate_clock = now
-                rate_hz = new_rate
             decisions.append(DecisionRow(
                 len(decisions) + 1, action, target, logged_rate,
                 obs.avg_age_epoch_s, sent - acked, now,
             ))
-            epoch_started = now
-            epoch_age_area = epoch_backlog_area = 0.0
-            epoch_acks = 0
-            epoch_at = now + (rtt if rtt > epoch_floor_s else epoch_floor_s)
-            epoch_seq = seq
-            seq += 1
+            restart = True
         else:  # a send; probes stop once the first ack is in
             if event == _PROBE and acked:
                 continue
@@ -513,6 +490,20 @@ def run_rate_policy(
                 seq += 1
             else:
                 send_at = inf
+            continue
+        # an ack or an epoch end: a new rate, and the next epoch
+        if new_rate is not None:
+            if rate_hz is not None:
+                rate_area += rate_hz * (now - rate_clock)
+            rate_clock = now
+            rate_hz = new_rate
+        if restart:
+            epoch_started = now
+            epoch_age_area = epoch_backlog_area = 0.0
+            epoch_acks = 0
+            epoch_at = now + (rtt if rtt > epoch_floor_s else epoch_floor_s)
+            epoch_seq = seq
+            seq += 1
 
     if duration_s > clock:
         backlog_area += (sent - acked) * (duration_s - clock)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, NotReadyError
 
 EWMA_ALPHA = 0.125  # classic transport smoothing constant
+EPOCH_FLOOR_S = 0.010  # closed-loop epochs are never shorter than this
 
 ACTION_INC = "INC"
 ACTION_DEC = "DEC"
@@ -65,7 +66,7 @@ BACKLOG_BAND = 0.75  # packets
 
 @dataclass
 class AcpState:
-    """Epoch-level controller state for the backlog-target sender.
+    """The backlog-target sender and its epoch-level controller state.
 
     At each epoch end the controller compares the epoch's average age
     and backlog with the previous epoch's and picks one of three
@@ -81,7 +82,12 @@ class AcpState:
     packets for backlog); on stochastic paths the raw epoch-to-epoch
     signs are dominated by sampling noise and would fire
     multiplicative decreases continually.
+
+    As a closed-loop sender (see below) the first ack sets the rate to
+    target/rtt, and every epoch end applies `acp_epoch_update`.
     """
+
+    paced = True
 
     kappa: float = 1.0
     target_backlog: float = 1.0
@@ -89,15 +95,28 @@ class AcpState:
     mdec_streak: int = 0
     prev_age: Optional[float] = None
     prev_backlog: Optional[float] = None
-    epoch_floor_s: float = 0.010  # epochs never shorter than this
+    epoch_floor_s: float = EPOCH_FLOOR_S
 
     def __post_init__(self):
-        if not (self.kappa > 0):
-            raise ConfigError("step size must be positive")
-        if self.backlog_cap < self.kappa:
-            raise ConfigError("backlog cap below the floor")
+        # an infinite rate sends every packet at one instant, and a nan
+        # epoch time never ends: neither run would finish
+        if not (0 < self.kappa < math.inf):
+            raise ConfigError("step size must be positive and finite")
+        if not (self.kappa <= self.backlog_cap < math.inf):
+            raise ConfigError("backlog cap must be finite and at least the step size")
+        if not (0 <= self.epoch_floor_s < math.inf):
+            raise ConfigError("epoch floor must be finite and non-negative")
         self.target_backlog = min(max(self.target_backlog, self.kappa),
                                   self.backlog_cap)
+
+    def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
+        return self.target_backlog / ewma_rtt_s if first else None
+
+    def on_epoch(self, obs: PolicyObservation, rate_hz: Optional[float]):
+        # the module global, looked up per call, so that a wrapper put
+        # in its place sees every update
+        action, rate = acp_epoch_update(self, obs)
+        return action, self.target_backlog, rate, rate
 
 
 def acp_epoch_update(
@@ -162,15 +181,15 @@ def acp_epoch_update(
 # an unpaced one sends only when nothing is in flight. `on_ack` returns
 # a new rate or None; `on_epoch` returns (action, target backlog, rate
 # to log, new rate or None). None keeps the rate, and its time
-# integral, as it is.
+# integral, as it is. `AcpState` above is the third sender.
 
 
-class _Lazy:
+class Lazy:
     """About one packet in flight: the rate is 1/smoothed rtt, reset on
     every ack; epochs only log it."""
 
     paced = True
-    epoch_floor_s = 0.010
+    epoch_floor_s = EPOCH_FLOOR_S
 
     def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
         return 1.0 / ewma_rtt_s
@@ -179,29 +198,11 @@ class _Lazy:
         return "RATE", 1.0, rate_hz, None
 
 
-class _Acp:
-    """The backlog-target controller: the first ack sets the rate to
-    target/rtt, and every epoch end applies `acp_epoch_update`."""
-
-    paced = True
-
-    def __init__(self, state: AcpState):
-        self.state = state
-        self.epoch_floor_s = state.epoch_floor_s
-
-    def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
-        return self.state.target_backlog / ewma_rtt_s if first else None
-
-    def on_epoch(self, obs: PolicyObservation, rate_hz: Optional[float]):
-        action, rate = acp_epoch_update(self.state, obs)
-        return action, self.state.target_backlog, rate, rate
-
-
-class _ZeroWait:
+class ZeroWait:
     """Send on ack; epochs log the observed ack rate."""
 
     paced = False
-    epoch_floor_s = 0.010
+    epoch_floor_s = EPOCH_FLOOR_S
 
     def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
         return None
@@ -211,16 +212,8 @@ class _ZeroWait:
         return "SEND-ON-ACK", 1.0, ack_rate, None
 
 
-def rate_policy(name: str, acp: Optional[AcpState] = None):
-    """The closed-loop sender `name`: "lazy", "acp" (controlled by `acp`,
-    a default AcpState if None) or "zero-wait"."""
-    if name == "lazy":
-        return _Lazy()
-    if name == "acp":
-        return _Acp(AcpState() if acp is None else acp)
-    if name == "zero-wait":
-        return _ZeroWait()
-    raise ConfigError(f"unknown rate policy {name!r}")
+# policy name -> its closed-loop sender
+SENDERS = {"lazy": Lazy, "acp": AcpState, "zero-wait": ZeroWait}
 
 
 # ------------------------------------------------------------- Q-learning
@@ -271,6 +264,8 @@ class QAgent:
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
             raise ConfigError("epsilon must be in [0, 1]")
+        if not (0.0 <= self.epsilon_decay <= 1.0):  # keeps epsilon in [0, 1]
+            raise ConfigError("epsilon decay must be in [0, 1]")
         if not (0.0 < self.lr <= 1.0):
             raise ConfigError("learning rate must be in (0, 1]")
         if self.n_bins < 2:
@@ -298,7 +293,8 @@ class QAgent:
 @dataclass
 class QTrainResult:
     iterations: int
-    final_resume_values: dict[int, float]  # by visited bin
+    resume_bin: int  # the bin of the path delay, where every step starts
+    resume_value: float  # its resume value after the last step
     age_history: list[float]  # the age each step's action produced
     action_history: list[int]
 
@@ -330,5 +326,5 @@ def train_pause_resume(agent: QAgent, delay_s: float,
         q[b, a] = value + agent.lr * (cost[a] - value)
         agent.epsilon *= agent.epsilon_decay
         actions.append(a)
-    return QTrainResult(iterations, {b: q.item(b, ACTION_RESUME)},
+    return QTrainResult(iterations, b, q.item(b, ACTION_RESUME),
                         [next_age[a] for a in actions], actions)

@@ -97,6 +97,14 @@ class SimConfig:
             return self.arrival.rate / self.service.mu
         return None
 
+    @property
+    def lindley(self) -> bool:
+        """Whether the single-server waiting-time recurrence solves this
+        queue: loss-free, infinite-buffer FCFS with exogenous arrivals."""
+        return (self.arrival.kind in ("poisson", "deterministic")
+                and self.discipline == "fcfs" and self.capacity is None
+                and self.loss_p == 0.0 and not self.retransmit)
+
 
 @dataclass
 class SimRun:
@@ -148,17 +156,7 @@ def simulate(cfg: SimConfig) -> SimRun:
     An unstable configuration (offered load >= 1 with an infinite
     buffer) is permitted; the run metadata carries `unstable=1`.
     """
-    exogenous = cfg.arrival.kind in ("poisson", "deterministic")
-    if (
-        exogenous
-        and cfg.discipline == "fcfs"
-        and cfg.capacity is None
-        and cfg.loss_p == 0.0
-        and not cfg.retransmit
-    ):
-        run = _simulate_fcfs_lindley(cfg)
-    else:
-        run = _simulate_events(cfg)
+    run = _simulate_fcfs_lindley(cfg) if cfg.lindley else _simulate_events(cfg)
     load = cfg.load
     run.meta.update(
         seed=cfg.seed,

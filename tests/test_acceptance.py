@@ -30,6 +30,7 @@ from aoikit.metrics import (
 from aoikit.policies import (
     ACTION_RESUME,
     AcpState,
+    Lazy,
     QAgent,
     train_pause_resume,
 )
@@ -185,16 +186,14 @@ def test_criterion_7_q_learning_fixed_point():
     agent = QAgent(seed=11)
     res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert res.final_resume_values
-    for b, value in res.final_resume_values.items():
-        assert value == pytest.approx(target, abs=0.02)
-        assert int(agent.q_table[b].argmin()) == ACTION_RESUME
+    assert res.resume_value == pytest.approx(target, abs=0.02)
+    assert int(agent.q_table[res.resume_bin].argmin()) == ACTION_RESUME
     _report(7, "pause/resume value fixed point", started, 60.0)
 
 
 def test_criterion_8_lazy_invariant():
     started = time.monotonic()
-    res = run_rate_policy("lazy", EmulatedChannelSpec.fixed_rtt(0.1), 60.0)
+    res = run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.1), 60.0)
     assert 0.8 <= res.mean_inflight <= 1.2
     assert res.mean_rate_hz == pytest.approx(10.0, rel=0.05)
     _report(8, "lazy keeps one packet in flight", started, None)
@@ -210,7 +209,7 @@ def test_criterion_9_acp_properties():
         capacity_step_at_s=10.0, capacity_step_factor=0.25, seed=1,
     )
     state = AcpState()
-    res = run_rate_policy("acp", spec, 40.0, acp=state)
+    res = run_rate_policy(state, spec, 40.0)
     pre = [r for r in res.decisions if r.t_s < 10.0]
     post = [r for r in res.decisions if r.t_s >= 10.0]
     assert post, "no epochs after the step"
@@ -226,9 +225,8 @@ def test_criterion_9_acp_properties():
     # fixed 1/rtt policy by more than 25% in median age on any seed
     for seed in range(10):
         ch = dict(rtt_lognorm_median_s=0.1, rtt_lognorm_sigma=0.4, seed=seed)
-        acp = run_rate_policy("acp", EmulatedChannelSpec(**ch), 30.0,
-                              acp=AcpState())
-        lazy = run_rate_policy("lazy", EmulatedChannelSpec(**ch), 30.0)
+        acp = run_rate_policy(AcpState(), EmulatedChannelSpec(**ch), 30.0)
+        lazy = run_rate_policy(Lazy(), EmulatedChannelSpec(**ch), 30.0)
         assert acp.median_age_s <= 1.25 * lazy.median_age_s
     _report(9, "epoch controller properties", started, 180.0)
 

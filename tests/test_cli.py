@@ -1,12 +1,15 @@
 import gc
+import inspect
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from aoikit.cli import POLICY_DEFAULTS, POLICY_KEYS, main, parse_emulated, read_policy_config
+from aoikit.cli import POLICY_KEYS, main, parse_emulated, read_policy_config
+from aoikit.emulate import run_rate_policy
 from aoikit.errors import ConfigError
+from aoikit.policies import SENDERS, QAgent
 from helpers import child_env, imported_by, parse_seconds
 
 GOLDEN_TWO_PACKET = (
@@ -408,6 +411,17 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
      "backlog_cap=8", None),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
      "gamma=0.9", None),
+    (POLICY + ["--name", "bang"], None, None),
+    # policy settings a run could not use: a nan cap never applies, a
+    # negative epoch floor acts as 0 and epsilon would leave [0, 1]
+    (POLICY + ["--name", "acp"], "backlog_cap=nan", None),
+    (POLICY + ["--name", "acp"], "epoch_ms=-5", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "epsilon_decay=1.5", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "epsilon_decay=-1", None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "300"],
+     "epsilon_decay=nan", None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkeypatch,
                                                         argv, config, aoi_seed):
@@ -452,6 +466,37 @@ def test_cli_accepts_the_flags_and_keys_each_run_reads(tmp_path, capsys, argv, c
     assert (code, err) == (0, "")
 
 
+def library_default(name: str, key: str):
+    """The library's default of the argument a policy config key sets,
+    in the key's unit."""
+    argument, kind = POLICY_KEYS[name][key]
+    owner = (run_rate_policy if argument == "ewma_alpha"
+             else QAgent if name == "qlearn" else SENDERS[name])
+    default = inspect.signature(owner).parameters[argument].default
+    return default * 1e3 if kind == "ms" else default
+
+
+def policy_runs(tmp_path, capsys, name: str, config: str) -> list:
+    """stdout and the output files of a policy run without a config
+    and of one with `config`; the manifest records the config, so it
+    is left out."""
+    if name == "qlearn":
+        argv = ["policy", "--name", name, "--emulated", "fixed_delay=250ms", "--iters", "2000"]
+    else:
+        argv = ["policy", "--name", name, "--emulated", "fixed_rtt=20ms,jitter=5ms",
+                "--duration", "2"]
+    (tmp_path / "p.cfg").write_text(config)
+    runs = []
+    for out, extra in (("default", []), ("keyed", ["--config", str(tmp_path / "p.cfg")])):
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "1",
+                                    "--out", str(tmp_path / out), *extra)
+        assert (code, err) == (0, "")
+        files = sorted(tmp_path.glob(out + ".*.csv"))
+        runs.append([stdout.replace(str(tmp_path / out), "OUT")]
+                    + [f.read_bytes() for f in files])
+    return runs
+
+
 # a value each key can act on: the cap at the floor clamps every
 # target, and epochs longer than the 20 ms round trip end on acks
 POLICY_KEY_VALUES = {"backlog_cap": "1", "epoch_ms": "50"}
@@ -461,25 +506,20 @@ POLICY_KEY_VALUES = {"backlog_cap": "1", "epoch_ms": "50"}
                                        for key in keys])
 def test_every_policy_key_a_run_reads_changes_its_outputs(tmp_path, capsys, name, key):
     # a key the policy accepts but ignores would leave stdout and every
-    # output file as the default run's; the manifest records the config,
-    # so it is left out
-    if name == "qlearn":
-        argv = ["policy", "--name", name, "--emulated", "fixed_delay=250ms", "--iters", "2000"]
-    else:
-        argv = ["policy", "--name", name, "--emulated", "fixed_rtt=20ms,jitter=5ms",
-                "--duration", "2"]
-    default = POLICY_DEFAULTS[key]
-    (tmp_path / "p.cfg").write_text(
-        f"{key}={POLICY_KEY_VALUES.get(key, type(default)(default / 2))}\n")
-    runs = []
-    for out, extra in (("default", []), ("keyed", ["--config", str(tmp_path / "p.cfg")])):
-        code, stdout, err = run_cli(capsys, *argv, "--seed", "1",
-                                    "--out", str(tmp_path / out), *extra)
-        assert (code, err) == (0, "")
-        files = sorted(tmp_path.glob(out + ".*.csv"))
-        runs.append([stdout.replace(str(tmp_path / out), "OUT")]
-                    + [f.read_bytes() for f in files])
+    # output file as the default run's
+    default = library_default(name, key)
+    runs = policy_runs(tmp_path, capsys, name,
+                       f"{key}={POLICY_KEY_VALUES.get(key, type(default)(default / 2))}\n")
     assert runs[0] != runs[1]
+
+
+@pytest.mark.parametrize("name", list(POLICY_KEYS))
+def test_policy_config_of_the_library_defaults_changes_nothing(tmp_path, capsys, name):
+    # the CLI holds no default of its own: a config that sets every key
+    # the policy reads to the library's default is the run without one
+    config = "".join(f"{key}={library_default(name, key)!r}\n" for key in POLICY_KEYS[name])
+    runs = policy_runs(tmp_path, capsys, name, config)
+    assert runs[0] == runs[1]
 
 
 def test_readme_lists_every_channel_spec_key():
@@ -633,6 +673,33 @@ def test_policy_zero_round_trip_exits_2(tmp_path):
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: closed-loop policies need a positive round trip\n"
+
+
+@pytest.mark.parametrize("config", ["epoch_ms=nan", "kappa=inf\nbacklog_cap=inf"],
+                         ids=["nan-epoch", "infinite-rate"])
+def test_policy_config_that_never_ends_exits_2(tmp_path, config):
+    # a nan epoch time never ends, and an infinite rate sends every
+    # packet at one instant; a child with a timeout and an address-space
+    # limit fails instead of hanging the suite or filling memory with rows
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    (tmp_path / "p.cfg").write_text(config + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoikit.cli", "policy", "--name", "acp",
+         "--emulated", "fixed_rtt=50ms", "--duration", "5",
+         "--config", str(tmp_path / "p.cfg"), "--out", str(tmp_path / "acp")],
+        capture_output=True, text=True, timeout=20, env=child_env(),
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not list(tmp_path.glob("acp*"))
 
 
 def test_policy_zero_wait_on_lossy_channel_exits_2(tmp_path, capsys):

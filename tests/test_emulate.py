@@ -20,7 +20,7 @@ from aoikit.emulate import (
 )
 from aoikit.errors import ConfigError
 from aoikit.metrics import age_floor, average_age_by_reception, mean_delay
-from aoikit.policies import AcpState
+from aoikit.policies import SENDERS, AcpState, Lazy, ZeroWait
 from aoikit.trace import AgeTrace
 
 from helpers import reference_median_age, sha256_of
@@ -276,24 +276,21 @@ def test_rtt_bound_never_undershoots_truth():
 
 
 def test_zero_wait_steady_state_age():
-    res = run_rate_policy("zero-wait", EmulatedChannelSpec.fixed_rtt(0.08), 30.0)
+    res = run_rate_policy(ZeroWait(), EmulatedChannelSpec.fixed_rtt(0.08), 30.0)
     assert average_age_by_reception(res.trace) == pytest.approx(0.12, rel=1e-3)
     # sends exactly back to back
     assert res.mean_rate_hz == pytest.approx(1 / 0.08, rel=0.01)
 
 
 def test_lazy_keeps_one_packet_in_flight():
-    res = run_rate_policy("lazy", EmulatedChannelSpec.fixed_rtt(0.1), 60.0)
+    res = run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.1), 60.0)
     assert 0.8 <= res.mean_inflight <= 1.2
     assert res.mean_rate_hz == pytest.approx(10.0, rel=0.05)
     assert res.final_rate_hz == pytest.approx(10.0, rel=1e-6)
 
 
 def test_acp_rate_positive_and_finite_after_init():
-    res = run_rate_policy(
-        "acp", EmulatedChannelSpec.fixed_rtt(0.05, seed=2), 20.0,
-        acp=AcpState(),
-    )
+    res = run_rate_policy(AcpState(), EmulatedChannelSpec.fixed_rtt(0.05, seed=2), 20.0)
     assert res.decisions
     for row in res.decisions:
         assert np.isfinite(row.rate_hz) and row.rate_hz > 0
@@ -314,26 +311,21 @@ def test_unfinishable_schedules_rejected(schedule):
 @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0])
 def test_rate_policy_refuses_unfinishable_duration(duration):
     with pytest.raises(ConfigError, match="duration"):
-        run_rate_policy("lazy", EmulatedChannelSpec.fixed_rtt(0.01), duration)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ConfigError):
-        run_rate_policy("bang", EmulatedChannelSpec(), 1.0)
+        run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.01), duration)
 
 
 def test_zero_round_trip_rejected():
     # 1/rtt is undefined; zero-wait, which would never leave time 0, is
     # tested as a CLI subprocess with a timeout
     for spec in (EmulatedChannelSpec(), EmulatedChannelSpec.fixed_rtt(0.0, peer_offset_s=1.0)):
-        for policy in ("lazy", "acp"):
+        for sender in (Lazy(), AcpState()):
             with pytest.raises(ConfigError, match="positive round trip"):
-                run_rate_policy(policy, spec, 1.0)
+                run_rate_policy(sender, spec, 1.0)
     # any jitter, lognormal delay or bottleneck makes the round trip positive
     for spec in (EmulatedChannelSpec(jitter_s=0.001),
                  EmulatedChannelSpec(rtt_lognorm_median_s=0.01),
                  EmulatedChannelSpec(capacity_hz=100.0)):
-        assert run_rate_policy("lazy", spec, 1.0).acked > 0
+        assert run_rate_policy(Lazy(), spec, 1.0).acked > 0
 
 
 def test_zero_wait_needs_loss_free_channel():
@@ -342,9 +334,9 @@ def test_zero_wait_needs_loss_free_channel():
                  EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=100.0,
                                                loss_onset_load=0.6)):
         with pytest.raises(ConfigError, match="loss-free"):
-            run_rate_policy("zero-wait", spec, 60.0)
+            run_rate_policy(ZeroWait(), spec, 60.0)
     # a finite buffer cannot drop it: the previous packet has left
-    res = run_rate_policy("zero-wait", EmulatedChannelSpec.fixed_rtt(
+    res = run_rate_policy(ZeroWait(), EmulatedChannelSpec.fixed_rtt(
         0.01, capacity_hz=100.0, buffer=0), 5.0)
     assert res.acked == res.sent - 1 > 0
 
@@ -367,7 +359,7 @@ def test_rate_policy_routes_every_send_through_transit(monkeypatch, policy, spec
         return transit(self, send_s)
 
     monkeypatch.setattr(EmulatedChannel, "transit", counting)
-    res = run_rate_policy(policy, spec, 20.0)
+    res = run_rate_policy(SENDERS[policy](), spec, 20.0)
     assert len(calls) == res.sent > 20
     probes = [t for t in calls if t < 0.4]
     assert probes == pytest.approx([0.05 * k for k in range(len(probes))])
@@ -452,7 +444,7 @@ def test_emulated_golden_digests():
         got[name] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
                               res.truth_trace.recv_ns, f"{res.sent},{res.received}")
     preset = parse_emulated("capacity_step", 0)
-    res = run_rate_policy("acp", preset, 30.0, acp=AcpState())
+    res = run_rate_policy(AcpState(), preset, 30.0)
     got["acp/capacity_step"] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
                                          decision_csv(res.decisions))
     assert got == EMULATED_GOLDEN
@@ -494,13 +486,13 @@ def _golden_policy_runs():
     lossless = ("fixed-50ms", "jitter-5ms", "lognormal", "capacity-step", "buffer")
     for duration in (0.3, 30.0):  # 0.3 s ends inside the probe phase on some
         for name, spec in channels.items():
-            yield f"lazy/{name}/{duration}", "lazy", spec, duration, None
-            yield f"acp/{name}/{duration}", "acp", spec, duration, AcpState()
+            yield f"lazy/{name}/{duration}", Lazy(), spec, duration
+            yield f"acp/{name}/{duration}", AcpState(), spec, duration
         for name in lossless:
-            yield (f"zero-wait/{name}/{duration}", "zero-wait", channels[name],
-                   duration, None)
-        yield (f"acp-slow/capacity-step/{duration}", "acp", channels["capacity-step"],
-               duration, AcpState(kappa=0.5, epoch_floor_s=0.02))
+            yield f"zero-wait/{name}/{duration}", ZeroWait(), channels[name], duration
+        yield (f"acp-slow/capacity-step/{duration}",
+               AcpState(kappa=0.5, epoch_floor_s=0.02), channels["capacity-step"],
+               duration)
     # dyadic round trips, service times and epoch floors: send, ack and
     # epoch times coincide exactly in floating point, so these runs pin
     # the rule that equal times fire in the order they were scheduled
@@ -511,15 +503,14 @@ def _golden_policy_runs():
     }
     for duration in (0.25, 4.0):
         for name, spec in dyadic.items():
-            yield f"lazy/{name}/{duration}", "lazy", spec, duration, None
-            yield (f"acp/{name}/{duration}", "acp", spec, duration,
-                   AcpState(epoch_floor_s=2**-6))
-            yield f"zero-wait/{name}/{duration}", "zero-wait", spec, duration, None
+            yield f"lazy/{name}/{duration}", Lazy(), spec, duration
+            yield f"acp/{name}/{duration}", AcpState(epoch_floor_s=2**-6), spec, duration
+            yield f"zero-wait/{name}/{duration}", ZeroWait(), spec, duration
     # a probe skipped after the first ack still advances the integrals'
     # clock: dropping that step changes the last bit of mean_inflight here
     early = EmulatedChannelSpec(rtt_lognorm_median_s=0.1, rtt_lognorm_sigma=0.4, seed=0)
-    yield "lazy/lognormal-seed0/0.2", "lazy", early, 0.2, None
-    yield "acp/lognormal-seed0/0.2", "acp", early, 0.2, AcpState()
+    yield "lazy/lognormal-seed0/0.2", Lazy(), early, 0.2
+    yield "acp/lognormal-seed0/0.2", AcpState(), early, 0.2
 
 
 def test_policy_golden_digests():
@@ -527,8 +518,8 @@ def test_policy_golden_digests():
     # before the policies moved behind one interface (the dyadic runs:
     # before the runner kept only acks in its heap)
     got = {}
-    for key, policy, spec, duration, acp in _golden_policy_runs():
-        res = run_rate_policy(policy, spec, duration, acp=acp)
+    for key, sender, spec, duration in _golden_policy_runs():
+        res = run_rate_policy(sender, spec, duration)
         figures = (res.mean_inflight, res.mean_rate_hz, res.final_rate_hz,
                    res.median_age_s, res.sent, res.acked,
                    [row.t_s for row in res.decisions])

@@ -10,14 +10,17 @@ from aoikit.policies import (
     ACTION_MDEC,
     ACTION_PAUSE,
     ACTION_RESUME,
+    EPOCH_FLOOR_S,
     PAUSE_STEP_S,
+    SENDERS,
     AcpState,
     EwmaEstimator,
+    Lazy,
     PolicyObservation,
     QAgent,
+    ZeroWait,
     acp_epoch_update,
     age_cost,
-    rate_policy,
     train_pause_resume,
 )
 
@@ -130,13 +133,28 @@ def test_acp_not_ready_without_rtt():
         acp_epoch_update(AcpState(), obs(ewma_rtt_s=None))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(kappa=0.0), dict(kappa=math.nan), dict(kappa=math.inf, backlog_cap=math.inf),
+    dict(backlog_cap=0.5), dict(backlog_cap=math.nan), dict(backlog_cap=math.inf),
+    dict(epoch_floor_s=-0.005), dict(epoch_floor_s=math.nan),
+    dict(epoch_floor_s=math.inf),
+], ids=repr)
+def test_acp_refuses_settings_no_run_could_use(kw):
+    # an infinite rate sends every packet at one instant and a nan epoch
+    # never ends; a nan cap never applies and a negative floor acts as 0
+    with pytest.raises(ConfigError):
+        AcpState(**kw)
+
+
 # ---------------------------------------------------- closed-loop senders
 
 
 def test_rate_policy_senders():
-    lazy, acp, zero_wait = (rate_policy(n) for n in ("lazy", "acp", "zero-wait"))
+    assert SENDERS == {"lazy": Lazy, "acp": AcpState, "zero-wait": ZeroWait}
+    lazy, acp, zero_wait = Lazy(), AcpState(), ZeroWait()
     assert (lazy.paced, acp.paced, zero_wait.paced) == (True, True, False)
-    assert rate_policy("acp", AcpState(epoch_floor_s=0.02)).epoch_floor_s == 0.02
+    assert lazy.epoch_floor_s == acp.epoch_floor_s == zero_wait.epoch_floor_s == EPOCH_FLOOR_S
+    assert AcpState(epoch_floor_s=0.02).epoch_floor_s == 0.02
     # lazy follows 1/rtt on every ack and only logs its rate at epochs
     assert lazy.on_ack(0.1, first=False) == pytest.approx(10.0)
     assert lazy.on_epoch(obs(), 10.0) == ("RATE", 1.0, 10.0, None)
@@ -149,8 +167,6 @@ def test_rate_policy_senders():
     assert zero_wait.on_ack(0.1, first=True) is None
     assert zero_wait.on_epoch(obs(epoch_s=0.5, epoch_acks=5), None) == (
         "SEND-ON-ACK", 1.0, 10.0, None)
-    with pytest.raises(ConfigError, match="unknown rate policy"):
-        rate_policy("bang")
 
 
 # --------------------------------------------------------------- q-learning
@@ -177,7 +193,7 @@ def test_terminal_target_is_bare_cost():
     agent.q_table[b, ACTION_PAUSE] = 2.0
     res = train_pause_resume(agent, 1.0, 1)
     assert res.action_history == [ACTION_RESUME]
-    assert res.final_resume_values == {b: pytest.approx(1 - math.exp(-1))}
+    assert (res.resume_bin, res.resume_value) == (b, pytest.approx(1 - math.exp(-1)))
     assert agent.q_table[b, ACTION_RESUME] == age_cost(1.0)
 
 
@@ -231,10 +247,9 @@ def test_training_converges_to_boundary_value():
     agent = QAgent(seed=11)
     res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert list(res.final_resume_values) == [agent.bin_of(1.0)]
-    for b, value in res.final_resume_values.items():
-        assert value == pytest.approx(target, abs=0.02)
-        assert int(agent.q_table[b].argmin()) == ACTION_RESUME
+    assert res.resume_bin == agent.bin_of(1.0)
+    assert res.resume_value == pytest.approx(target, abs=0.02)
+    assert int(agent.q_table[res.resume_bin].argmin()) == ACTION_RESUME
 
 
 def test_agent_validation():
@@ -244,6 +259,9 @@ def test_agent_validation():
         QAgent(lr=0.0)
     with pytest.raises(ConfigError):
         QAgent(n_bins=1)
+    for decay in (1.5, -1.0, math.nan):  # epsilon would leave [0, 1]
+        with pytest.raises(ConfigError, match="decay"):
+            QAgent(epsilon_decay=decay)
     for delay_s in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="delay"):
             train_pause_resume(QAgent(), delay_s, 10)
@@ -265,7 +283,7 @@ def test_q_learning_golden_digests():
         got[f"default/seed{seed}"] = sha256_of(
             agent.q_table, np.array(res.age_history),
             np.array(res.action_history, dtype=np.int64),
-            repr((list(res.final_resume_values), res.final_resume_values,
+            repr(([res.resume_bin], {res.resume_bin: res.resume_value},
                   agent.epsilon)))
     assert got == Q_GOLDEN
 
