@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .emulate import (
-    DecisionRow,
+    DECISION_HEADER,
     EmulatedChannelSpec,
     decision_csv,
     estimate_offset_emulated,
@@ -435,10 +435,12 @@ def cmd_policy(args, argv) -> int:
                               f"spec (seed={spec.seed}, run seed {args.seed})")
         agent = QAgent(seed=args.seed, **params)
         res = train_pause_resume(agent, delay, 10000 if args.iters is None else args.iters)
-        rows = [DecisionRow(i + 1, Q_ACTIONS[a], 0, 0, age, 0)
-                for i, (a, age) in enumerate(zip(res.action_history,
-                                                 res.age_history))]
-        _write_outputs(manifest, [(log_path, decision_csv(rows))])
+        # every step of one action logs the same row after its epoch
+        # number, in decision_csv's format
+        tails = [f",{Q_ACTIONS[a]},0,0,{age:.6g},0\n" for a, age in enumerate(res.action_ages)]
+        log = "".join([DECISION_HEADER, "\n"] + [
+            f"{i}{tails[a]}" for i, a in enumerate(res.action_history, 1)])
+        _write_outputs(manifest, [(log_path, log)])
         b = res.resume_bin
         _print_kv([
             ("decisions", log_path),

@@ -232,6 +232,9 @@ class EmulatedSamplerResult:
     received: int
 
 
+MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
+
+
 def check_schedule(schedule: list[tuple[float, float]]) -> None:
     """Refuse a (rate, duration) schedule a sampler could not finish:
     it must be non-empty, every duration positive and finite, and every
@@ -239,7 +242,7 @@ def check_schedule(schedule: list[tuple[float, float]]) -> None:
     if not schedule:
         raise ConfigError("empty rate schedule")
     for rate, duration in schedule:
-        if not 0 < rate <= 1e9:  # also refuses nan
+        if not 0 < rate <= MAX_RATE_HZ:  # also refuses nan
             raise ConfigError(f"rate must be positive and at most 1e9 Hz, not {rate:g}")
         if not 0 < duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, not {duration:g}")
@@ -493,6 +496,9 @@ def run_rate_policy(
             continue
         # an ack or an epoch end: a new rate, and the next epoch
         if new_rate is not None:
+            if not new_rate <= MAX_RATE_HZ:  # also refuses inf and nan
+                raise ConfigError(f"the sender's rate must be at most 1e9 Hz, "
+                                  f"not {new_rate:g} (at {now:g} s)")
             if rate_hz is not None:
                 rate_area += rate_hz * (now - rate_clock)
             rate_clock = now

@@ -295,7 +295,7 @@ class QTrainResult:
     iterations: int
     resume_bin: int  # the bin of the path delay, where every step starts
     resume_value: float  # its resume value after the last step
-    age_history: list[float]  # the age each step's action produced
+    action_ages: tuple[float, float]  # the age each action produces, by action
     action_history: list[int]
 
 
@@ -326,5 +326,4 @@ def train_pause_resume(agent: QAgent, delay_s: float,
         q[b, a] = value + agent.lr * (cost[a] - value)
         agent.epsilon *= agent.epsilon_decay
         actions.append(a)
-    return QTrainResult(iterations, b, q.item(b, ACTION_RESUME),
-                        [next_age[a] for a in actions], actions)
+    return QTrainResult(iterations, b, q.item(b, ACTION_RESUME), next_age, actions)

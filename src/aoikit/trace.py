@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ CSV_HEADER = ("id", "gen_ns", "recv_ns", "size_bytes")
 _LOST = -1  # internal sentinel for "no reception stamp"
 _I64_MAX = 2**63 - 1
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-_WRITE_CHUNK = 8192  # rows formatted per write; bounds the writer's memory
 
 
 def seconds_to_ns(t_s):
@@ -132,9 +131,19 @@ class AgeTrace:
         )
 
     def _validate(self) -> None:
-        if len(self.ids) and np.any(np.diff(self.ids) <= 0):
+        """Refuse what the trace CSV cannot carry, among the rest: every
+        column the same length, every value non-negative (an empty
+        recv_ns aside) and at most 2**63 - 1."""
+        n = len(self.ids)
+        if not len(self.gen_ns) == len(self.recv_ns) == len(self.sizes) == n:
+            raise ValueError("ids, gen_ns, recv_ns and sizes must have equal length")
+        if n and np.any(np.diff(self.ids) <= 0):
             raise ValueError("packet ids must be strictly increasing")
-        if len(self.gen_ns) and int(self.gen_ns.min()) < 0:
+        if n and self.ids[0] < 0:  # the smallest, as ids increase
+            raise RangeError("negative packet id")
+        if n and int(self.sizes.min()) < 0:
+            raise RangeError("negative packet size")
+        if n and int(self.gen_ns.min()) < 0:
             raise RangeError("negative generation timestamp")
         delivered = self.recv_ns != _LOST
         if np.any(self.recv_ns[delivered] < 0):
@@ -197,23 +206,18 @@ class AgeTrace:
 
     def write_csv(self, path_or_file) -> None:
         """Write `id,gen_ns,recv_ns,size_bytes` rows, LF endings,
-        empty recv_ns for lost packets."""
-        own = isinstance(path_or_file, (str, bytes, os.PathLike))
-        f = open(path_or_file, "w", encoding="utf-8", newline="\n") if own \
-            else path_or_file
-        try:
-            f.write(_HEADER_LINE)
-            for lo in range(0, len(self.ids), _WRITE_CHUNK):
-                hi = lo + _WRITE_CHUNK
-                rows = np.column_stack((self.ids[lo:hi], self.gen_ns[lo:hi],
-                                        self.recv_ns[lo:hi], self.sizes[lo:hi]))
-                fields = rows.ravel().tolist()
-                for i in np.flatnonzero(rows[:, 2] == _LOST).tolist():
-                    fields[4 * i + 2] = ""
-                f.write("%d,%d,%s,%d\n" * len(rows) % tuple(fields))
-        finally:
-            if own:
-                f.close()
+        empty recv_ns for lost packets; a file object is written text."""
+        from .csvcodec import write_blocks  # loaded on first use
+
+        blocks = itertools.chain(
+            [_HEADER_LINE.encode("ascii")],
+            write_blocks((self.ids, self.gen_ns, self.recv_ns, self.sizes)))
+        if isinstance(path_or_file, (str, bytes, os.PathLike)):
+            with open(path_or_file, "wb") as f:
+                f.writelines(blocks)
+        else:
+            for block in blocks:
+                path_or_file.write(block.decode("ascii"))
 
 
 def read_csv(path_or_file, bias_declared: bool = False) -> AgeTrace:
@@ -240,33 +244,13 @@ def _read_plain(data: bytes, bias_declared: bool) -> Optional[AgeTrace]:
     """The trace in `data` if it is the exact header followed by
     newline-terminated rows of four decimal fields, only `recv_ns`
     possibly empty, that form a valid trace; otherwise None."""
-    header = _HEADER_LINE.encode("ascii")
-    if not data.startswith(header) or not data.endswith(b"\n"):
+    from .csvcodec import read_columns  # loaded on first use
+
+    columns = read_columns(data)
+    if columns is None:
         return None
-    body = data[len(header):]
-    # no row, or a blank first line, is left to the row parser: loadtxt
-    # warns on input that holds no row
-    if body[:1] in (b"", b"\n") or body.translate(None, b"0123456789,\n"):
-        return None
-    # With digits only, -1 can come only from an empty gen_ns or recv_ns
-    # (the first and last fields stay empty and fail), and from_arrays
-    # refuses gen_ns < 0. A value beyond int64 raises ValueError, or, in
-    # numpy versions that still retry a failed integer as a float, warns
-    # DeprecationWarning and casts to a wrong int64; both are refused.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            rows = np.loadtxt(io.BytesIO(body.replace(b",,", b",-1,")),
-                              dtype=np.int64, delimiter=",", comments=None,
-                              ndmin=2)
-        except (ValueError, DeprecationWarning):
-            return None
-    if rows.shape != (body.count(b"\n"), 4):  # loadtxt skips blank lines
-        return None
-    ids, gen, recv, sizes = rows.T.copy()
     try:
-        return AgeTrace.from_arrays(ids, gen, recv, sizes,
-                                    bias_declared=bias_declared)
+        return AgeTrace.from_arrays(*columns, bias_declared=bias_declared)
     except ValueError:  # ids not increasing, gen_ns < 0, recv before gen
         return None
 

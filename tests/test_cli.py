@@ -675,12 +675,14 @@ def test_policy_zero_round_trip_exits_2(tmp_path):
         assert proc.stderr == "error: closed-loop policies need a positive round trip\n"
 
 
-@pytest.mark.parametrize("config", ["epoch_ms=nan", "kappa=inf\nbacklog_cap=inf"],
-                         ids=["nan-epoch", "infinite-rate"])
+@pytest.mark.parametrize("config", ["epoch_ms=nan", "kappa=inf\nbacklog_cap=inf",
+                                    "kappa=1e308\nbacklog_cap=1e308"],
+                         ids=["nan-epoch", "infinite-rate", "overflowing-rate"])
 def test_policy_config_that_never_ends_exits_2(tmp_path, config):
-    # a nan epoch time never ends, and an infinite rate sends every
-    # packet at one instant; a child with a timeout and an address-space
-    # limit fails instead of hanging the suite or filling memory with rows
+    # a nan epoch time never ends, and an infinite rate (also one that
+    # overflows from finite settings) sends every packet at one instant;
+    # a child with a timeout and an address-space limit fails instead of
+    # hanging the suite or filling memory with rows
     import resource
     import subprocess
     import sys
@@ -744,10 +746,12 @@ def test_measure_echo_server_lifecycle():
                                   ["-c", "import aoikit.cli"]])
 def test_cli_loads_no_socket_layer_outside_measure(args):
     # only the live measure commands import udp, and with it socket and
-    # selectors; nothing in the CLI uses the scheduler
+    # selectors; nothing in the CLI uses the scheduler, and the trace CSV
+    # codec loads on a trace's first write or read
     loaded = imported_by(*args)
     assert "aoikit.emulate" in loaded  # the report lists the CLI's imports
-    assert loaded & {"aoikit.udp", "aoikit.scheduler", "socket", "selectors"} == set()
+    assert loaded & {"aoikit.udp", "aoikit.scheduler", "aoikit.csvcodec",
+                     "socket", "selectors"} == set()
 
 
 def test_measure_echo_server_bind_failure_exits_3(capsys):

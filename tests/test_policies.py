@@ -281,7 +281,7 @@ def test_q_learning_golden_digests():
         agent = QAgent(seed=seed)
         res = train_pause_resume(agent, 1.0, 20_000)
         got[f"default/seed{seed}"] = sha256_of(
-            agent.q_table, np.array(res.age_history),
+            agent.q_table, np.array([res.action_ages[a] for a in res.action_history]),
             np.array(res.action_history, dtype=np.int64),
             repr(([res.resume_bin], {res.resume_bin: res.resume_value},
                   agent.epsilon)))

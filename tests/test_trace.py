@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from aoikit import trace as trace_module
 from aoikit.errors import RangeError, TraceFormatError
-from aoikit.trace import _WRITE_CHUNK, AgeTrace, _read_plain, _read_rows, read_csv
+from aoikit.csvcodec import WRITE_CHUNK
+from aoikit.trace import AgeTrace, _read_plain, _read_rows, read_csv
 
 from helpers import random_reordered_trace
 
@@ -81,6 +82,20 @@ def test_recv_before_gen_rejected_without_declared_bias():
 def test_negative_timestamps_rejected():
     with pytest.raises(RangeError):
         AgeTrace.from_arrays([1], [-5], [10])
+
+
+@pytest.mark.parametrize("columns,error", [
+    (([-3, 0], [0, 1], [2, 3]), RangeError),                # negative id
+    (([0, 1], [0, 1], [2, 3], [0, -5]), RangeError),        # negative size
+    (([0, 1, 2], [0, 1], [2, 3]), ValueError),              # more ids than stamps
+    (([0, 1], [0, 1, 2], [2, 3, 4]), ValueError),           # fewer ids
+    (([0, 1], [0, 1], [2, 3], [1, 2, 3]), ValueError),      # more sizes
+], ids=["negative-id", "negative-size", "long-ids", "short-ids", "long-sizes"])
+def test_trace_refuses_what_its_csv_cannot_carry(columns, error):
+    # such a trace would write a file its own reader refuses, or rows
+    # that pair the wrong fields
+    with pytest.raises(error):
+        AgeTrace.from_arrays(*columns)
 
 
 def test_obsolete_filtering_keeps_strictly_increasing_gens():
@@ -225,6 +240,7 @@ def test_read_csv_matches_row_parser_on_valid_traces(trace, tmp_path_factory):
     bias = trace.bias_declared
     if len(trace):  # the row parser reads a bare header
         assert _read_plain(text.encode("ascii"), bias) is not None
+    assert text == write_rows_reference(trace)
     expected = _read_rows(io.StringIO(text), bias)
     for back in read_through_path_and_buffer(tmp_path_factory.mktemp("t"), text, bias):
         assert_same_trace(back, expected)
@@ -268,12 +284,67 @@ def test_long_leading_zero_values_parse_as_before(tmp_path):
         assert_same_trace(back, canonical)
 
 
+@pytest.mark.parametrize("width", [19, 20])
+def test_bulk_path_reads_fields_of_at_most_19_digits(width, tmp_path):
+    text = HEADER + f"0,{5:0{width}d},7,1\n2,6,,3\n9,8,{20:0{width}d},{0:0{width}d}\n"
+    assert (_read_plain(text.encode("ascii"), False) is None) == (width > 19)
+    canonical = _read_rows(io.StringIO(HEADER + PLAIN), False)
+    for back in read_through_path_and_buffer(tmp_path, text):
+        assert_same_trace(back, canonical)
+
+
+@pytest.mark.parametrize("rows", [
+    f"{I64_MAX},{I64_MAX},{I64_MAX},{I64_MAX}",
+    f"0,1,,{I64_MAX}\n{I64_MAX},0,{I64_MAX},0",
+    f"0,{10**18},{10**18 + 1},{10**18 - 1}\n{I64_MAX - 1},{I64_MAX - 1},,0",
+    ",".join(["1", "9999999999999999", "10000000000000000", "99999999"]),
+], ids=["max-row", "max-last-row", "near-max", "word-boundaries"])
+def test_bulk_path_reads_values_up_to_int64_exactly(rows, tmp_path):
+    text = HEADER + rows + "\n"
+    bulk = _read_plain(text.encode("ascii"), True)
+    assert bulk is not None
+    expected = _read_rows(io.StringIO(text), True)
+    assert_same_trace(bulk, expected)
+    for back in read_through_path_and_buffer(tmp_path, text, bias_declared=True):
+        assert_same_trace(back, expected)
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("value", [2**63, 10**19 - 1, 2**64, 10**20])
+def test_bulk_converter_refuses_values_beyond_int64(column, value):
+    # a 19-digit field is summed in uint64, where it cannot wrap; above
+    # 2**63 - 1 it, and any longer field, goes to the row parser
+    fields = ["1", "2", "3", "4"]
+    fields[column] = str(value)
+    text = HEADER + "0,0,1,0\n" + ",".join(fields) + "\n"
+    assert _read_plain(text.encode("ascii"), True) is None
+    with pytest.raises(TraceFormatError) as exc:
+        read_csv(io.StringIO(text), bias_declared=True)
+    assert str(exc.value) == "line 3: value exceeds signed 64-bit range"
+
+
+@pytest.mark.parametrize("rows", [
+    "0,5,,1\n2,6,8,3\n9,8,20,0",
+    "0,5,7,1\n2,6,8,3\n9,8,,0",
+    "0,5,,1",
+    "0,5,,1\n2,6,,3\n9,8,,0",
+])
+def test_empty_recv_in_first_and_last_rows_reads_as_lost(rows, tmp_path):
+    text = HEADER + rows + "\n"
+    assert _read_plain(text.encode("ascii"), False) is not None
+    expected = _read_rows(io.StringIO(text), False)
+    assert expected.loss_count == rows.count(",,")
+    for back in read_through_path_and_buffer(tmp_path, text):
+        assert_same_trace(back, expected)
+
+
 @pytest.mark.parametrize("rows,line_no", [
     ("0,0,1,0\n,5,7,1", 3),                # empty id
     ("0,0,1,0\n1,,7,1", 3),                # empty gen_ns
     ("0,0,1,0\n1,5,7,", 3),                # empty size_bytes
     ("0,0,1,0\n1,5,7", 3),                 # 3 fields
     ("0,0,1,0\n1,5,7,1,0", 3),             # 5 fields
+    ("0,0,1,0\n1,5,7\n2,6,8,9,0", 3),      # 3 then 5 fields: 4 a row on average
     (f"0,0,1,0\n1,{2**63},{2**63},1", 3),  # stamps just beyond int64
     (f"0,0,1,0\n1,5,{2**64},1", 3),        # stamp beyond uint64
     (f"0,0,1,0\n{2**63},5,7,1", 3),        # id beyond int64
@@ -340,10 +411,10 @@ def written(trace, directory):
 
 
 def test_writer_matches_per_row_reference_across_a_chunk_boundary(tmp_path):
-    n = _WRITE_CHUNK + 1
+    n = WRITE_CHUNK + 1
     gen = np.arange(n, dtype=np.int64) * 1000
     recv = [int(g) + 500 for g in gen]
-    for i in (0, _WRITE_CHUNK - 2, _WRITE_CHUNK - 1, _WRITE_CHUNK):
+    for i in (0, WRITE_CHUNK - 2, WRITE_CHUNK - 1, WRITE_CHUNK):
         recv[i] = None  # lost rows on both sides of the boundary
     recv[1] = I64_MAX
     sizes = np.arange(n, dtype=np.int64) % 7
@@ -351,9 +422,44 @@ def test_writer_matches_per_row_reference_across_a_chunk_boundary(tmp_path):
     text = written(trace, tmp_path)
     assert text == write_rows_reference(trace)
     lines = text.splitlines()
-    last, first = _WRITE_CHUNK - 1, _WRITE_CHUNK  # around the boundary
+    last, first = WRITE_CHUNK - 1, WRITE_CHUNK  # around the boundary
     assert lines[1 + last] == f"{3 * last},{1000 * last},,{last % 7}"
     assert lines[1 + first] == f"{3 * first},{1000 * first},,{first % 7}"
+    assert_same_trace(read_csv(io.StringIO(text)), trace)
+
+
+EDGE_VALUES = sorted({0, 9, 10, 99, 100, 999, 1000, 9999, 10000, I64_MAX}
+                     | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
+
+
+def test_writer_matches_per_row_reference_on_digit_count_edges(tmp_path):
+    # every value whose digit count or base-10**4 chunk count changes,
+    # in every column
+    n = len(EDGE_VALUES)
+    trace = AgeTrace.from_arrays(
+        EDGE_VALUES, EDGE_VALUES, EDGE_VALUES[::-1],
+        EDGE_VALUES[n // 2:] + EDGE_VALUES[:n // 2], bias_declared=True)
+    text = written(trace, tmp_path)
+    assert text == write_rows_reference(trace)
+    assert_same_trace(read_csv(io.StringIO(text), bias_declared=True), trace)
+
+
+def test_writer_matches_per_row_reference_with_lost_rows_at_every_boundary(tmp_path):
+    # each block is spelt at the width of its own largest values, so the
+    # blocks here differ in width; lost rows sit at both ends of the
+    # trace and on both sides of each block boundary
+    n = 2 * WRITE_CHUNK + 1
+    gen = np.arange(n, dtype=np.int64) * 7
+    gen[WRITE_CHUNK:2 * WRITE_CHUNK] += 10**15
+    gen[-1] = I64_MAX - 10
+    recv = [int(g) + 3 for g in gen]
+    for i in (0, WRITE_CHUNK - 1, WRITE_CHUNK, 2 * WRITE_CHUNK - 1, n - 1):
+        recv[i] = None
+    sizes = np.zeros(n, dtype=np.int64)
+    sizes[WRITE_CHUNK] = 10**4
+    trace = AgeTrace.from_arrays(np.arange(n) + 10**9, gen, recv, sizes)
+    text = written(trace, tmp_path)
+    assert text == write_rows_reference(trace)
     assert_same_trace(read_csv(io.StringIO(text)), trace)
 
 
