@@ -97,26 +97,35 @@ CHANNEL_KEYS = {
 def parse_emulated(spec_text: str, seed: int) -> EmulatedChannelSpec:
     """Parse a comma-separated key=value channel description, e.g.
     'fixed_rtt=12.5ms,loss=0.01'. The bare token 'capacity_step' is a
-    preset bottleneck whose capacity drops fourfold mid-run."""
-    kw: dict = {"seed": seed}
+    preset bottleneck whose capacity drops fourfold mid-run. A field
+    that two items set is refused, so that no result depends on the
+    order of the items."""
+    kw: dict = {}
+    set_by: dict = {}  # field -> the item that set it
     for item in spec_text.split(","):
         item = item.strip()
         if not item:
             continue
         if item == "capacity_step":
-            kw.update(CAPACITY_STEP_PRESET)
-            continue
-        if "=" not in item:
-            raise ConfigError(f"bad channel spec item {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in CHANNEL_KEYS:
-            raise ConfigError(f"unknown channel spec key {key!r}")
-        fields, kind = CHANNEL_KEYS[key]
-        value = _number(value, f"channel spec {key}", kind)
-        kw.update(dict.fromkeys(fields, value / 2.0 if len(fields) == 2 else value))
-        if key == "fixed_delay":
-            kw["bwd_delay_s"] = 0.0
-    return EmulatedChannelSpec(**kw)
+            key, given = item, CAPACITY_STEP_PRESET
+        else:
+            if "=" not in item:
+                raise ConfigError(f"bad channel spec item {item!r}")
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key not in CHANNEL_KEYS:
+                raise ConfigError(f"unknown channel spec key {key!r}")
+            fields, kind = CHANNEL_KEYS[key]
+            value = _number(value, f"channel spec {key}", kind)
+            given = dict.fromkeys(fields, value / 2.0 if len(fields) == 2 else value)
+            if key == "fixed_delay":
+                given["bwd_delay_s"] = 0.0
+        for field in given:
+            if field in set_by:
+                raise ConfigError(f"channel spec {key!r} sets {field}, "
+                                  f"already set by {set_by[field]!r}")
+            set_by[field] = key
+        kw.update(given)
+    return EmulatedChannelSpec(**{"seed": seed, **kw})
 
 
 def resolve_seed(value) -> int:
@@ -433,8 +442,8 @@ def cmd_policy(args, argv) -> int:
             # the agent draws from the run seed; the channel draws nothing
             raise ConfigError(f"qlearn takes its seed from --seed, not the channel "
                               f"spec (seed={spec.seed}, run seed {args.seed})")
-        agent = QAgent(seed=args.seed, **params)
-        res = train_pause_resume(agent, delay, 10000 if args.iters is None else args.iters)
+        res = train_pause_resume(QAgent(seed=args.seed, **params), delay,
+                                 10000 if args.iters is None else args.iters)
         # every step of one action logs the same row after its epoch
         # number, in decision_csv's format
         tails = [f",{Q_ACTIONS[a]},0,0,{age:.6g},0\n" for a, age in enumerate(res.action_ages)]
@@ -442,12 +451,13 @@ def cmd_policy(args, argv) -> int:
             f"{i}{tails[a]}" for i, a in enumerate(res.action_history, 1)])
         _write_outputs(manifest, [(log_path, log)])
         b = res.resume_bin
+        pause, resume = res.values
         _print_kv([
             ("decisions", log_path),
             ("iterations", res.iterations),
-            (f"q_resume_bin{b}", f"{res.resume_value:.4f}"),
-            (f"q_pause_bin{b}", f"{agent.q_table[b, 0]:.4f}"),
-            (f"greedy_bin{b}", Q_ACTIONS[int(agent.q_table[b].argmin())]),
+            (f"q_resume_bin{b}", f"{resume:.4f}"),
+            (f"q_pause_bin{b}", f"{pause:.4f}"),
+            (f"greedy_bin{b}", Q_ACTIONS[res.values.index(min(res.values))]),
         ])
         return 0
 

@@ -116,7 +116,6 @@ class ChannelTransit:
     """Outcome of one data packet through the channel, all on the
     sender's virtual clock."""
 
-    send_s: float
     arrive_fwd_s: Optional[float]  # None if lost
     ack_s: Optional[float]
 
@@ -179,7 +178,7 @@ class EmulatedChannel:
             while in_system and in_system[0] <= send_s:
                 in_system.popleft()
             if spec.buffer is not None and len(in_system) > spec.buffer:
-                return ChannelTransit(send_s, None, None)
+                return ChannelTransit(None, None)
             free_at = self._server_free_at
             start = free_at if free_at > send_s else send_s
             step_at = spec.capacity_step_at_s
@@ -189,7 +188,7 @@ class EmulatedChannel:
             self._server_free_at = depart
             in_system.append(depart)
         if loss_p > 0 and next(self._coins) < loss_p:
-            return ChannelTransit(send_s, None, None)
+            return ChannelTransit(None, None)
         if self._rtts is not None:
             fwd = bwd = next(self._rtts) / 2.0
         else:
@@ -199,7 +198,7 @@ class EmulatedChannel:
                 fwd += next(self._jitters)
                 bwd += next(self._jitters)
         arrive = depart + fwd
-        return ChannelTransit(send_s, arrive, arrive + bwd)
+        return ChannelTransit(arrive, arrive + bwd)
 
     def ping(self, send_s: float) -> tuple[Optional[float], Optional[float]]:
         """Time-request exchange: returns (peer stamp on the peer's
@@ -233,19 +232,27 @@ class EmulatedSamplerResult:
 
 
 MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
+# sends per run: a million take a few seconds and a few hundred MB in
+# process, far beyond any run that finishes in reasonable time
+MAX_SENDS = 1_000_000
 
 
 def check_schedule(schedule: list[tuple[float, float]]) -> None:
     """Refuse a (rate, duration) schedule a sampler could not finish:
-    it must be non-empty, every duration positive and finite, and every
-    rate positive with a send period 1/rate of at least 1 ns."""
+    it must be non-empty, every duration positive and finite, every
+    rate positive with a send period 1/rate of at least 1 ns, and the
+    planned sends, the sum of rate * duration, at most `MAX_SENDS`."""
     if not schedule:
         raise ConfigError("empty rate schedule")
     for rate, duration in schedule:
         if not 0 < rate <= MAX_RATE_HZ:  # also refuses nan
-            raise ConfigError(f"rate must be positive and at most 1e9 Hz, not {rate:g}")
+            raise ConfigError(f"rate must be positive and at most 1e9 Hz, not {rate!r}")
         if not 0 < duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, not {duration:g}")
+    planned = sum(rate * duration for rate, duration in schedule)
+    if planned > MAX_SENDS:
+        raise ConfigError(f"the schedule plans {planned:.6g} sends, more than "
+                          f"the bound of {MAX_SENDS} per run")
 
 
 def run_sampler_emulated(
@@ -385,6 +392,9 @@ def run_rate_policy(
     rtt; then epochs of max(epoch floor, smoothed rtt) start, and a
     paced sender sends at its current rate.
 
+    A run that would send more than `MAX_SENDS` packets is refused when
+    it reaches the bound.
+
     Only acknowledgements can overtake each other (under jitter or
     lognormal delay), so only they, and the probes, wait in a heap; the
     one pending send and the one pending epoch are (time, sequence)
@@ -406,6 +416,7 @@ def run_rate_policy(
     update_rtt = EwmaEstimator(ewma_alpha).update
     on_ack, on_epoch = sender.on_ack, sender.on_epoch
     epoch_floor_s = sender.epoch_floor_s
+    max_sends = MAX_SENDS
     heappush, heappop = heapq.heappush, heapq.heappop
     inf = math.inf
     # (time, insertion seq, packet index or _PROBE)
@@ -477,6 +488,9 @@ def run_rate_policy(
         else:  # a send; probes stop once the first ack is in
             if event == _PROBE and acked:
                 continue
+            if sent == max_sends:
+                raise ConfigError(f"the run reached the bound of {max_sends} sends "
+                                  f"at {now:g} s of {duration_s:g} s")
             ack_at = transit(now).ack_s
             send_s.append(now)
             ack_s.append(math.nan)
@@ -498,7 +512,7 @@ def run_rate_policy(
         if new_rate is not None:
             if not new_rate <= MAX_RATE_HZ:  # also refuses inf and nan
                 raise ConfigError(f"the sender's rate must be at most 1e9 Hz, "
-                                  f"not {new_rate:g} (at {now:g} s)")
+                                  f"not {new_rate!r} (at {now:g} s)")
             if rate_hz is not None:
                 rate_area += rate_hz * (now - rate_clock)
             rate_clock = now

@@ -84,18 +84,19 @@ class AcpState:
     multiplicative decreases continually.
 
     As a closed-loop sender (see below) the first ack sets the rate to
-    target/rtt, and every epoch end applies `acp_epoch_update`.
+    target/rtt, and every epoch end applies `acp_epoch_update`. The
+    constructor takes only settings; the controller state starts inside.
     """
 
     paced = True
 
     kappa: float = 1.0
-    target_backlog: float = 1.0
     backlog_cap: float = 64.0
-    mdec_streak: int = 0
-    prev_age: Optional[float] = None
-    prev_backlog: Optional[float] = None
     epoch_floor_s: float = EPOCH_FLOOR_S
+    target_backlog: float = field(init=False)
+    mdec_streak: int = field(init=False, default=0)
+    prev_age: Optional[float] = field(init=False, default=None)
+    prev_backlog: Optional[float] = field(init=False, default=None)
 
     def __post_init__(self):
         # an infinite rate sends every packet at one instant, and a nan
@@ -106,8 +107,7 @@ class AcpState:
             raise ConfigError("backlog cap must be finite and at least the step size")
         if not (0 <= self.epoch_floor_s < math.inf):
             raise ConfigError("epoch floor must be finite and non-negative")
-        self.target_backlog = min(max(self.target_backlog, self.kappa),
-                                  self.backlog_cap)
+        self.target_backlog = min(max(1.0, self.kappa), self.backlog_cap)
 
     def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
         return self.target_backlog / ewma_rtt_s if first else None
@@ -243,12 +243,12 @@ PAUSE_STEP_S = 0.1  # how much older a pause leaves the age
 
 @dataclass
 class QAgent:
-    """Tabular pause/resume learner over geometric age bins.
+    """Pause/resume learner of the one age state every step starts in.
 
-    The table maps an age bin to a value per action; decisions pick
-    the action with the smallest expected cost. Exploration follows a
-    decaying epsilon-greedy schedule (`train_pause_resume` decays it
-    after every step).
+    It keeps that state's value per action, and the state's age bin
+    among `n_bins` names it; decisions pick the cheaper action.
+    Exploration follows a decaying epsilon-greedy schedule
+    (`train_pause_resume` decays it after every step).
     """
 
     n_bins: int = 64
@@ -256,10 +256,8 @@ class QAgent:
     epsilon: float = 1.0
     epsilon_decay: float = 0.995
     seed: int = 0
-    bins: np.ndarray = field(init=False)
-    q_table: np.ndarray = field(init=False)
+    values: list[float] = field(init=False)  # by action
     rng: np.random.Generator = field(init=False)
-    _edges: list[float] = field(init=False, repr=False)  # bins, as floats
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
@@ -270,31 +268,23 @@ class QAgent:
             raise ConfigError("learning rate must be in (0, 1]")
         if self.n_bins < 2:
             raise ConfigError("need at least two age bins")
-        self.bins = np.geomspace(Q_AGE_LO_S, Q_AGE_HI_S, self.n_bins + 1)
-        self._edges = self.bins.tolist()
-        self.q_table = np.full((self.n_bins, len(Q_ACTIONS)), Q_INIT)
+        self.values = [Q_INIT] * len(Q_ACTIONS)
         self.rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed))
         )
 
-    def bin_of(self, age_s: float) -> int:
-        """Ages above the top edge clamp into the last bin; below the
-        bottom edge into the first."""
-        # searching the inner edges only is what clamps
-        return bisect_right(self._edges, age_s, 1, self.n_bins) - 1
-
-    def act(self, age_s: float) -> int:
+    def act(self) -> int:
         if self.rng.random() < self.epsilon:
             return int(self.rng.integers(len(Q_ACTIONS)))
-        values = self.q_table[self.bin_of(age_s)].tolist()
+        values = self.values
         return values.index(min(values))  # the first minimum, as argmin
 
 
 @dataclass
 class QTrainResult:
     iterations: int
-    resume_bin: int  # the bin of the path delay, where every step starts
-    resume_value: float  # its resume value after the last step
+    resume_bin: int  # the age bin of the path delay, where every step starts
+    values: tuple[float, float]  # its value per action after the last step
     action_ages: tuple[float, float]  # the age each action produces, by action
     action_history: list[int]
 
@@ -305,7 +295,7 @@ def train_pause_resume(agent: QAgent, delay_s: float,
 
     Every episode starts at the delay, since the first sample cannot
     arrive sooner. Resume pins the age at the delay; pause lets it grow
-    by `PAUSE_STEP_S`. Each update is terminal: the (bin, action) value
+    by `PAUSE_STEP_S`. Each update is terminal: the action's value
     moves toward the cost of the age the action produced, so the resume
     value converges to 1 - exp(-delay). Bandwidth is unlimited, so
     resume is never penalized by queueing and always resuming is
@@ -315,15 +305,16 @@ def train_pause_resume(agent: QAgent, delay_s: float,
         raise ConfigError("path delay must be positive")
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    b = agent.bin_of(delay_s)
     next_age = (delay_s + PAUSE_STEP_S, delay_s)  # by action
     cost = [age_cost(age) for age in next_age]
-    q = agent.q_table
+    q = agent.values
+    act, lr = agent.act, agent.lr
     actions = []
     for _ in range(iterations):
-        a = agent.act(delay_s)
-        value = q.item(b, a)
-        q[b, a] = value + agent.lr * (cost[a] - value)
+        a = act()
+        q[a] += lr * (cost[a] - q[a])
         agent.epsilon *= agent.epsilon_decay
         actions.append(a)
-    return QTrainResult(iterations, b, q.item(b, ACTION_RESUME), next_age, actions)
+    edges = np.geomspace(Q_AGE_LO_S, Q_AGE_HI_S, agent.n_bins + 1).tolist()
+    b = bisect_right(edges, delay_s, 1, agent.n_bins) - 1  # the inner edges: clamps
+    return QTrainResult(iterations, b, tuple(q), next_age, actions)

@@ -186,8 +186,8 @@ def test_criterion_7_q_learning_fixed_point():
     agent = QAgent(seed=11)
     res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert res.resume_value == pytest.approx(target, abs=0.02)
-    assert int(agent.q_table[res.resume_bin].argmin()) == ACTION_RESUME
+    assert res.values[ACTION_RESUME] == pytest.approx(target, abs=0.02)
+    assert int(np.argmin(res.values)) == ACTION_RESUME
     _report(7, "pause/resume value fixed point", started, 60.0)
 
 

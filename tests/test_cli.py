@@ -51,6 +51,24 @@ def test_parse_emulated_spec():
         parse_emulated("warp=9", 0)
 
 
+@pytest.mark.parametrize("text, earlier, later, field", [
+    ("bwd_delay=1s,fixed_delay=2s", "bwd_delay", "fixed_delay", "bwd_delay_s"),
+    ("fixed_delay=2s,bwd_delay=1s", "fixed_delay", "bwd_delay", "bwd_delay_s"),
+    ("fixed_rtt=10ms,fwd_delay=1ms", "fixed_rtt", "fwd_delay", "fwd_delay_s"),
+    ("loss=0.1,loss=0.2", "loss", "loss", "loss_p"),
+    ("capacity=50,capacity_step", "capacity", "capacity_step", "capacity_hz"),
+    ("capacity_step,capacity=50", "capacity_step", "capacity", "capacity_hz"),
+    ("capacity_step,capacity_step", "capacity_step", "capacity_step", "fwd_delay_s"),
+    ("seed=1,fixed_rtt=10ms,seed=2", "seed", "seed", "seed"),
+])
+def test_parse_emulated_refuses_a_field_set_twice(text, earlier, later, field):
+    # the last item used to win, so the channel depended on item order
+    with pytest.raises(ConfigError) as e:
+        parse_emulated(text, 0)
+    assert str(e.value) == f"channel spec {later!r} sets {field}, already set by {earlier!r}"
+
+
+
 def test_sim_writes_trace_meta_and_manifest(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     code, stdout, _ = run_cli(
@@ -355,6 +373,10 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (EMULATED_SAMPLER + ["--rate", "10", "--duration", "inf"], None, None),
     (EMULATED_SAMPLER + ["--rate", "nan", "--duration", "1"], None, None),
     (POLICY + ["--name", "lazy", "--duration", "inf"], None, None),
+    # a channel field set twice, which the last item used to win
+    (["policy", "--name", "acp", "--emulated", "capacity=50,capacity_step"], None, None),
+    (EMULATED_SAMPLER[:3] + ["loss=0.1,fixed_rtt=10ms,loss=0.2", "--rate", "10",
+                             "--duration", "1"], None, None),
     # flags and keys that would be ignored
     (EMULATED_SAMPLER + ["--schedule", "50:1", "--rate", "10"], None, None),
     (EMULATED_SAMPLER + ["--schedule", "50:1", "--duration", "1"], None, None),
@@ -702,6 +724,63 @@ def test_policy_config_that_never_ends_exits_2(tmp_path, config):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert not list(tmp_path.glob("acp*"))
+
+
+@pytest.mark.parametrize("path", [["--emulated", "fixed_rtt=1ms"], ["--dest", "127.0.0.1:9"]],
+                         ids=["emulated", "live"])
+@pytest.mark.parametrize("argv, planned", [
+    (["--rate", "1e9", "--duration", "100"], "1e+11"),
+    (["--schedule", "1e6:0.5,1e3:1000"], "1.5e+06"),
+], ids=["rate", "schedule"])
+def test_measure_sampler_past_the_send_bound_exits_2_before_sending(tmp_path, path, argv,
+                                                                    planned):
+    # a child with a timeout and an address-space limit, so a sampler
+    # that set out on its sends fails instead of hanging the suite or
+    # filling memory with send times
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoikit.cli", "measure", "sampler", *path, *argv,
+         "--out", str(tmp_path / "m.csv")],
+        capture_output=True, text=True, timeout=20, env=child_env(),
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: the schedule plans {planned} sends, "
+                           f"more than the bound of 1000000 per run\n")
+    assert not list(tmp_path.glob("m.csv*"))
+
+
+def test_policy_past_the_send_bound_exits_2(tmp_path, capsys, monkeypatch):
+    from aoikit import emulate
+
+    monkeypatch.setattr(emulate, "MAX_SENDS", 100)
+    code, out, err = run_cli(capsys, "policy", "--name", "zero-wait", "--emulated",
+                             "fixed_rtt=10ms", "--duration", "30",
+                             "--out", str(tmp_path / "zw"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the run reached the bound of 100 sends at ")
+    assert err.endswith(" s of 30 s\n") and err.count("\n") == 1
+    assert not list(tmp_path.glob("zw*"))
+
+
+def test_rate_errors_show_the_rate_that_failed(tmp_path, capsys):
+    # formatted with :g, both rates printed as the bound they exceed
+    code, _, err = run_cli(capsys, "policy", "--name", "lazy", "--emulated",
+                           "fixed_rtt=1ns", "--duration", "1", "--out", str(tmp_path / "l"))
+    assert code == 2
+    assert "at most 1e9 Hz, not 1000000000.0000001 (at " in err
+    code, _, err = run_cli(capsys, *EMULATED_SAMPLER, "--rate", "1000000000.5",
+                           "--duration", "1", "--out", str(tmp_path / "m.csv"))
+    assert code == 2
+    assert err == "error: rate must be positive and at most 1e9 Hz, not 1000000000.5\n"
 
 
 def test_policy_zero_wait_on_lossy_channel_exits_2(tmp_path, capsys):

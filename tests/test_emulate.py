@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aoikit import emulate
 from aoikit.cli import parse_emulated
 from aoikit.emulate import (
+    MAX_SENDS,
     ChannelTransit,
     EmulatedChannel,
     EmulatedChannelSpec,
@@ -45,17 +47,17 @@ def test_dropped_transit_has_no_arrival():
     lossy = EmulatedChannel(EmulatedChannelSpec.fixed_rtt(0.01, loss_p=0.5, seed=3))
     first = full.transit(0.0)
     assert first.arrive_fwd_s == pytest.approx(0.105)
-    outcomes = {"overflow": [full.transit(0.01)],  # the first is still in service
-                "loss": [lossy.transit(0.01 * i) for i in range(40)]}
+    outcomes = {"overflow": [(0.01, full.transit(0.01))],  # the first is still in service
+                "loss": [(0.01 * i, lossy.transit(0.01 * i)) for i in range(40)]}
     for cause, transits in outcomes.items():
-        drops = [tr for tr in transits if tr.arrive_fwd_s is None]
+        drops = [tr for _, tr in transits if tr.arrive_fwd_s is None]
         assert drops, cause
         for tr in drops:
             assert isinstance(tr, ChannelTransit)
             assert tr.ack_s is None
-        for tr in transits:
+        for send_s, tr in transits:
             if tr.arrive_fwd_s is not None:
-                assert tr.send_s < tr.arrive_fwd_s < tr.ack_s
+                assert send_s < tr.arrive_fwd_s < tr.ack_s
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -300,12 +302,31 @@ def test_acp_rate_positive_and_finite_after_init():
 @pytest.mark.parametrize("schedule", [
     [], [(math.inf, 1.0)], [(math.nan, 1.0)], [(1e10, 1.0)], [(0.0, 1.0)],
     [(10.0, math.inf)], [(10.0, math.nan)], [(10.0, 0.0)], [(10.0, 1.0), (1e10, 1.0)],
+    # more planned sends than MAX_SENDS
+    [(1e9, 100.0)], [(1000.0, MAX_SENDS / 1000.0 + 0.5)],
+    [(MAX_SENDS / 100.0, 60.0), (MAX_SENDS / 100.0, 50.0)],
 ])
 def test_unfinishable_schedules_rejected(schedule):
     with pytest.raises(ConfigError):
         check_schedule(schedule)
     with pytest.raises(ConfigError):
         run_sampler_emulated(EmulatedChannelSpec.fixed_rtt(0.01), schedule)
+
+
+def test_schedule_of_exactly_the_send_bound_accepted():
+    check_schedule([(1000.0, MAX_SENDS / 1000.0)])
+
+
+@pytest.mark.parametrize("policy", list(SENDERS))
+def test_rate_policy_refuses_a_run_past_the_send_bound(monkeypatch, policy):
+    spec = EmulatedChannelSpec.fixed_rtt(0.1)
+    sent = run_rate_policy(SENDERS[policy](), spec, 5.0).sent
+    monkeypatch.setattr(emulate, "MAX_SENDS", sent)
+    assert run_rate_policy(SENDERS[policy](), spec, 5.0).sent == sent
+    monkeypatch.setattr(emulate, "MAX_SENDS", sent - 1)
+    with pytest.raises(ConfigError, match=f"^the run reached the bound of {sent - 1} "
+                                          r"sends at [0-9.]+ s of 5 s$"):
+        run_rate_policy(SENDERS[policy](), spec, 5.0)
 
 
 @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0])

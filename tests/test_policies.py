@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from aoikit.policies import (
     ACTION_RESUME,
     EPOCH_FLOOR_S,
     PAUSE_STEP_S,
+    Q_AGE_HI_S,
+    Q_AGE_LO_S,
+    Q_INIT,
     SENDERS,
     AcpState,
     EwmaEstimator,
@@ -44,8 +48,9 @@ def test_ewma_estimator():
 # --------------------------------------------------------------------- acp
 
 
-def primed_state(**kw) -> AcpState:
+def primed_state(target_backlog, **kw) -> AcpState:
     st = AcpState(**kw)
+    st.target_backlog = target_backlog
     st.prev_age = 1.0
     st.prev_backlog = 4.0
     return st
@@ -169,6 +174,20 @@ def test_rate_policy_senders():
         "SEND-ON-ACK", 1.0, 10.0, None)
 
 
+def test_constructors_take_only_settings():
+    # every constructor parameter is an argument a policy config key sets
+    # (the runner's ewma_alpha aside), plus the agent's run seed, so that
+    # controller state starts inside the object and never poses as a
+    # setting
+    from aoikit.cli import POLICY_KEYS
+
+    for name, cls in [*SENDERS.items(), ("qlearn", QAgent)]:
+        settings = {arg for arg, _ in POLICY_KEYS[name].values()} - {"ewma_alpha"}
+        if cls is QAgent:
+            settings.add("seed")
+        assert set(inspect.signature(cls).parameters) == settings, name
+
+
 # --------------------------------------------------------------- q-learning
 
 
@@ -187,51 +206,54 @@ def test_terminal_target_is_bare_cost():
     # a full-rate step sets the value to the cost of the age produced:
     # the delay on resume, the delay plus the pause step on pause
     agent = QAgent(lr=1.0, epsilon=0.0, seed=0)
-    b = agent.bin_of(1.0)
-    train_pause_resume(agent, 1.0, 1)  # a tie pauses, as argmin
-    assert agent.q_table[b, ACTION_PAUSE] == age_cost(1.0 + PAUSE_STEP_S)
-    agent.q_table[b, ACTION_PAUSE] = 2.0
+    res = train_pause_resume(agent, 1.0, 1)  # a tie pauses, as argmin
+    assert res.values == (age_cost(1.0 + PAUSE_STEP_S), Q_INIT)
+    agent.values[ACTION_PAUSE] = 2.0
     res = train_pause_resume(agent, 1.0, 1)
     assert res.action_history == [ACTION_RESUME]
-    assert (res.resume_bin, res.resume_value) == (b, pytest.approx(1 - math.exp(-1)))
-    assert agent.q_table[b, ACTION_RESUME] == age_cost(1.0)
+    assert res.values[ACTION_RESUME] == pytest.approx(1 - math.exp(-1))
+    assert agent.values[ACTION_RESUME] == age_cost(1.0)
 
 
-def test_bin_clamping():
-    agent = QAgent()
-    assert agent.bin_of(1e-9) == 0
-    assert agent.bin_of(1e6) == agent.n_bins - 1
+def delay_bin(delay_s: float, n_bins: int) -> int:
+    # training bins the path delay once, after its steps
+    return train_pause_resume(QAgent(n_bins=n_bins), delay_s, 1).resume_bin
 
 
-def test_bin_of_equals_clamped_searchsorted():
-    agent = QAgent()
-    edges = agent.bins
+@pytest.mark.parametrize("n_bins", [2, 16, 64])
+def test_bin_clamping(n_bins):
+    assert delay_bin(1e-9, n_bins) == 0
+    assert delay_bin(1e6, n_bins) == n_bins - 1
+
+
+@pytest.mark.parametrize("n_bins", [2, 16, 64])
+def test_bin_equals_clamped_searchsorted(n_bins):
+    edges = np.geomspace(Q_AGE_LO_S, Q_AGE_HI_S, n_bins + 1)
     ages = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        [0.0, 1e-12, 1e9, np.inf], np.random.default_rng(1).uniform(0, 60, 500),
+        [1e-12, 1e9, np.inf], np.random.default_rng(1).uniform(0, 60, 500),
     ])
     for age in ages.tolist():
         idx = int(np.searchsorted(edges, age, side="right")) - 1
-        assert agent.bin_of(age) == min(max(idx, 0), agent.n_bins - 1)
+        assert delay_bin(age, n_bins) == min(max(idx, 0), n_bins - 1)
 
 
 def test_greedy_action_picks_first_cheapest():
     agent = QAgent(epsilon=0.0, seed=0)
-    assert agent.act(1.0) == ACTION_PAUSE  # a tie goes to the first action, as argmin
+    assert agent.act() == ACTION_PAUSE  # a tie goes to the first action, as argmin
 
 
 def test_greedy_action_picks_cheaper():
     agent = QAgent(epsilon=0.0, seed=0)
-    b = agent.bin_of(1.0)
-    agent.q_table[b, ACTION_PAUSE] = 0.9
-    agent.q_table[b, ACTION_RESUME] = 0.1
-    assert agent.act(1.0) == ACTION_RESUME
+    agent.values[ACTION_PAUSE] = 0.9
+    agent.values[ACTION_RESUME] = 0.1
+    assert agent.act() == ACTION_RESUME
 
 
 def test_full_exploration_is_uniform():
     agent = QAgent(epsilon=1.0, seed=123)
     n = 10_000
-    resumes = sum(agent.act(1.0) == ACTION_RESUME for _ in range(n))
+    resumes = sum(agent.act() == ACTION_RESUME for _ in range(n))
     sigma = math.sqrt(n * 0.25)
     assert abs(resumes - n / 2) <= 3 * sigma
 
@@ -247,9 +269,9 @@ def test_training_converges_to_boundary_value():
     agent = QAgent(seed=11)
     res = train_pause_resume(agent, 1.0, 10_000)
     target = 1 - math.exp(-1)
-    assert res.resume_bin == agent.bin_of(1.0)
-    assert res.resume_value == pytest.approx(target, abs=0.02)
-    assert int(agent.q_table[res.resume_bin].argmin()) == ACTION_RESUME
+    assert res.resume_bin == 38  # 1 s among 64 bins from 1 ms to 100 s
+    assert res.values[ACTION_RESUME] == pytest.approx(target, abs=0.02)
+    assert int(np.argmin(res.values)) == ACTION_RESUME
 
 
 def test_agent_validation():
@@ -274,16 +296,19 @@ def test_agent_validation():
 
 def test_q_learning_golden_digests():
     # sha256 of the Q-table, histories, visited bins and resume values
-    # over 20k steps at a 1 s delay, pinned before the learner's step
-    # stopped calling numpy per step
+    # over 20k steps at a 1 s delay, pinned while the learner kept a
+    # table of every bin; the table is rebuilt from the one state's
+    # values, every other row at its initial value
     got = {}
     for seed in (0, 11):
         agent = QAgent(seed=seed)
         res = train_pause_resume(agent, 1.0, 20_000)
+        table = np.full((agent.n_bins, 2), Q_INIT)
+        table[res.resume_bin] = res.values
         got[f"default/seed{seed}"] = sha256_of(
-            agent.q_table, np.array([res.action_ages[a] for a in res.action_history]),
+            table, np.array([res.action_ages[a] for a in res.action_history]),
             np.array(res.action_history, dtype=np.int64),
-            repr(([res.resume_bin], {res.resume_bin: res.resume_value},
+            repr(([res.resume_bin], {res.resume_bin: res.values[ACTION_RESUME]},
                   agent.epsilon)))
     assert got == Q_GOLDEN
 
