@@ -232,8 +232,9 @@ class EmulatedSamplerResult:
 
 
 MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
-# sends per run: a million take a few seconds and a few hundred MB in
-# process, far beyond any run that finishes in reasonable time
+# sends per run, and pings per offset estimate: a million sends take a
+# few seconds and under 200 MB in process, far beyond any run that
+# finishes in reasonable time
 MAX_SENDS = 1_000_000
 
 
@@ -264,9 +265,11 @@ def run_sampler_emulated(
     virtual time. The echo trace carries sender-clock ack stamps; the
     truth trace carries the forward delivery stamps the remote end
     actually saw, for oracle comparisons."""
+    from array import array  # loaded on first use
+
     check_schedule(schedule)
     channel = EmulatedChannel(spec)
-    send_times: list[float] = []
+    send_times = array("d")
     t = 0.0
     for rate, duration in schedule:
         k = 0
@@ -275,8 +278,8 @@ def run_sampler_emulated(
             send_times.append(start + (k + 1) / rate)
             k += 1
         t = start + duration
-    fwd_s: list[float] = []  # nan where the channel dropped the packet
-    ack_s: list[float] = []
+    fwd_s = array("d")  # nan where the channel dropped the packet
+    ack_s = array("d")
     for s in send_times:
         tr = channel.transit(s)
         fwd_s.append(math.nan if tr.arrive_fwd_s is None else tr.arrive_fwd_s)
@@ -323,6 +326,10 @@ def offset_from_exchanges(samples: list[tuple[int, int, float]]) -> OffsetEstima
 def estimate_offset_emulated(
     spec: EmulatedChannelSpec, n_pings: int = 100, spacing_s: float = 0.01
 ) -> OffsetEstimate:
+    """Offset from `n_pings` emulated exchanges, at most `MAX_SENDS`,
+    sent `spacing_s` apart in virtual time."""
+    if n_pings > MAX_SENDS:
+        raise ConfigError(f"{n_pings} pings are more than the bound of {MAX_SENDS} per run")
     channel = EmulatedChannel(spec)
     samples = []
     t = 0.0
@@ -339,30 +346,43 @@ def estimate_offset_emulated(
 # ------------------------------------------------------ closed-loop runner
 
 
-@dataclass(slots=True)
-class DecisionRow:
-    epoch: int
-    action: str
-    target_backlog: float
-    rate_hz: float
-    avg_age_s: float
-    backlog: int
-    t_s: float = 0.0  # epoch end time; not part of the CSV contract
+class DecisionLog:
+    """One closed-loop run's epoch decisions, a typed column each; row
+    i is epoch i + 1, and `len()` counts the epochs. `action` holds the
+    sender's shared action strings, `backlog` the packets in flight at
+    the epoch end, and `t_s`, which the CSV leaves out, the end time."""
+
+    __slots__ = ("action", "target_backlog", "rate_hz", "avg_age_s", "backlog", "t_s")
+
+    def __init__(self):
+        from array import array  # loaded on first use
+
+        self.action: list[str] = []
+        self.target_backlog = array("d")
+        self.rate_hz = array("d")
+        self.avg_age_s = array("d")
+        self.backlog = array("q")
+        self.t_s = array("d")
+
+    def __len__(self) -> int:
+        return len(self.action)
 
 
 DECISION_HEADER = "epoch,action,target_backlog,rate_hz,avg_age_s,backlog"
 
 
-def decision_csv(rows: list[DecisionRow]) -> str:
+def decision_csv(log: DecisionLog) -> str:
     return "\n".join([DECISION_HEADER] + [
-        f"{r.epoch},{r.action},{r.target_backlog:.6g},{r.rate_hz:.6g},"
-        f"{r.avg_age_s:.6g},{r.backlog}" for r in rows]) + "\n"
+        f"{epoch},{action},{target:.6g},{rate:.6g},{age:.6g},{backlog}"
+        for epoch, (action, target, rate, age, backlog) in enumerate(zip(
+            log.action, log.target_backlog, log.rate_hz, log.avg_age_s, log.backlog), 1)
+    ]) + "\n"
 
 
 @dataclass
 class PolicyRunResult:
     trace: AgeTrace
-    decisions: list[DecisionRow]
+    decisions: DecisionLog
     mean_inflight: float
     mean_rate_hz: float
     final_rate_hz: float
@@ -412,6 +432,8 @@ def run_rate_policy(
         raise ConfigError("zero-wait waits for every ack and has no loss timeout; "
                           "it needs a loss-free channel")
 
+    from array import array  # loaded on first use
+
     transit = EmulatedChannel(spec).transit
     update_rtt = EwmaEstimator(ewma_alpha).update
     on_ack, on_epoch = sender.on_ack, sender.on_epoch
@@ -424,8 +446,8 @@ def run_rate_policy(
     send_at = epoch_at = inf  # inf while nothing is pending
     send_seq = epoch_seq = 0
     seq = 1
-    send_s: list[float] = []
-    ack_s: list[float] = []  # nan until acknowledged
+    send_s = array("d")
+    ack_s = array("d")  # nan until acknowledged
     sent = acked = 0
     rtt: Optional[float] = None  # the smoothed rtt
     newest_acked_send: Optional[float] = None
@@ -433,7 +455,10 @@ def run_rate_policy(
     backlog_area = epoch_backlog_area = epoch_age_area = 0.0
     epoch_acks = 0
     epoch_started = 0.0
-    decisions: list[DecisionRow] = []
+    decisions = DecisionLog()
+    log_action, log_target = decisions.action.append, decisions.target_backlog.append
+    log_rate, log_age = decisions.rate_hz.append, decisions.avg_age_s.append
+    log_backlog, log_t = decisions.backlog.append, decisions.t_s.append
     rate_hz: Optional[float] = None
     rate_area = 0.0
     rate_clock = 0.0
@@ -480,10 +505,12 @@ def run_rate_policy(
                 epoch_acks,
             )
             action, target, logged_rate, new_rate = on_epoch(obs, rate_hz)
-            decisions.append(DecisionRow(
-                len(decisions) + 1, action, target, logged_rate,
-                obs.avg_age_epoch_s, sent - acked, now,
-            ))
+            log_action(action)
+            log_target(target)
+            log_rate(logged_rate)
+            log_age(obs.avg_age_epoch_s)
+            log_backlog(sent - acked)
+            log_t(now)
             restart = True
         else:  # a send; probes stop once the first ack is in
             if event == _PROBE and acked:

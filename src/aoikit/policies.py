@@ -239,6 +239,9 @@ def age_cost(age_s: float) -> float:
 Q_AGE_LO_S = 1e-3
 Q_AGE_HI_S = 100.0
 PAUSE_STEP_S = 0.1  # how much older a pause leaves the age
+# steps per training run, as `emulate.MAX_SENDS` bounds the sends of one
+# run; every step logs one action
+MAX_ITERATIONS = 1_000_000
 
 
 @dataclass
@@ -305,6 +308,9 @@ def train_pause_resume(agent: QAgent, delay_s: float,
         raise ConfigError("path delay must be positive")
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
+    if iterations > MAX_ITERATIONS:
+        raise ConfigError(f"{iterations} iterations are more than the bound of "
+                          f"{MAX_ITERATIONS} per run")
     next_age = (delay_s + PAUSE_STEP_S, delay_s)  # by action
     cost = [age_cost(age) for age in next_age]
     q = agent.values

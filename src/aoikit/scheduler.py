@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .trace import AgeTrace, seconds_to_ns
+
+if TYPE_CHECKING:
+    from .trace import AgeTrace
 
 POLICIES = ("round-robin", "greedy", "max-weight")
 
@@ -62,6 +64,8 @@ class SchedulerRun:
         """Each source's age trace, built on first read: a success in
         frame k delivers the sample generated at the frame's start, at
         its end."""
+        from .trace import AgeTrace, seconds_to_ns  # loaded on first read
+
         frame_ns = seconds_to_ns(self.config.frame_s)
         if self.frames * frame_ns > np.iinfo(np.int64).max:
             raise ConfigError("trace stamps would pass the int64 nanosecond range")

@@ -210,16 +210,17 @@ def test_criterion_9_acp_properties():
     )
     state = AcpState()
     res = run_rate_policy(state, spec, 40.0)
-    pre = [r for r in res.decisions if r.t_s < 10.0]
-    post = [r for r in res.decisions if r.t_s >= 10.0]
+    log = res.decisions
+    pre = [rate for t, rate in zip(log.t_s, log.rate_hz) if t < 10.0]
+    post = [rate for t, rate in zip(log.t_s, log.rate_hz) if t >= 10.0]
     assert post, "no epochs after the step"
-    assert max(r.rate_hz for r in pre) > 20.0, "step test must start hot"
-    below = next((i for i, r in enumerate(post) if r.rate_hz < 20.0), None)
+    assert max(pre) > 20.0, "step test must start hot"
+    below = next((i for i, rate in enumerate(post) if rate < 20.0), None)
     assert below is not None and below < 10
 
     # (b) the backlog target never leaves [floor, cap]
-    for r in res.decisions:
-        assert state.kappa <= r.target_backlog <= state.backlog_cap
+    for target_backlog in log.target_backlog:
+        assert state.kappa <= target_backlog <= state.backlog_cap
 
     # (c) stochastic path: the epoch controller must not trail the
     # fixed 1/rtt policy by more than 25% in median age on any seed

@@ -45,7 +45,7 @@ assert [m for m in sys.modules if m.startswith("aoikit.")] == []
 def test_importing_one_module_loads_only_what_it_uses():
     loaded = imported_by("-c", "from aoikit import scheduler")
     assert {m for m in loaded if m.startswith("aoikit.")} == {
-        "aoikit.errors", "aoikit.trace", "aoikit.scheduler"}
+        "aoikit.errors", "aoikit.scheduler"}
 
 
 def test_readme_library_snippet_runs_as_written():

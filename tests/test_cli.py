@@ -757,6 +757,35 @@ def test_measure_sampler_past_the_send_bound_exits_2_before_sending(tmp_path, pa
     assert not list(tmp_path.glob("m.csv*"))
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s",
+      "--iters", "1000000000"],
+     "1000000000 iterations are more than the bound of 1000000 per run"),
+    (["measure", "sync", "--emulated", "fixed_rtt=1ms", "--pings", "100000000"],
+     "100000000 pings are more than the bound of 1000000 per run"),
+], ids=["qlearn-iters", "sync-pings"])
+def test_runaway_step_counts_exit_2_before_the_first_step(tmp_path, argv, error):
+    # a child with a timeout and an address-space limit, so a run that
+    # set out on its steps fails instead of hanging the suite
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = ["--out", str(tmp_path / "q")] if argv[0] == "policy" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoikit.cli", *argv, *out],
+        capture_output=True, text=True, timeout=20, env=child_env(),
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {error}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_policy_past_the_send_bound_exits_2(tmp_path, capsys, monkeypatch):
     from aoikit import emulate
 

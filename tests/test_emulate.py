@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -293,10 +294,33 @@ def test_lazy_keeps_one_packet_in_flight():
 
 def test_acp_rate_positive_and_finite_after_init():
     res = run_rate_policy(AcpState(), EmulatedChannelSpec.fixed_rtt(0.05, seed=2), 20.0)
-    assert res.decisions
-    for row in res.decisions:
-        assert np.isfinite(row.rate_hz) and row.rate_hz > 0
-        assert 1.0 <= row.target_backlog <= 64.0
+    assert len(res.decisions)
+    for rate_hz, target_backlog in zip(res.decisions.rate_hz, res.decisions.target_backlog):
+        assert np.isfinite(rate_hz) and rate_hz > 0
+        assert 1.0 <= target_backlog <= 64.0
+
+
+def test_decision_log_holds_typed_columns():
+    res = run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.05), 2.0)
+    log = res.decisions
+    epochs = len(decision_csv(log).splitlines()) - 1
+    assert epochs > 0 and len(log) == epochs
+    assert log.action == ["RATE"] * epochs
+    for name, typecode in (("target_backlog", "d"), ("rate_hz", "d"), ("avg_age_s", "d"),
+                           ("backlog", "q"), ("t_s", "d")):
+        column = getattr(log, name)
+        assert isinstance(column, array) and column.typecode == typecode
+        assert len(column) == epochs
+    # a run with no epoch logs the header alone
+    assert decision_csv(emulate.DecisionLog()) == emulate.DECISION_HEADER + "\n"
+
+
+def test_offset_refuses_more_pings_than_the_send_bound(monkeypatch):
+    spec = EmulatedChannelSpec.fixed_rtt(0.01)
+    monkeypatch.setattr(emulate, "MAX_SENDS", 20)
+    assert estimate_offset_emulated(spec, 20).n == 20
+    with pytest.raises(ConfigError, match="^21 pings are more than the bound of 20 per run$"):
+        estimate_offset_emulated(spec, 21)
 
 
 @pytest.mark.parametrize("schedule", [
@@ -543,7 +567,7 @@ def test_policy_golden_digests():
         res = run_rate_policy(sender, spec, duration)
         figures = (res.mean_inflight, res.mean_rate_hz, res.final_rate_hz,
                    res.median_age_s, res.sent, res.acked,
-                   [row.t_s for row in res.decisions])
+                   list(res.decisions.t_s))
         got[key] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
                              decision_csv(res.decisions), repr(figures))
     assert got == POLICY_GOLDEN

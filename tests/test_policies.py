@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from aoikit import policies
 from aoikit.errors import ConfigError, NotReadyError
 from aoikit.policies import (
     ACTION_DEC,
@@ -289,6 +290,13 @@ def test_agent_validation():
             train_pause_resume(QAgent(), delay_s, 10)
     with pytest.raises(ConfigError, match="iterations"):
         train_pause_resume(QAgent(), 1.0, 0)
+
+
+def test_training_refuses_more_steps_than_the_bound(monkeypatch):
+    monkeypatch.setattr(policies, "MAX_ITERATIONS", 10)
+    assert len(train_pause_resume(QAgent(), 1.0, 10).action_history) == 10
+    with pytest.raises(ConfigError, match="^11 iterations are more than the bound of 10 per run$"):
+        train_pause_resume(QAgent(), 1.0, 11)
 
 
 # ------------------------------------------------------------ golden digests
