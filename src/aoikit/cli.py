@@ -90,16 +90,26 @@ CHANNEL_KEYS = {
     "panicked_loss": (("panicked_loss_p",), float),
     "step_at": (("capacity_step_at_s",), "s"),
     "step_factor": (("capacity_step_factor",), float),
-    "seed": (("seed",), int),
 }
 
+# emulated command -> the EmulatedChannelSpec fields it reads, and a key
+# that sets any other field is refused: time requests skip the bottleneck
+# and alone read the peer's clock, and qlearn learns the path delay alone
+_LEGS = ("fwd_delay_s", "bwd_delay_s")
+_PATH = _LEGS + ("jitter_s", "rtt_lognorm_median_s", "rtt_lognorm_sigma", "loss_p")
+_BOTTLENECK = ("capacity_hz", "buffer", "loss_onset_load", "busy_loss_p",
+               "panicked_loss_p", "capacity_step_at_s", "capacity_step_factor")
+CHANNEL_READS = {"sync": _PATH + ("peer_offset_s",), "qlearn": _LEGS,
+                 **dict.fromkeys(["sampler", *SENDERS], _PATH + _BOTTLENECK)}
 
-def parse_emulated(spec_text: str, seed: int) -> EmulatedChannelSpec:
-    """Parse a comma-separated key=value channel description, e.g.
-    'fixed_rtt=12.5ms,loss=0.01'. The bare token 'capacity_step' is a
-    preset bottleneck whose capacity drops fourfold mid-run. A field
-    that two items set is refused, so that no result depends on the
-    order of the items."""
+
+def parse_emulated(spec_text: str, seed: int, command: str) -> EmulatedChannelSpec:
+    """Parse a comma-separated key=value channel description for an
+    emulated `command`, e.g. 'fixed_rtt=12.5ms,loss=0.01'; the run seed
+    is the channel's. The bare token 'capacity_step' is a preset
+    bottleneck whose capacity drops fourfold mid-run. A key that sets a
+    field the command does not read is refused, and so is a field that
+    two items set, so that no result depends on their order."""
     kw: dict = {}
     set_by: dict = {}  # field -> the item that set it
     for item in spec_text.split(","):
@@ -120,19 +130,14 @@ def parse_emulated(spec_text: str, seed: int) -> EmulatedChannelSpec:
             if key == "fixed_delay":
                 given["bwd_delay_s"] = 0.0
         for field in given:
+            if field not in CHANNEL_READS[command]:
+                raise ConfigError(f"{command} does not read channel spec key {key!r}")
             if field in set_by:
                 raise ConfigError(f"channel spec {key!r} sets {field}, "
                                   f"already set by {set_by[field]!r}")
             set_by[field] = key
         kw.update(given)
-    return EmulatedChannelSpec(**{"seed": seed, **kw})
-
-
-def resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("AOI_SEED")
-    return _number(env, "AOI_SEED", int) if env else 0
+    return EmulatedChannelSpec(seed=seed, **kw)
 
 
 # policy -> {config key it reads: (the argument the key sets, the kind
@@ -318,12 +323,14 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
+    spec = None
+    if args.penalty is not None:
+        spec = PenaltySpec(args.penalty, 1.0 if args.alpha is None else args.alpha)
+    elif args.alpha is not None:
+        raise ConfigError("--alpha scales a penalty and needs --penalty")
     trace = read_csv(args.trace)
     if args.bias is not None:
         trace = apply_bias(trace, BiasModel(seconds_to_ns(args.bias)))
-    spec = None
-    if args.penalty is not None:
-        spec = PenaltySpec(args.penalty, args.alpha)
     stats = summary(trace, spec)
     _print_kv((k, f"{v:.9g}") for k, v in stats.items())
     return 0
@@ -368,8 +375,11 @@ def _parse_schedule(args) -> list[tuple[float, float]]:
 
 def cmd_measure_sampler(args, argv) -> int:
     schedule = _parse_schedule(args)
+    low, high = wire.HEADER_LEN, wire.HEADER_LEN + 0xFFFF  # the wire format's bounds
+    if not low <= args.size <= high:
+        raise ConfigError(f"--size must be in {low}-{high} bytes, not {args.size}")
     if args.emulated is not None:
-        spec = parse_emulated(args.emulated, args.seed)
+        spec = parse_emulated(args.emulated, args.seed, "sampler")
         res = run_sampler_emulated(spec, schedule, args.size)
         manifest_cfg = {"emulated": args.emulated}
         aborted = False  # the emulated channel raises no socket errors
@@ -398,7 +408,7 @@ def cmd_measure_sampler(args, argv) -> int:
 
 def cmd_measure_sync(args, argv) -> int:
     if args.emulated is not None:
-        est = estimate_offset_emulated(parse_emulated(args.emulated, args.seed),
+        est = estimate_offset_emulated(parse_emulated(args.emulated, args.seed, "sync"),
                                        args.pings)
     else:
         from . import udp
@@ -426,7 +436,7 @@ def cmd_policy(args, argv) -> int:
                           f"{', '.join(unread)}")
     params = {keys[key][0]: _number(text, f"{args.config}: {key}", keys[key][1])
               for key, text in cfg.items()}
-    spec = parse_emulated(args.emulated, args.seed)
+    spec = parse_emulated(args.emulated, args.seed, args.name)
     log_path = args.out + ".decisions.csv"
     manifest = RunManifest("policy", argv,
                            {"name": args.name, "emulated": args.emulated,
@@ -434,15 +444,10 @@ def cmd_policy(args, argv) -> int:
     if args.name == "qlearn":
         if args.duration is not None:
             raise ConfigError("qlearn runs --iters steps and takes no --duration")
-        # the agent sees only the path delay; other impairments would be ignored
-        delay = spec.fwd_delay_s + spec.bwd_delay_s
-        if spec != EmulatedChannelSpec(spec.fwd_delay_s, spec.bwd_delay_s, seed=spec.seed):
-            raise ConfigError("qlearn needs a channel of fixed delays and at most a seed")
-        if spec.seed != args.seed:
-            # the agent draws from the run seed; the channel draws nothing
-            raise ConfigError(f"qlearn takes its seed from --seed, not the channel "
-                              f"spec (seed={spec.seed}, run seed {args.seed})")
-        res = train_pause_resume(QAgent(seed=args.seed, **params), delay,
+        if args.gnuplot_hints:
+            raise ConfigError("qlearn writes no trace and takes no --gnuplot-hints")
+        res = train_pause_resume(QAgent(seed=args.seed, **params),
+                                 spec.fwd_delay_s + spec.bwd_delay_s,
                                  10000 if args.iters is None else args.iters)
         # every step of one action logs the same row after its epoch
         # number, in decision_csv's format
@@ -553,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("trace")
     an.add_argument("--penalty", choices=["linear", "exponential",
                                           "logarithmic"], default=None)
-    an.add_argument("--alpha", type=float, default=1.0)
+    an.add_argument("--alpha", type=float, default=None,
+                    help="with --penalty (default 1)")
     an.add_argument("--bias", type=float, default=None,
                     help="clock bias to apply, seconds")
     an.set_defaults(func=cmd_analyze)
@@ -608,14 +614,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if "seed" in args:
-            args.seed = resolve_seed(args.seed)
+        if "seed" in args and args.seed is None:  # --seed, then AOI_SEED, then 0
+            env = os.environ.get("AOI_SEED")
+            args.seed = _number(env, "AOI_SEED", int) if env else 0
         return args.func(args, argv)
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AoiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AoiError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # downstream consumer stopped reading (e.g. piped into head);

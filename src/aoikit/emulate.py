@@ -113,8 +113,8 @@ class EmulatedChannelSpec:
 
 @dataclass(slots=True)
 class ChannelTransit:
-    """Outcome of one data packet through the channel, all on the
-    sender's virtual clock."""
+    """Outcome of one packet through the channel, all on the sender's
+    virtual clock."""
 
     arrive_fwd_s: Optional[float]  # None if lost
     ack_s: Optional[float]
@@ -163,7 +163,7 @@ class EmulatedChannel:
         return p
 
     def transit(self, send_s: float) -> ChannelTransit:
-        """Route one data packet; must be called in send-time order.
+        """Route one packet; must be called in send-time order.
         The packet queues at the bottleneck, is lost with the loss
         probability at its send, then takes the forward leg; its ack
         takes the backward leg."""
@@ -200,25 +200,6 @@ class EmulatedChannel:
         arrive = depart + fwd
         return ChannelTransit(arrive, arrive + bwd)
 
-    def ping(self, send_s: float) -> tuple[Optional[float], Optional[float]]:
-        """Time-request exchange: returns (peer stamp on the peer's
-        clock, ack arrival time) or (None, None) on loss. Pings skip
-        the bottleneck: they are small and sent before loading the
-        path."""
-        spec = self.spec
-        if spec.loss_p > 0 and next(self._coins) < spec.loss_p:
-            return None, None
-        if self._rtts is not None:
-            fwd = bwd = next(self._rtts) / 2.0
-        else:
-            fwd = spec.fwd_delay_s
-            bwd = spec.bwd_delay_s
-            if self._jitters is not None:
-                fwd += next(self._jitters)  # forward jitter first
-                bwd += next(self._jitters)
-        arrive = send_s + fwd
-        return arrive + spec.peer_offset_s, arrive + bwd
-
 
 # -------------------------------------------------------------- sampling
 
@@ -232,7 +213,7 @@ class EmulatedSamplerResult:
 
 
 MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
-# sends per run, and pings per offset estimate: a million sends take a
+# sends and epochs per run, and pings per offset estimate: a million take a
 # few seconds and under 200 MB in process, far beyond any run that
 # finishes in reasonable time
 MAX_SENDS = 1_000_000
@@ -327,18 +308,23 @@ def estimate_offset_emulated(
     spec: EmulatedChannelSpec, n_pings: int = 100, spacing_s: float = 0.01
 ) -> OffsetEstimate:
     """Offset from `n_pings` emulated exchanges, at most `MAX_SENDS`,
-    sent `spacing_s` apart in virtual time."""
+    sent `spacing_s` apart in virtual time. Time requests take the data
+    path's legs and loss but skip its bottleneck: a capacity is refused."""
     if n_pings > MAX_SENDS:
         raise ConfigError(f"{n_pings} pings are more than the bound of {MAX_SENDS} per run")
-    channel = EmulatedChannel(spec)
+    if spec.capacity_hz is not None:
+        raise ConfigError("time requests skip the bottleneck; an offset estimate "
+                          "takes a channel without capacity")
+    transit = EmulatedChannel(spec).transit
     samples = []
     t = 0.0
     attempts = 0
     while len(samples) < n_pings and attempts < 10 * n_pings:
         attempts += 1
-        peer_stamp, ack = channel.ping(t)
-        if ack is not None:
-            samples.append((seconds_to_ns(t), seconds_to_ns(peer_stamp), ack - t))
+        tr = transit(t)
+        if tr.ack_s is not None:
+            peer_stamp = tr.arrive_fwd_s + spec.peer_offset_s
+            samples.append((seconds_to_ns(t), seconds_to_ns(peer_stamp), tr.ack_s - t))
         t += spacing_s
     return offset_from_exchanges(samples)
 
@@ -412,8 +398,8 @@ def run_rate_policy(
     rtt; then epochs of max(epoch floor, smoothed rtt) start, and a
     paced sender sends at its current rate.
 
-    A run that would send more than `MAX_SENDS` packets is refused when
-    it reaches the bound.
+    A run that would send more than `MAX_SENDS` packets, or end more
+    than `MAX_SENDS` epochs, is refused when it reaches the bound.
 
     Only acknowledgements can overtake each other (under jitter or
     lognormal delay), so only they, and the probes, wait in a heap; the
@@ -448,7 +434,7 @@ def run_rate_policy(
     seq = 1
     send_s = array("d")
     ack_s = array("d")  # nan until acknowledged
-    sent = acked = 0
+    sent = acked = epochs = 0
     rtt: Optional[float] = None  # the smoothed rtt
     newest_acked_send: Optional[float] = None
     clock = 0.0  # the integrals below run up to here
@@ -496,6 +482,10 @@ def run_rate_policy(
                 send_at, send_seq = now, seq
                 seq += 1
         elif event == _EPOCH:
+            if epochs == max_sends:
+                raise ConfigError(f"the run reached the bound of {max_sends} epochs "
+                                  f"at {now:g} s of {duration_s:g} s")
+            epochs += 1
             epoch_s = now - epoch_started
             # ewma_rtt_s, epoch_s, avg_age_epoch_s, avg_backlog_epoch, epoch_acks
             obs = PolicyObservation(

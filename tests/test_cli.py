@@ -42,13 +42,15 @@ def test_parse_seconds_units():
 
 
 def test_parse_emulated_spec():
-    spec = parse_emulated("fixed_rtt=100ms,loss=0.05,seed=7", 0)
+    # the run seed is the channel's
+    spec = parse_emulated("fixed_rtt=100ms,loss=0.05", 7, "sampler")
     assert spec.fwd_delay_s == pytest.approx(0.05)
     assert spec.bwd_delay_s == pytest.approx(0.05)
     assert spec.loss_p == 0.05
     assert spec.seed == 7
-    with pytest.raises(ConfigError):
-        parse_emulated("warp=9", 0)
+    for text in ("warp=9", "seed=7"):
+        with pytest.raises(ConfigError, match=f"^unknown channel spec key {text[:4]!r}$"):
+            parse_emulated(text, 0, "sampler")
 
 
 @pytest.mark.parametrize("text, earlier, later, field", [
@@ -59,12 +61,11 @@ def test_parse_emulated_spec():
     ("capacity=50,capacity_step", "capacity", "capacity_step", "capacity_hz"),
     ("capacity_step,capacity=50", "capacity_step", "capacity", "capacity_hz"),
     ("capacity_step,capacity_step", "capacity_step", "capacity_step", "fwd_delay_s"),
-    ("seed=1,fixed_rtt=10ms,seed=2", "seed", "seed", "seed"),
 ])
 def test_parse_emulated_refuses_a_field_set_twice(text, earlier, later, field):
     # the last item used to win, so the channel depended on item order
     with pytest.raises(ConfigError) as e:
-        parse_emulated(text, 0)
+        parse_emulated(text, 0, "sampler")
     assert str(e.value) == f"channel spec {later!r} sets {field}, already set by {earlier!r}"
 
 
@@ -403,8 +404,30 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
       "--iters", "300", "--seed", "1"], None, None),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,seed=5",
       "--iters", "300"], None, "1"),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s,jitter=0"], None, None),
     (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s",
       "--iters", "300", "--duration", "5"], None, None),
+    (["policy", "--name", "qlearn", "--emulated", "fixed_delay=1s",
+      "--iters", "300", "--gnuplot-hints"], None, None),
+    # channel keys the command does not read, and the channel seed,
+    # which is the run seed
+    (["measure", "sync", "--emulated", "fixed_rtt=10ms,capacity=5,buffer=0"], None, None),
+    (["measure", "sync", "--emulated", "capacity_step"], None, None),
+    (EMULATED_SAMPLER[:3] + ["fixed_rtt=10ms,offset=5ms", "--rate", "10",
+                             "--duration", "1"], None, None),
+    (POLICY[:2] + ["fixed_rtt=10ms,offset=5ms", "--name", "lazy"], None, None),
+    (EMULATED_SAMPLER[:3] + ["fixed_rtt=10ms,seed=3", "--rate", "10",
+                             "--duration", "1"], None, None),
+    (["measure", "sync", "--emulated", "offset=5ms,seed=3"], None, None),
+    (POLICY[:2] + ["capacity_step,seed=3", "--name", "acp"], None, None),
+    # packet sizes outside the wire format, on both paths
+    (EMULATED_SAMPLER + ["--rate", "10", "--duration", "1", "--size", "5"], None, None),
+    (EMULATED_SAMPLER + ["--rate", "10", "--duration", "1", "--size", "-1"], None, None),
+    (EMULATED_SAMPLER + ["--rate", "10", "--duration", "1", "--size", "65567"],
+     None, None),
+    (SAMPLER + ["--dest", "127.0.0.1:9", "--size", "30"], None, None),
+    # a penalty scale without a penalty, on a well-formed trace
+    (["analyze", "--alpha", "7"], None, None),
     (POLICY + ["--name", "lazy", "--iters", "5"], None, None),
     (POLICY + ["--name", "acp", "--iters", "5"], None, None),
     (POLICY + ["--name", "zero-wait", "--iters", "5"], None, None),
@@ -454,7 +477,10 @@ def test_cli_refuses_malformed_ignored_or_endless_input(tmp_path, capsys, monkey
         argv = argv + ["--config", str(tmp_path / "p.cfg")]
     if aoi_seed is not None:
         monkeypatch.setenv("AOI_SEED", aoi_seed)
-    if argv[1] != "sync":
+    if argv[0] == "analyze":
+        (tmp_path / "a.csv").write_text(GOLDEN_TWO_PACKET)
+        argv = argv[:1] + [str(tmp_path / "a.csv")] + argv[1:]
+    elif argv[1] != "sync":
         argv = argv + ["--out", str(tmp_path / "out")]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
@@ -685,7 +711,7 @@ def test_policy_zero_round_trip_exits_2(tmp_path):
     import subprocess
     import sys
 
-    for name, channel in (("zero-wait", "fixed_rtt=0"), ("lazy", ""), ("acp", "seed=3")):
+    for name, channel in (("zero-wait", "fixed_rtt=0"), ("lazy", ""), ("acp", "loss=0")):
         proc = subprocess.run(
             [sys.executable, "-m", "aoikit.cli", "policy", "--name", name,
              "--emulated", channel, "--duration", "5",
@@ -798,6 +824,57 @@ def test_policy_past_the_send_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: the run reached the bound of 100 sends at ")
     assert err.endswith(" s of 30 s\n") and err.count("\n") == 1
     assert not list(tmp_path.glob("zw*"))
+
+
+def test_policy_past_the_epoch_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # epochs of a 1 us round trip at a rate that sends twice a run
+    from aoikit import emulate
+
+    monkeypatch.setattr(emulate, "MAX_SENDS", 100)
+    (tmp_path / "p.cfg").write_text("kappa=1e-9\nbacklog_cap=1e-9\nepoch_ms=0\n")
+    code, out, err = run_cli(capsys, "policy", "--name", "acp", "--emulated", "fixed_rtt=1us",
+                             "--duration", "1000", "--config", str(tmp_path / "p.cfg"),
+                             "--out", str(tmp_path / "acp"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the run reached the bound of 100 epochs at ")
+    assert err.endswith(" s of 1000 s\n") and err.count("\n") == 1
+    assert not list(tmp_path.glob("acp*"))
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["policy", "--name", "acp", "--emulated", "fixed_rtt=1us", "--duration", "1000",
+      "--config", "CONFIG", "--out", "OUT"],
+     2, "the run reached the bound of 1000000 epochs at 1 s of 1000 s"),
+    (["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "1000000000", "--out", "OUT"],
+     3, "Unable to allocate"),
+    (["sweep", "--rate-min", "1", "--rate-max", "2", "--points", "1000000000",
+      "--out", "OUT"],
+     3, "Unable to allocate"),
+], ids=["acp-epochs", "sim-memory", "sweep-memory"])
+def test_runs_too_large_for_memory_or_time_end_with_one_error_line(tmp_path, argv, code,
+                                                                   error):
+    # a child with a timeout and an address-space limit: a closed-loop
+    # run at a million epochs per virtual second stops at the bound, and
+    # arrays larger than the limit exit 3 instead of with a traceback
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    (tmp_path / "p.cfg").write_text("kappa=1e-9\nbacklog_cap=1e-9\nepoch_ms=0\n")
+    files = {"CONFIG": str(tmp_path / "p.cfg"), "OUT": str(tmp_path / "out")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoikit.cli", *(files.get(a, a) for a in argv)],
+        capture_output=True, text=True, timeout=20, env=child_env(),
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {error}") and proc.stderr.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_rate_errors_show_the_rate_that_failed(tmp_path, capsys):

@@ -323,6 +323,28 @@ def test_offset_refuses_more_pings_than_the_send_bound(monkeypatch):
         estimate_offset_emulated(spec, 21)
 
 
+def test_offset_sends_every_time_request_through_transit(monkeypatch):
+    # time requests take the data path's legs and loss, one transit each
+    calls = []
+    transit = EmulatedChannel.transit
+
+    def counting(self, send_s):
+        calls.append(send_s)
+        return transit(self, send_s)
+
+    monkeypatch.setattr(EmulatedChannel, "transit", counting)
+    spec = EmulatedChannelSpec.fixed_rtt(0.02, loss_p=0.3, peer_offset_s=0.005, seed=1)
+    est = estimate_offset_emulated(spec, 50)
+    assert est.n == 50 < len(calls)
+    assert calls == pytest.approx([0.01 * k for k in range(len(calls))])
+
+
+def test_offset_refuses_a_bottleneck():
+    # time requests skip the bottleneck, so its settings would be ignored
+    with pytest.raises(ConfigError, match="skip the bottleneck"):
+        estimate_offset_emulated(EmulatedChannelSpec.fixed_rtt(0.02, capacity_hz=50.0), 20)
+
+
 @pytest.mark.parametrize("schedule", [
     [], [(math.inf, 1.0)], [(math.nan, 1.0)], [(1e10, 1.0)], [(0.0, 1.0)],
     [(10.0, math.inf)], [(10.0, math.nan)], [(10.0, 0.0)], [(10.0, 1.0), (1e10, 1.0)],
@@ -488,7 +510,7 @@ def test_emulated_golden_digests():
         res = run_sampler_emulated(spec, schedule)
         got[name] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
                               res.truth_trace.recv_ns, f"{res.sent},{res.received}")
-    preset = parse_emulated("capacity_step", 0)
+    preset = parse_emulated("capacity_step", 0, "acp")
     res = run_rate_policy(AcpState(), preset, 30.0)
     got["acp/capacity_step"] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
                                          decision_csv(res.decisions))
@@ -517,7 +539,7 @@ def _golden_policy_channels():
         "jitter-5ms": EmulatedChannelSpec.fixed_rtt(0.005, jitter_s=0.001, seed=1),
         "lognormal": EmulatedChannelSpec(rtt_lognorm_median_s=0.1,
                                          rtt_lognorm_sigma=0.4, seed=1),
-        "capacity-step": parse_emulated("capacity_step", 1),
+        "capacity-step": parse_emulated("capacity_step", 1, "acp"),
         "loss": EmulatedChannelSpec.fixed_rtt(0.05, loss_p=0.05, seed=1),
         "buffer": EmulatedChannelSpec.fixed_rtt(0.01, capacity_hz=100.0, buffer=3,
                                                 jitter_s=0.002, seed=1),
