@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .emulate import (
-    DECISION_HEADER,
     EmulatedChannelSpec,
-    decision_csv,
     estimate_offset_emulated,
     run_rate_policy,
     run_sampler_emulated,
+    write_decision_csv,
+    write_qlearn_csv,
 )
 from .errors import AoiError, ConfigError, TraceFormatError
 from .manifest import RunManifest
@@ -188,15 +188,19 @@ def _print_kv(pairs):
 
 
 def _write_outputs(manifest: RunManifest, outputs: list) -> None:
-    """Write (path, content) pairs in order, an AgeTrace as its CSV and
-    text with LF line ends; list each path in the manifest and write the
-    manifest next to the first."""
+    """Write (path, content) pairs in order: an AgeTrace as its CSV, and
+    a string, or a function that writes text to an open file, with LF
+    line ends; list each path in the manifest and write the manifest
+    next to the first."""
     for path, content in outputs:
-        if isinstance(content, str):
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(content)
-        else:
+        if hasattr(content, "write_csv"):
             content.write_csv(path)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                if isinstance(content, str):
+                    f.write(content)
+                else:
+                    content(f)
         manifest.outputs.append(path)
     manifest.finish().write(outputs[0][0])
 
@@ -376,6 +380,10 @@ def _parse_schedule(args) -> list[tuple[float, float]]:
 def cmd_measure_sampler(args, argv) -> int:
     schedule = _parse_schedule(args)
     low, high = wire.HEADER_LEN, wire.HEADER_LEN + 0xFFFF  # the wire format's bounds
+    if args.emulated is None:
+        from . import udp
+
+        high = udp.MAX_DATAGRAM  # what the live socket can send
     if not low <= args.size <= high:
         raise ConfigError(f"--size must be in {low}-{high} bytes, not {args.size}")
     if args.emulated is not None:
@@ -384,8 +392,6 @@ def cmd_measure_sampler(args, argv) -> int:
         manifest_cfg = {"emulated": args.emulated}
         aborted = False  # the emulated channel raises no socket errors
     else:
-        from . import udp
-
         res = udp.run_sampler(_address(args.dest, "--dest"), schedule, args.size)
         manifest_cfg = {"dest": args.dest}
         aborted = res.aborted
@@ -449,12 +455,7 @@ def cmd_policy(args, argv) -> int:
         res = train_pause_resume(QAgent(seed=args.seed, **params),
                                  spec.fwd_delay_s + spec.bwd_delay_s,
                                  10000 if args.iters is None else args.iters)
-        # every step of one action logs the same row after its epoch
-        # number, in decision_csv's format
-        tails = [f",{Q_ACTIONS[a]},0,0,{age:.6g},0\n" for a, age in enumerate(res.action_ages)]
-        log = "".join([DECISION_HEADER, "\n"] + [
-            f"{i}{tails[a]}" for i, a in enumerate(res.action_history, 1)])
-        _write_outputs(manifest, [(log_path, log)])
+        _write_outputs(manifest, [(log_path, lambda f: write_qlearn_csv(f, res))])
         b = res.resume_bin
         pause, resume = res.values
         _print_kv([
@@ -474,7 +475,7 @@ def cmd_policy(args, argv) -> int:
     res = run_rate_policy(sender, spec, duration, **runner)
     trace_path = args.out + ".trace.csv"
     _write_outputs(manifest, [(trace_path, res.trace),
-                              (log_path, decision_csv(res.decisions))])
+                              (log_path, lambda f: write_decision_csv(f, res.decisions))])
     pairs = [
         ("trace", trace_path),
         ("decisions", log_path),
@@ -483,13 +484,14 @@ def cmd_policy(args, argv) -> int:
         ("mean_rate_hz", f"{res.mean_rate_hz:.6g}"),
         ("final_rate_hz", f"{res.final_rate_hz:.6g}"),
         ("mean_inflight", f"{res.mean_inflight:.6g}"),
-        ("median_age_s", f"{res.median_age_s:.6g}"),
     ]
     try:
         stats = summary(res.trace)
+    except AoiError:  # the median and the summary both need two deliveries
+        pairs.append(("note", "too few deliveries for age statistics"))
+    else:
+        pairs.append(("median_age_s", f"{res.median_age_s:.6g}"))
         pairs += [(k, f"{v:.9g}") for k, v in stats.items()]
-    except AoiError:
-        pass
     _print_kv(pairs)
     if args.gnuplot_hints:
         print(_gnuplot_hint("trace", trace_path))

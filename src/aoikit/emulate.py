@@ -14,12 +14,18 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .policies import EWMA_ALPHA, EwmaEstimator, PolicyObservation
+from .policies import (
+    EWMA_ALPHA,
+    Q_ACTIONS,
+    EwmaEstimator,
+    PolicyObservation,
+    QTrainResult,
+)
 from .queuesim import (
     BUSY_LOSS_P,
     PANICKED_LOSS_P,
@@ -126,24 +132,33 @@ class EmulatedChannel:
 
     def __init__(self, spec: EmulatedChannelSpec):
         self.spec = spec
-        ss = np.random.SeedSequence(spec.seed).spawn(2)
-        delay_rng = np.random.Generator(np.random.PCG64(ss[0]))
-        loss_rng = np.random.Generator(np.random.PCG64(ss[1]))
-        # the delay stream draws either lognormal round trips or uniform
-        # per-leg jitter, never both; the loss stream draws only coins
-        self._rtts = self._jitters = None
-        if spec.rtt_lognorm_median_s is not None:
-            mu = math.log(spec.rtt_lognorm_median_s)
-            self._rtts = _draws(
-                lambda n: delay_rng.lognormal(mu, spec.rtt_lognorm_sigma, n))
-        elif spec.jitter_s > 0:
-            self._jitters = _draws(lambda n: delay_rng.uniform(0, spec.jitter_s, n))
-        self._coins = _draws(loss_rng.random)
         self._server_free_at = 0.0
         # bottleneck departure times, non-decreasing (FIFO service)
         self._in_system: deque[float] = deque()
         self._last_send_s: Optional[float] = None
         self._send_rate_hz = EwmaEstimator(0.2)
+        # the delay stream draws either lognormal round trips or uniform
+        # per-leg jitter, never both; the loss stream draws only coins.
+        # Only a stream the spec draws from is built, so a channel that
+        # draws nothing never loads numpy.random
+        self._rtts = self._jitters = self._coins = None
+        delays = spec.rtt_lognorm_median_s is not None or spec.jitter_s > 0
+        lossy = spec.loss_p > 0 or spec.loss_onset_load is not None
+        if not (delays or lossy):
+            return
+        from numpy.random import PCG64, Generator, SeedSequence
+
+        delay_seed, loss_seed = SeedSequence(spec.seed).spawn(2)
+        if delays:
+            delay_rng = Generator(PCG64(delay_seed))
+            if spec.rtt_lognorm_median_s is not None:
+                mu = math.log(spec.rtt_lognorm_median_s)
+                self._rtts = _draws(
+                    lambda n: delay_rng.lognormal(mu, spec.rtt_lognorm_sigma, n))
+            else:
+                self._jitters = _draws(lambda n: delay_rng.uniform(0, spec.jitter_s, n))
+        if lossy:
+            self._coins = _draws(Generator(PCG64(loss_seed)).random)
 
     def _loss_probability(self, send_s: float) -> float:
         """The loss probability at a send under the load-driven loss
@@ -213,9 +228,10 @@ class EmulatedSamplerResult:
 
 
 MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
-# sends and epochs per run, and pings per offset estimate: a million take a
-# few seconds and under 200 MB in process, far beyond any run that
-# finishes in reasonable time
+# sends and epochs per run, and pings per offset estimate: far beyond any
+# run that finishes in reasonable time. A run of a million sends and a
+# million epochs takes a few seconds and peaks near 145 MB; a
+# million-ping offset estimate, which keeps every exchange, near 245 MB
 MAX_SENDS = 1_000_000
 
 
@@ -357,12 +373,34 @@ class DecisionLog:
 DECISION_HEADER = "epoch,action,target_backlog,rate_hz,avg_age_s,backlog"
 
 
-def decision_csv(log: DecisionLog) -> str:
-    return "\n".join([DECISION_HEADER] + [
-        f"{epoch},{action},{target:.6g},{rate:.6g},{age:.6g},{backlog}"
+_LOG_BLOCK = 4096  # log rows formatted per write
+
+
+def _write_rows(f, rows: Iterator[str]) -> None:
+    """Write DECISION_HEADER and then `rows`, each a line, to the text
+    file `f`, `_LOG_BLOCK` rows per write: no more than one block of
+    the log's text is held at a time."""
+    from itertools import islice
+
+    f.write(DECISION_HEADER + "\n")
+    while block := "".join(islice(rows, _LOG_BLOCK)):
+        f.write(block)
+
+
+def write_decision_csv(f, log: DecisionLog) -> None:
+    """Write the decision log as CSV to the text file `f`."""
+    _write_rows(f, (
+        f"{epoch},{action},{target:.6g},{rate:.6g},{age:.6g},{backlog}\n"
         for epoch, (action, target, rate, age, backlog) in enumerate(zip(
-            log.action, log.target_backlog, log.rate_hz, log.avg_age_s, log.backlog), 1)
-    ]) + "\n"
+            log.action, log.target_backlog, log.rate_hz, log.avg_age_s, log.backlog), 1)))
+
+
+def write_qlearn_csv(f, res: QTrainResult) -> None:
+    """Write a Q-learning run's steps to the text file `f` in the
+    decision log's columns: step i is epoch i, and every step of one
+    action logs the same row after its epoch number."""
+    tails = [f",{Q_ACTIONS[a]},0,0,{age:.6g},0\n" for a, age in enumerate(res.action_ages)]
+    _write_rows(f, (f"{i}{tails[a]}" for i, a in enumerate(res.action_history, 1)))
 
 
 @dataclass
@@ -548,6 +586,7 @@ def run_rate_policy(
         rate_area += rate_hz * (duration_s - rate_clock)
 
     trace = AgeTrace.from_seconds(send_s, ack_s, t_end_ns=seconds_to_ns(duration_s))
+    del send_s, ack_s  # the trace holds the stamps now
     return PolicyRunResult(
         trace=trace,
         decisions=decisions,
@@ -560,7 +599,7 @@ def run_rate_policy(
     )
 
 
-_MEDIAN_CHUNK = 65_536  # grid points per chunk
+_MEDIAN_CHUNK = 8_192  # grid points per chunk
 
 
 def _median_age(trace: AgeTrace, grid_s: float) -> float:

@@ -69,6 +69,14 @@ def _delivered_or_raise(trace: AgeTrace) -> tuple[np.ndarray, np.ndarray]:
     return gen, recv
 
 
+def _span_s(end: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """`end - start` of int64 nanosecond stamps in float seconds,
+    divided in place: one float array beside the integer difference."""
+    span = (end - start).astype(float)
+    span /= 1e9
+    return span
+
+
 def _window_s(recv: np.ndarray) -> float:
     t = float(int(recv[-1]) - int(recv[0]))
     if t <= 0:
@@ -97,8 +105,8 @@ def average_age_by_reception(trace: AgeTrace) -> float:
     live measurement since it needs only quantities known at each
     reception."""
     gen, recv = _delivered_or_raise(trace)
-    gap = (recv[1:] - recv[:-1]).astype(float) / 1e9
-    beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
+    gap = _span_s(recv[1:], recv[:-1])
+    beta = _span_s(recv[:-1], gen[:-1])
     area = float(np.sum(gap * beta) + np.sum(gap * gap) / 2.0)
     return area / _window_s(recv)
 
@@ -108,10 +116,12 @@ def average_age_by_generation(trace: AgeTrace) -> float:
     window-edge triangles so the value equals the exact time average
     over [first reception, last reception]."""
     gen, recv = _delivered_or_raise(trace)
-    x = (gen[1:] - gen[:-1]).astype(float) / 1e9
-    theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
-    y = (recv - gen).astype(float) / 1e9
-    trapezoids = float(np.sum((theta + y[1:]) * x) / 2.0)
+    x = _span_s(gen[1:], gen[:-1])
+    theta = _span_s(recv[1:], gen[:-1])
+    y = _span_s(recv, gen)
+    theta += y[1:]
+    theta *= x
+    trapezoids = float(np.sum(theta) / 2.0)
     edges = (float(y[-1]) ** 2 - float(y[0]) ** 2) / 2.0
     return (trapezoids + edges) / _window_s(recv)
 
@@ -119,7 +129,7 @@ def average_age_by_generation(trace: AgeTrace) -> float:
 def peak_age(trace: AgeTrace) -> float:
     """Mean of the age values immediately before each reception."""
     gen, recv = _delivered_or_raise(trace)
-    peaks = (recv[1:] - gen[:-1]).astype(float) / 1e9
+    peaks = _span_s(recv[1:], gen[:-1])
     return float(np.mean(peaks))
 
 
@@ -151,8 +161,8 @@ def penalty_average(trace: AgeTrace, spec: PenaltySpec) -> float:
     """Time average of f(age) over the observation window, computed in
     closed form per inter-reception interval via the antiderivative."""
     gen, recv = _delivered_or_raise(trace)
-    beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
-    theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
+    beta = _span_s(recv[:-1], gen[:-1])
+    theta = _span_s(recv[1:], gen[:-1])
     # an overflow is reported by _finite_sum, which names the interval
     with np.errstate(over="ignore", invalid="ignore"):
         areas = spec.F(theta) - spec.F(beta)
@@ -196,8 +206,8 @@ def penalty_bias(trace: AgeTrace, bias: BiasModel, spec: PenaltySpec) -> float:
         _delivered_or_raise(trace)
         return 0.0
     gen, recv = _delivered_or_raise(trace)
-    beta = (recv[:-1] - gen[:-1]).astype(float) / 1e9
-    theta = (recv[1:] - gen[:-1]).astype(float) / 1e9
+    beta = _span_s(recv[:-1], gen[:-1])
+    theta = _span_s(recv[1:], gen[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # see penalty_average
         areas = spec.F(theta + b) - spec.F(beta + b) - spec.F(theta) + spec.F(beta)
     return _finite_sum(areas, recv) / _window_s(recv)

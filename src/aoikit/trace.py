@@ -34,6 +34,15 @@ def seconds_to_ns(t_s):
     return int(round(t_s * 1e9))
 
 
+def _stamps_ns(t_s) -> np.ndarray:
+    """Float-second stamps to int64 nanoseconds as `seconds_to_ns`
+    rounds them, nan to `_LOST`, through one float buffer."""
+    ns = np.multiply(np.asarray(t_s, dtype=float), 1e9)
+    ns[np.isnan(ns)] = _LOST
+    np.rint(ns, out=ns)
+    return ns.astype(np.int64)
+
+
 class AgeTrace:
     """An ordered packet trace plus its observation window.
 
@@ -90,7 +99,8 @@ class AgeTrace:
             sizes_a = np.zeros(len(ids_a), dtype=np.int64)
         else:
             sizes_a = np.asarray(sizes, dtype=np.int64)
-        delivered = recv_a[recv_a != _LOST]
+        if t_start_ns is None or t_end_ns is None:
+            delivered = recv_a[recv_a != _LOST]
         if t_start_ns is None:
             lo = [0] if len(gen_a) == 0 else [int(gen_a.min())]
             if len(delivered):
@@ -118,15 +128,13 @@ class AgeTrace:
     ) -> "AgeTrace":
         """Trace with ids 0..n-1 of `size_bytes` each, observed from time
         0, from float-second stamps, nan marking a lost packet,
-        converted in bulk by `seconds_to_ns`."""
-        recv = np.array(recv_s, dtype=float)
-        recv_ns = np.full(len(recv), _LOST, dtype=np.int64)
-        got = ~np.isnan(recv)
-        recv_ns[got] = seconds_to_ns(recv[got])
+        converted as `seconds_to_ns` converts them. An `array('d')` or
+        float array is read in place, and the sizes column is one
+        read-only value broadcast to every row."""
+        n = len(recv_s)
         return cls.from_arrays(
-            np.arange(len(recv), dtype=np.int64),
-            seconds_to_ns(np.array(gen_s, dtype=float)), recv_ns,
-            np.full(len(recv), size_bytes, dtype=np.int64),
+            np.arange(n, dtype=np.int64), _stamps_ns(gen_s), _stamps_ns(recv_s),
+            np.broadcast_to(np.int64(size_bytes), n),
             t_start_ns=0, t_end_ns=t_end_ns,
         )
 
@@ -137,7 +145,7 @@ class AgeTrace:
         n = len(self.ids)
         if not len(self.gen_ns) == len(self.recv_ns) == len(self.sizes) == n:
             raise ValueError("ids, gen_ns, recv_ns and sizes must have equal length")
-        if n and np.any(np.diff(self.ids) <= 0):
+        if n and np.any(self.ids[1:] <= self.ids[:-1]):
             raise ValueError("packet ids must be strictly increasing")
         if n and self.ids[0] < 0:  # the smallest, as ids increase
             raise RangeError("negative packet id")
@@ -145,15 +153,20 @@ class AgeTrace:
             raise RangeError("negative packet size")
         if n and int(self.gen_ns.min()) < 0:
             raise RangeError("negative generation timestamp")
-        delivered = self.recv_ns != _LOST
-        if np.any(self.recv_ns[delivered] < 0):
+        recv = self.recv_ns
+        delivered = recv != _LOST
+        bad = recv < 0
+        bad &= delivered
+        if bad.any():
             raise RangeError("negative reception timestamp")
-        if not self.bias_declared and np.any(
-            self.recv_ns[delivered] < self.gen_ns[delivered]
-        ):
-            raise ValueError("reception before generation with zero declared bias")
-        if np.any(delivered):
-            last = int(self.recv_ns[delivered].max())
+        if not self.bias_declared:
+            np.less(recv, self.gen_ns, out=bad)
+            bad &= delivered
+            if bad.any():
+                raise ValueError("reception before generation with zero declared bias")
+        if delivered.any():
+            # every delivered stamp is non-negative, so above a lost one
+            last = int(recv.max())
             if not (self.t_end_ns >= last >= self.t_start_ns):
                 raise RangeError(
                     "observation window must satisfy t_end >= last recv >= t_start"
@@ -181,24 +194,28 @@ class AgeTrace:
         after obsolete filtering.
 
         A packet whose generation stamp does not exceed that of every
-        earlier delivery cannot reduce age and is dropped.
+        earlier delivery cannot reduce age and is dropped. The arrays
+        are read-only; where nothing is filtered they are views of the
+        trace's own columns.
         """
         if self._delivered_cache is None:
-            mask = self.recv_ns != _LOST
-            gen = self.gen_ns[mask]
-            recv = self.recv_ns[mask]
-            order = np.argsort(recv, kind="stable")
-            gen, recv = gen[order], recv[order]
-            if len(gen):
-                running = np.maximum.accumulate(gen)
-                prev = np.empty_like(running)
-                prev[0] = np.iinfo(np.int64).min
-                prev[1:] = running[:-1]
-                keep = gen > prev
+            gen, recv = self.gen_ns, self.recv_ns
+            got = recv != _LOST
+            if not got.all():
+                gen, recv = gen[got], recv[got]
+            del got
+            if np.any(recv[1:] < recv[:-1]):
+                order = np.argsort(recv, kind="stable")
+                gen, recv = gen[order], recv[order]
+            self._obsolete_count = 0
+            if np.any(gen[1:] <= gen[:-1]):
+                keep = np.empty(len(gen), dtype=bool)
+                keep[0] = True
+                np.greater(gen[1:], np.maximum.accumulate(gen)[:-1], out=keep[1:])
                 self._obsolete_count = int(len(gen) - np.count_nonzero(keep))
                 gen, recv = gen[keep], recv[keep]
-            else:
-                self._obsolete_count = 0
+            gen, recv = gen.view(), recv.view()
+            gen.flags.writeable = recv.flags.writeable = False
             self._delivered_cache = (gen, recv)
         return self._delivered_cache
 

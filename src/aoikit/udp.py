@@ -24,6 +24,9 @@ from .trace import AgeTrace, seconds_to_ns
 from . import wire
 
 RECV_BUF = 65536
+# the largest datagram an IPv4 UDP socket sends: 65,535 bytes less the
+# 20-byte IP and 8-byte UDP headers
+MAX_DATAGRAM = 65_507
 
 
 class EchoServer:

@@ -4,6 +4,7 @@ that start a Python child process."""
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -176,6 +177,16 @@ def reference_simulate_scheduler(cfg, frames: int, seed: int = 0):
         for ks in frames_of
     ]
     return run
+
+
+def decision_text(log) -> str:
+    """A decision log's CSV text: the blocks `write_decision_csv`
+    writes, joined."""
+    from aoikit.emulate import write_decision_csv
+
+    f = io.StringIO()
+    write_decision_csv(f, log)
+    return f.getvalue()
 
 
 def child_env() -> dict:

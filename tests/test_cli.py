@@ -426,6 +426,8 @@ POLICY = ["policy", "--emulated", "fixed_rtt=10ms"]
     (EMULATED_SAMPLER + ["--rate", "10", "--duration", "1", "--size", "65567"],
      None, None),
     (SAMPLER + ["--dest", "127.0.0.1:9", "--size", "30"], None, None),
+    # a datagram larger than an IPv4 UDP socket can send
+    (SAMPLER + ["--dest", "127.0.0.1:9", "--size", "65508"], None, None),
     # a penalty scale without a penalty, on a well-formed trace
     (["analyze", "--alpha", "7"], None, None),
     (POLICY + ["--name", "lazy", "--iters", "5"], None, None),
@@ -979,3 +981,78 @@ def test_measure_sync_unanswered_peer_exits_3(capsys):
         silent.close()
     assert code == 3
     assert "error" in err
+
+
+def test_live_sampler_sends_the_largest_udp_datagram_and_refuses_one_byte_more(
+        tmp_path, capsys):
+    from aoikit.udp import MAX_DATAGRAM, EchoServer
+
+    assert MAX_DATAGRAM == 65_507
+    server = EchoServer().start()
+    try:
+        runs = {size: run_cli(capsys, *SAMPLER, "--dest", f"127.0.0.1:{server.port}",
+                              "--size", str(size), "--out", str(tmp_path / f"{size}.csv"))
+                for size in (65_507, 65_508)}
+    finally:
+        server.stop()
+    code, stdout, err = runs[65_507]
+    assert code == 0 and err == ""
+    assert kv(stdout)["sent"] == "10" and int(kv(stdout)["received"]) > 0
+    code, stdout, err = runs[65_508]
+    assert code == 2 and stdout == ""
+    assert err == "error: --size must be in 31-65507 bytes, not 65508\n"
+    assert not (tmp_path / "65508.csv").exists()
+
+
+def test_policy_with_too_few_deliveries_prints_a_note_in_place_of_age_statistics(
+        tmp_path, capsys):
+    # a 20 s round trip acks one packet in 30 s, as `measure sampler`
+    # reports a run with too few deliveries
+    code, stdout, err = run_cli(
+        capsys, "policy", "--name", "zero-wait", "--emulated", "fixed_rtt=20s",
+        "--duration", "30", "--out", str(tmp_path / "zw"))
+    assert code == 0 and err == ""
+    stats = kv(stdout)
+    assert stats["acked"] == "1"
+    assert stats["note"] == "too few deliveries for age statistics"
+    assert "nan" not in stdout
+    assert not {"median_age_s", "avg_age_recv_form_s", "peak_age_s"} & set(stats)
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["policy", "--name", "acp", "--emulated", "capacity_step", "--duration", "30"],
+     False),
+    (["measure", "sampler", "--emulated", "capacity=100,fixed_rtt=20ms",
+      "--rate", "300", "--duration", "2"], False),
+    (["policy", "--name", "lazy", "--emulated", "fixed_rtt=5ms,jitter=1ms",
+      "--duration", "2"], True),
+    (["measure", "sampler", "--emulated", "fixed_rtt=20ms,loss=0.1",
+      "--rate", "100", "--duration", "2"], True),
+], ids=["acp-capacity-step", "sampler-capacity", "lazy-jitter", "sampler-loss"])
+def test_only_a_channel_that_draws_loads_numpy_random(tmp_path, argv, draws):
+    loaded = imported_by("-m", "aoikit.cli", *argv, "--out", str(tmp_path / "out"))
+    assert "aoikit.emulate" in loaded
+    assert ("numpy.random" in loaded) == draws
+
+
+def test_million_step_qlearn_child_stays_small(tmp_path):
+    # the step log streams to its file: no line per step is held, so a
+    # run at the step bound peaks near a short one
+    import resource
+    import subprocess
+    import sys
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aoikit.cli", "policy", "--name", "qlearn",
+         "--emulated", "fixed_delay=1s", "--iters", "1000000",
+         "--out", str(tmp_path / "q")],
+        stdout=subprocess.DEVNULL, env=child_env(), preexec_fn=limit_cpu)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    with open(tmp_path / "q.decisions.csv", "rb") as f:
+        assert sum(1 for _ in f) == 1_000_001
+    assert usage.ru_maxrss / 1024 < 80  # kilobytes on Linux

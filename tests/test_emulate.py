@@ -15,7 +15,6 @@ from aoikit.emulate import (
     EmulatedChannelSpec,
     _median_age,
     check_schedule,
-    decision_csv,
     estimate_offset_emulated,
     offset_from_exchanges,
     run_rate_policy,
@@ -26,7 +25,7 @@ from aoikit.metrics import age_floor, average_age_by_reception, mean_delay
 from aoikit.policies import SENDERS, AcpState, Lazy, ZeroWait
 from aoikit.trace import AgeTrace
 
-from helpers import reference_median_age, sha256_of
+from helpers import decision_text, reference_median_age, sha256_of
 
 
 def test_zero_impairment_channel_is_transparent():
@@ -303,7 +302,7 @@ def test_acp_rate_positive_and_finite_after_init():
 def test_decision_log_holds_typed_columns():
     res = run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.05), 2.0)
     log = res.decisions
-    epochs = len(decision_csv(log).splitlines()) - 1
+    epochs = len(decision_text(log).splitlines()) - 1
     assert epochs > 0 and len(log) == epochs
     assert log.action == ["RATE"] * epochs
     for name, typecode in (("target_backlog", "d"), ("rate_hz", "d"), ("avg_age_s", "d"),
@@ -312,7 +311,33 @@ def test_decision_log_holds_typed_columns():
         assert isinstance(column, array) and column.typecode == typecode
         assert len(column) == epochs
     # a run with no epoch logs the header alone
-    assert decision_csv(emulate.DecisionLog()) == emulate.DECISION_HEADER + "\n"
+    assert decision_text(emulate.DecisionLog()) == emulate.DECISION_HEADER + "\n"
+
+
+def test_decision_log_is_written_a_block_at_a_time(tmp_path):
+    import tracemalloc
+
+    n = 200_000
+    log = emulate.DecisionLog()
+    log.action.extend(["RATE"] * n)
+    for column in (log.target_backlog, log.rate_hz, log.avg_age_s):
+        column.extend(i / 7.0 for i in range(n))
+    log.backlog.extend(range(n))
+    path = tmp_path / "d.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        tracemalloc.start()
+        try:
+            emulate.write_decision_csv(f, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = path.read_text()
+    assert text.count("\n") == n + 1
+    assert text.endswith(f"{n},RATE,28571.3,28571.3,28571.3,{n - 1}\n")
+    # the text is over 8 MB, and a list of its rows more than twice that;
+    # one block of rows and its joined text take well under 2 MB
+    assert len(text) > 8_000_000
+    assert peak < 2_000_000
 
 
 def test_offset_refuses_more_pings_than_the_send_bound(monkeypatch):
@@ -513,7 +538,7 @@ def test_emulated_golden_digests():
     preset = parse_emulated("capacity_step", 0, "acp")
     res = run_rate_policy(AcpState(), preset, 30.0)
     got["acp/capacity_step"] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
-                                         decision_csv(res.decisions))
+                                         decision_text(res.decisions))
     assert got == EMULATED_GOLDEN
 
 
@@ -591,7 +616,7 @@ def test_policy_golden_digests():
                    res.median_age_s, res.sent, res.acked,
                    list(res.decisions.t_s))
         got[key] = sha256_of(res.trace.gen_ns, res.trace.recv_ns,
-                             decision_csv(res.decisions), repr(figures))
+                             decision_text(res.decisions), repr(figures))
     assert got == POLICY_GOLDEN
 
 

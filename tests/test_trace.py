@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 
 import numpy as np
@@ -471,3 +472,50 @@ def test_empty_trace_writes_only_the_header(tmp_path):
         for text in (HEADER, HEADER + "\n", HEADER + "\n\n"):
             for back in read_through_path_and_buffer(tmp_path, text):
                 assert_same_trace(back, trace)
+
+
+def _reference_delivered(trace):
+    # the filter as first written: mask, stable sort, running maximum
+    mask = trace.recv_ns != trace_module._LOST
+    gen, recv = trace.gen_ns[mask], trace.recv_ns[mask]
+    order = np.argsort(recv, kind="stable")
+    gen, recv = gen[order], recv[order]
+    if not len(gen):
+        return gen, recv
+    prev = np.concatenate([[np.iinfo(np.int64).min], np.maximum.accumulate(gen)[:-1]])
+    keep = gen > prev
+    return gen[keep], recv[keep]
+
+
+@pytest.mark.parametrize("recv, shared", [
+    # in order and nothing lost: the trace's own columns
+    ([10, 20, 30, 40], True),
+    ([10, 20, 20, 40], True),
+    ([10, None, 30, 40], False),
+    ([25, 20, 30, 40], False),  # reordered: packet 0 turns obsolete
+    ([None, None, None, None], False),
+    ([], False),
+])
+def test_delivered_copies_only_what_it_filters(recv, shared):
+    gen = [0, 5, 10, 15][:len(recv)]
+    trace = AgeTrace.from_arrays(range(len(recv)), gen, recv, t_start_ns=0, t_end_ns=50)
+    got = trace.delivered()
+    want = _reference_delivered(trace)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+        assert not a.flags.writeable
+    assert np.shares_memory(got[0], trace.gen_ns) == shared
+    assert trace.gen_ns.flags.writeable  # only the returned views are read-only
+
+
+def test_from_seconds_rounds_each_stamp_as_seconds_to_ns():
+    from array import array
+
+    gen = array("d", [0.0, 0.5e-9, 1.5e-9, 2.5e-9, 0.1, 1e3 + 1e-7])
+    recv = array("d", [1.0, math.nan, 2.0, 2.5, math.nan, 1e3 + 1e-6])
+    trace = AgeTrace.from_seconds(gen, recv, size_bytes=7)
+    assert trace.gen_ns.tolist() == [trace_module.seconds_to_ns(t) for t in gen]
+    assert trace.recv_ns.tolist() == [
+        trace_module._LOST if math.isnan(t) else trace_module.seconds_to_ns(t) for t in recv]
+    assert trace.loss_count == 2 and trace.sizes.tolist() == [7] * 6
+    assert (trace.t_start_ns, trace.t_end_ns) == (0, trace.recv_ns[-1])
