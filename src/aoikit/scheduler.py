@@ -93,7 +93,7 @@ def simulate_scheduler(cfg: SchedulerConfig, frames: int, seed: int = 0) -> Sche
     elif cfg.policy == "greedy":
         picks = _greedy_picks(p, coins, cfg.weight_exponent)
     else:
-        picks = _max_weight_picks(p, p, coins, cfg.weight_exponent)
+        picks = _front_picks(p, coins, cfg.weight_exponent)
     success = coins < p[picks]
     hits = np.flatnonzero(success)
     owner = picks[hits]
@@ -180,6 +180,102 @@ def _greedy_picks(p: np.ndarray, coins: np.ndarray, w: float) -> np.ndarray:
         pw = None
     if pw is None or not (np.diff(pw) > 0).all():
         return _max_weight_picks(None, p, coins, w)
+    return picks
+
+
+def _front_picks(p: np.ndarray, coins: np.ndarray, w: float) -> np.ndarray:
+    """Max-weight's picks, scoring only the sources that can still win.
+
+    The sources are kept in (newest delivery, index) order, oldest
+    first, as in greedy's rotation. A source j that comes after a
+    source i with p_i > p_j cannot win. If neither was delivered past
+    frame 0, their ages are equal and i has the lower index, so j can
+    at best tie i and lose the tie. Otherwise i is strictly older; while
+    every p is at least 2**-1000 and pw[a + 1] >= pw[a] * (1 + 2**-50)
+    up to the oldest age, every score past frame 0 is a normal float
+    within a factor 1 +- 2**-53 of its exact value, so j's score rounds
+    strictly below i's. So only the prefix maxima of p in that order,
+    the front, are scored. Equal p values stay in it, so that a source
+    of equal p moves to the newest end without a rescan.
+
+    The front is scanned oldest first, and the scan stops once
+    top * pw[age] < best, top being the largest p: no later source
+    can reach the best score, not even tie it. A success at frame
+    k > 0 moves its source to the newest end. Only the sources between
+    it and the next front member are rescanned, against the p of the
+    front member before it, and it rejoins the front at the end only
+    if no remaining member has a higher p.
+
+    Where either check fails (w = 0, a tiny w such as 1e-300 or
+    1e-12, a p below 2**-1000 such as a subnormal one) or a power
+    overflows, the per-frame argmax decides instead, and raises where
+    it would.
+    """
+    probs = p.tolist()
+    if min(probs) < 2.0 ** -1000:
+        return _max_weight_picks(p, p, coins, w)
+    n = len(probs)
+    last = [0] * n  # newest delivered frame
+    nxt = list(range(1, n)) + [-1]  # the order as a linked list
+    prv = list(range(-1, n - 1))
+    tail = n - 1
+    front, top = [], 0.0
+    for i, q in enumerate(probs):
+        if q >= top:
+            front.append(i)
+            top = q
+    pw: list[float] = []
+    end = 0  # pw covers the oldest age of every frame before this one
+    picks = np.empty(len(coins), dtype=np.int64)
+    out = memoryview(picks)
+    for k, coin in enumerate(memoryview(coins)):
+        if k >= end:
+            end = last[front[0]] + len(pw)
+            if k >= end:
+                try:
+                    more = _extend_powers(np.array(pw), k - last[front[0]], w)
+                except OverflowError:
+                    more = None
+                if more is None or not (more[1:] >= more[:-1] * (1 + 2.0 ** -50)).all():
+                    return _max_weight_picks(p, p, coins, w)
+                pw = more.tolist()
+                end = last[front[0]] + len(pw)
+        best, pick = -1.0, -1
+        for i in front:
+            x = pw[k - last[i]]
+            s = probs[i] * x
+            if s >= best:
+                if s > best or i < pick:
+                    best, pick = s, i
+            elif top * x < best:
+                break
+        out[k] = pick
+        if coin < probs[pick] and k:
+            last[pick] = k
+            j = nxt[pick]
+            if j < 0:  # already the newest
+                continue
+            if prv[pick] >= 0:
+                nxt[prv[pick]] = j
+            prv[j] = prv[pick]
+            nxt[tail] = pick
+            prv[pick] = tail
+            nxt[pick] = -1
+            tail = pick
+            t = front.index(pick)
+            stop = front[t + 1] if t + 1 < len(front) else pick
+            lo = probs[front[t - 1]] if t else 0.0
+            gap = []
+            while j != stop:
+                if probs[j] >= lo:
+                    gap.append(j)
+                    lo = probs[j]
+                j = nxt[j]
+            front[t:t + 1] = gap
+            top = probs[front[-1]]
+            if probs[pick] >= top:
+                front.append(pick)
+                top = probs[pick]
     return picks
 
 

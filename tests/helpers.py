@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -103,6 +104,32 @@ def echo_ratio(res) -> float:
 def total_avg_age(run) -> float:
     """Sum over the sources of a scheduler run's average ages."""
     return float(sum(run.avg_age_per_source))
+
+
+def polling_age_lower_bound(cfg, frames: float = math.inf) -> float:
+    """A lower bound, in seconds, on the expected source-averaged age of
+    any polling policy over `frames` frames, after Kadota et al.
+    (IEEE/ACM ToN 2018); the long run's by default.
+
+    A run sums each source's ages as r(r + 1)/2 over the r between
+    consecutive deliveries (frame 0 and the last frame count as ends),
+    plus 0.5 a frame. The d deliveries give d + 1 runs summing to
+    F - 1, so by Cauchy-Schwarz the source's average age in frames is at
+    least (F - 1)^2 / (2F(d + 1)) + 1 - 1/(2F). A poll succeeds with
+    probability p whatever led to it, so E[d] = p E[polls], and the
+    polls sum to F. Jensen's inequality and Cauchy-Schwarz once more
+    then give, with S = sum 1/sqrt(p_i) and T = sum 1/p_i,
+    (F - 1)^2 S^2 / (2NF(F + T)) + 1 - 1/(2F), which tends to
+    S^2 / (2N) + 1. The start-up terms are what a run of finite length,
+    which starts every source at age zero, reads below the long run.
+    """
+    n, p = cfg.n_sources, cfg.success_prob
+    s2 = sum(q ** -0.5 for q in p) ** 2
+    if frames == math.inf:
+        return cfg.frame_s * (s2 / (2 * n) + 1)
+    t = sum(1 / q for q in p)
+    return cfg.frame_s * ((frames - 1) ** 2 * s2 / (2 * n * frames * (frames + t))
+                          + 1 - 1 / (2 * frames))
 
 
 def sha256_of(*parts) -> str:

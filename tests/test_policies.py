@@ -275,6 +275,19 @@ def test_training_converges_to_boundary_value():
     assert int(np.argmin(res.values)) == ACTION_RESUME
 
 
+@pytest.mark.parametrize("seed, lr, steps", [(11, 0.1, 1000), (3, 0.3, 50_000),
+                                             (5, 0.01, 20_000)])
+def test_training_values_follow_their_closed_form(seed, lr, steps):
+    # every step is terminal and its cost fixed, so after n updates an
+    # action's value is c + (Q_INIT - c)(1 - lr)^n, c the cost of the
+    # age the action produces
+    res = train_pause_resume(QAgent(lr=lr, seed=seed), 1.0, steps)
+    for a in (ACTION_PAUSE, ACTION_RESUME):
+        c = age_cost(res.action_ages[a])
+        n = res.action_history.count(a)
+        assert res.values[a] == pytest.approx(c + (Q_INIT - c) * (1 - lr) ** n, abs=1e-12)
+
+
 def test_agent_validation():
     with pytest.raises(ConfigError):
         QAgent(epsilon=1.5)

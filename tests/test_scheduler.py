@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoikit import scheduler
 from aoikit.errors import ConfigError
 from aoikit.metrics import average_age_by_reception
 from aoikit.scheduler import (
@@ -12,7 +13,12 @@ from aoikit.scheduler import (
     simulate_scheduler,
 )
 
-from helpers import reference_simulate_scheduler, sha256_of, total_avg_age
+from helpers import (
+    polling_age_lower_bound,
+    reference_simulate_scheduler,
+    sha256_of,
+    total_avg_age,
+)
 
 
 def test_single_source_perfect_polls_is_frame_sawtooth():
@@ -135,6 +141,43 @@ def test_no_closed_form_for_max_weight_on_unequal_sources_or_zero_exponent():
             SchedulerConfig(2, (0.5, 0.5), policy=policy, weight_exponent=0.0)) is None
 
 
+# ------------------------------------------------ a lower bound for any policy
+
+BOUND_FRAMES = 20_000
+BOUND_PROBS = {
+    "uniform8": tuple(round(float(p), 6) for p in
+                      np.random.default_rng([0, 2, 8]).uniform(0.2, 1.0, 8)),
+    "spaced8": (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+    "rare4": (0.02, 0.9, 0.5, 0.7),
+    "four-values16": (0.3, 0.5, 0.7, 0.9) * 4,
+    "perfect4": (1.0,) * 4,
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", BOUND_PROBS)
+def test_every_policy_stays_above_the_lower_bound(policy, name):
+    # the bound holds for the expected age of a run of this length, so
+    # the seeds' mean may sit below it by sampling error alone; at
+    # p = 1 every run is the same and the error is zero
+    probs = BOUND_PROBS[name]
+    cfg = SchedulerConfig(len(probs), probs, frame_s=0.01, policy=policy)
+    ages = [total_avg_age(simulate_scheduler(cfg, BOUND_FRAMES, seed=seed)) / len(probs)
+            for seed in ORACLE_SEEDS]
+    se = np.std(ages, ddof=1) / np.sqrt(len(ages))
+    assert np.mean(ages) >= polling_age_lower_bound(cfg, BOUND_FRAMES) - ORACLE_Z * se
+
+
+def test_lower_bound_is_round_robins_age_at_perfect_polls():
+    # tight in the long run: round-robin at p = 1 reads N/2 + 1 frames,
+    # and a run that starts at age zero reads a little below it
+    cfg = SchedulerConfig(4, (1.0,) * 4, frame_s=2.0)
+    assert polling_age_lower_bound(cfg) == analytic_avg_age_per_source(cfg)[0] == 6.0
+    short = total_avg_age(simulate_scheduler(cfg, 1000)) / 4
+    assert polling_age_lower_bound(cfg, 1000) <= short < 6.0
+    assert polling_age_lower_bound(cfg, 10**12) == pytest.approx(6.0, rel=1e-11)
+
+
 # ------------------------------------------------ equivalence and golden digests
 
 
@@ -203,24 +246,85 @@ def _assert_same_outcome(cfg, frames, seed):
 # w = 0 ties every score; 1e-300 ties every age past 0; 1e-12 ties
 # neighbouring ages in the thousands; 80 overflows past age 7131, which
 # the rare sources reach
+@pytest.mark.parametrize("policy", ["greedy", "max-weight"])
 @pytest.mark.parametrize("w", [0.0, 1e-300, 1e-12, 80.0])
 @pytest.mark.parametrize("probs, frames", [
     ((0.31, 0.9, 0.55, 0.2, 0.74), 3000),
     ((0.0004, 0.0007, 0.5), 20_000),
 ])
-def test_greedy_exponent_edges_match_the_reference(w, probs, frames):
-    cfg = SchedulerConfig(len(probs), probs, policy="greedy", weight_exponent=w)
+def test_exponent_edges_match_the_reference(policy, w, probs, frames):
+    cfg = SchedulerConfig(len(probs), probs, policy=policy, weight_exponent=w)
     _assert_same_outcome(cfg, frames, seed=2)
 
 
+@pytest.mark.parametrize("policy", ["greedy", "max-weight"])
 @pytest.mark.parametrize("probs", [
     (0.3,),  # one source
     (1.0, 0.4, 0.7),  # source 0 succeeds at frame 0, where its age stays 0
 ])
-def test_greedy_small_cases_match_the_reference(probs):
+def test_small_cases_match_the_reference(policy, probs):
     for seed in range(3):
-        cfg = SchedulerConfig(len(probs), probs, policy="greedy")
+        cfg = SchedulerConfig(len(probs), probs, policy=policy)
         _assert_same_outcome(cfg, 2000, seed)
+
+
+# a small pool, so that sources share p and scores tie exactly (0.5 at
+# age 4 ties 1.0 at age 2 under w = 1); 5e-324 is subnormal and 1e-300
+# is just above 2**-1000, the smallest p max-weight's front scores
+TIE_POOL = [5e-324, 1e-300, 0.125, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    probs=st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=12),
+    frames=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    w=st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0, 2.0, 80.0]),
+)
+def test_max_weight_ties_and_repeated_p_match_the_reference(probs, frames, seed, w):
+    cfg = SchedulerConfig(len(probs), tuple(probs), policy="max-weight",
+                          weight_exponent=w)
+    _assert_same_outcome(cfg, frames, seed)
+
+
+@pytest.fixture
+def argmax_calls(monkeypatch):
+    """The weights every per-frame argmax of this test was called with."""
+    calls = []
+    argmax = scheduler._max_weight_picks
+
+    def recorded(weights, p, coins, w):
+        calls.append(weights)
+        return argmax(weights, p, coins, w)
+
+    monkeypatch.setattr(scheduler, "_max_weight_picks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("probs, w, frames", [
+    ((0.5, 0.9, 0.7), 0.0, 100),  # no power margin at any age
+    ((0.0004, 0.0007, 0.5), 1e-12, 20_000),  # a margin that ends past age 1,000
+    ((0.5, 1e-310, 0.9), 1.0, 100),  # a subnormal p
+])
+def test_max_weight_falls_back_to_the_argmax(argmax_calls, probs, w, frames):
+    cfg = SchedulerConfig(len(probs), probs, policy="max-weight", weight_exponent=w)
+    _assert_same_outcome(cfg, frames, seed=2)
+    assert len(argmax_calls) == 1 and argmax_calls[0] is not None
+
+
+def test_max_weight_falls_back_to_the_argmax_on_overflow(argmax_calls):
+    cfg = SchedulerConfig(2, (1e-9, 1e-9), policy="max-weight", weight_exponent=80.0)
+    with pytest.raises(OverflowError):
+        simulate_scheduler(cfg, 8000)
+    assert len(argmax_calls) == 1 and argmax_calls[0] is not None
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0, 80.0])
+def test_max_weight_scores_the_front_without_the_argmax(argmax_calls, w):
+    cfg = SchedulerConfig(5, (0.31, 0.9, 0.55, 0.2, 0.74), policy="max-weight",
+                          weight_exponent=w)
+    _assert_same_outcome(cfg, 3000, seed=2)
+    assert argmax_calls == []
 
 
 def _golden_scheduler_runs():
@@ -253,18 +357,27 @@ def test_scheduler_golden_digests():
     assert got == SCHEDULER_GOLDEN
 
 
-def test_greedy_golden_digests_at_benchmark_scale():
-    # greedy over 25,000 frames with p ~ U(0.2, 1.0), drawn as the
-    # benchmark's polling workload draws them; pinned before greedy's
-    # picks became a rotation pointer
+def _benchmark_scale_digests(policy):
+    # 25,000 frames with p ~ U(0.2, 1.0), drawn as the benchmark's
+    # polling workload draws them
     got = {}
     for seed in (0, 1):
         for n in (8, 64):
             rng = np.random.default_rng([seed, 2, n])
             probs = tuple(round(float(p), 6) for p in rng.uniform(0.2, 1.0, n))
-            cfg = SchedulerConfig(n, probs, policy="greedy")
+            cfg = SchedulerConfig(n, probs, policy=policy)
             got[f"{seed}/{n}"] = _run_digest(simulate_scheduler(cfg, 25_000, seed=seed))
-    assert got == GREEDY_GOLDEN_25K
+    return got
+
+
+def test_greedy_golden_digests_at_benchmark_scale():
+    # pinned before greedy's picks became a rotation pointer
+    assert _benchmark_scale_digests("greedy") == GREEDY_GOLDEN_25K
+
+
+def test_max_weight_golden_digests_at_benchmark_scale():
+    # pinned before max-weight scored only its dominance front
+    assert _benchmark_scale_digests("max-weight") == MAX_WEIGHT_GOLDEN_25K
 
 
 GREEDY_GOLDEN_25K = {
@@ -272,6 +385,14 @@ GREEDY_GOLDEN_25K = {
     "0/64": "78d91c6d64a1099df0d595be8bc82177c59b0a3219b529e5d64d6d2a8749df88",
     "1/8": "7dd039c22b337b01dd4a5011a5fc6a3c8d536d246a94eef763b82997d0e399f9",
     "1/64": "3ca4c0623dbc7ee950f91355495762a8befcd6597cac0239cf1391670317dce7",
+}
+
+
+MAX_WEIGHT_GOLDEN_25K = {
+    "0/8": "75b70b9458fb800e2108c9b440fa78290d8a8a288163676c451c16e414d50c08",
+    "0/64": "012c3cc444616a8c21d3d50c8de2dd5d3bdb4ac3167e57ce78d4b3d0997dafea",
+    "1/8": "373844d20dc29d5ce7eba382173a6a5a16ae8f19902c8877d0ea33cb47462a59",
+    "1/64": "11714dea9ceece8e3923f66678e831d04bbc74958d3d1b1b18d75da18e8ba58a",
 }
 
 
