@@ -6,6 +6,22 @@ from the run seed (one independent stream each for arrivals, service,
 and loss coins), and simultaneous events are ordered by insertion
 sequence, so identical (config, seed) pairs give bit-identical traces
 on a given platform.
+
+`simulate` runs each config on one of three paths:
+
+- the Lindley recurrence (`SimConfig.lindley`: loss-free FCFS with
+  poisson or deterministic arrivals and an infinite buffer). Its sums
+  run in another order than the event loop's, so it rounds some
+  deliveries 1 ns apart from the loop: which path a config takes is
+  part of its trace;
+- busy periods in numpy (`busy_periods`): the other configs with
+  poisson or deterministic arrivals and an infinite buffer, that is
+  FCFS with loss or retransmission and lcfs1. It sums in the event
+  loop's order and equals the loop bit for bit, and it hands the run to
+  the loop on an lcfs1 discard or an arrival at exactly a completion
+  time;
+- the event loop (`_simulate_events`): at-will and zero-wait arrivals,
+  a finite `capacity`, and the runs the busy-period path hands over.
 """
 
 from __future__ import annotations
@@ -39,7 +55,8 @@ class ArrivalSpec:
     poisson / deterministic generate at `rate` per second. at-will
     asks `hook(packet_index, completion_time_s)` for the waiting time
     before the next generation each time the channel goes idle;
-    zero-wait is at-will with zero waiting.
+    zero-wait is at-will with zero waiting. A negative wait counts as
+    zero; a wait of nan or +inf raises `ConfigError` during the run.
     """
 
     kind: str
@@ -156,7 +173,10 @@ def simulate(cfg: SimConfig) -> SimRun:
     An unstable configuration (offered load >= 1 with an infinite
     buffer) is permitted; the run metadata carries `unstable=1`.
     """
-    run = _simulate_fcfs_lindley(cfg) if cfg.lindley else _simulate_events(cfg)
+    if cfg.lindley:
+        run = _simulate_fcfs_lindley(cfg)
+    else:
+        run = _simulate_busy_periods(cfg) or _simulate_events(cfg)
     load = cfg.load
     run.meta.update(
         seed=cfg.seed,
@@ -207,6 +227,18 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
         "max_waiting": int(max(0, int(in_system.max()) - 1)) if n else 0,
     }
     return SimRun(trace, meta)
+
+
+def _simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
+    """`busy_periods.simulate_busy_periods` for a config with poisson or
+    deterministic arrivals and an infinite buffer; None, for the event
+    loop to run, for any other config or a run that path hands back."""
+    if cfg.arrival.kind not in ("poisson", "deterministic") or cfg.capacity is not None:
+        return None
+    # imported here, so that no other run or command compiles it
+    from .busy_periods import simulate_busy_periods
+
+    return simulate_busy_periods(cfg)
 
 
 _DRAW_BLOCK = 4096
@@ -284,6 +316,9 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
                 # the channel is idle again; let the source decide when
                 # to generate the next update
                 wait = 0.0 if hook is None else float(hook(in_service, now))
+                if not wait < inf:
+                    raise ConfigError(f"at-will hook returned a wait of {wait!r} "
+                                      f"after packet {in_service}")
                 t_arr = now + max(0.0, wait)
                 generated += 1
             if queue:

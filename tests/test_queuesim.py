@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from aoikit import busy_periods, queuesim
 from aoikit.errors import ConfigError
 from aoikit.metrics import average_age_by_reception
 from aoikit.queuesim import (
@@ -164,6 +169,29 @@ def test_at_will_hook_controls_waiting():
     assert gaps == pytest.approx(np.full(len(gaps), 1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("wait", [float("inf"), float("nan")])
+def test_at_will_hook_refuses_a_wait_that_is_not_a_number_or_infinite(wait):
+    # inf used to end the run after one arrival, and nan counted as zero
+    cfg = SimConfig(
+        ArrivalSpec("at-will", hook=lambda i, t: 0.5 if i < 3 else wait),
+        ServiceSpec("deterministic", 2.0),
+        horizon=100,
+    )
+    with pytest.raises(ConfigError, match=rf"wait of {wait!r} after packet 3"):
+        simulate(cfg)
+
+
+def test_at_will_hook_negative_waits_count_as_zero():
+    def run(wait):
+        return simulate(SimConfig(ArrivalSpec("at-will", hook=lambda i, t: wait),
+                                  ServiceSpec("deterministic", 2.0), horizon=100))
+    zero = run(0.0)
+    for wait in (-1.0, float("-inf")):
+        got = run(wait)
+        assert got.meta == zero.meta
+        assert np.array_equal(got.trace.recv_ns, zero.trace.recv_ns)
+
+
 def test_sweep_single_rate_matches_simulate():
     cfg = mm1(0.5, n=5000, seed=11)
     rows = sweep_rate(cfg, [0.5])
@@ -256,6 +284,170 @@ def test_bad_configs_rejected():
             ArrivalSpec("deterministic", rate)
         with pytest.raises(ConfigError):
             ServiceSpec("deterministic", rate)
+
+
+# ------------------------------------------------------- busy-period path
+
+
+def _same_run(a, b) -> bool:
+    return (np.array_equal(a.trace.gen_ns, b.trace.gen_ns)
+            and np.array_equal(a.trace.recv_ns, b.trace.recv_ns)
+            and a.meta_lines() == b.meta_lines())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrival=st.sampled_from(["poisson", "deterministic"]),
+    service=st.sampled_from(["exponential", "deterministic"]),
+    load=st.floats(0.1, 3.0),
+    discipline=st.sampled_from(["fcfs", "lcfs1"]),
+    loss_p=st.sampled_from([0.0, 0.1, 0.3]),
+    retransmit=st.booleans(),
+    offset=st.sampled_from([0.0, 0.0125]),
+    horizon=st.sampled_from([1, 2, 37, 1500, 6000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example("poisson", "exponential", 0.9, "fcfs", 0.3, True, 0.0125, 6000, 1)
+@example("deterministic", "exponential", 1.7, "fcfs", 0.1, True, 0.0, 6000, 2)
+@example("poisson", "deterministic", 0.4, "lcfs1", 0.3, True, 0.0, 6000, 3)
+@example("deterministic", "deterministic", 2.9, "fcfs", 0.3, False, 0.0125, 6000, 4)
+def test_busy_period_path_equals_the_event_loop(arrival, service, load, discipline,
+                                                loss_p, retransmit, offset, horizon,
+                                                seed):
+    # 6000 arrivals with retransmission at loss 0.1 or 0.3 draw more than
+    # 4096 coins and services, past one block of the loop's draws
+    cfg = SimConfig(ArrivalSpec(arrival, 2.0 * load), ServiceSpec(service, 2.0),
+                    discipline=discipline, loss_p=loss_p, retransmit=retransmit,
+                    delivery_offset_s=offset, horizon=horizon, seed=seed)
+    loop = queuesim._simulate_events(cfg)
+    fast = queuesim._simulate_busy_periods(cfg)
+    if fast is None:
+        # only an lcfs1 discard or an exact tie hands a run back; ties
+        # need both times on a grid
+        assert loop.meta["discarded"] > 0 or arrival == service == "deterministic"
+    else:
+        assert _same_run(fast, loop)
+
+
+@pytest.mark.parametrize("rate, mu", [(2.0, 4.0), (2.0, 2.0), (4.0, 2.0), (1.0, 4.0),
+                                      (0.5, 1.0), (8.0, 4.0)])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs1"])
+@pytest.mark.parametrize("loss_p, retransmit", [(0.0, True), (0.25, False), (0.25, True)])
+def test_dyadic_ties_take_the_event_loop_order(rate, mu, discipline, loss_p, retransmit):
+    # arrivals and completions on one dyadic grid meet exactly; the loop's
+    # tie order then sets max_waiting, and simulate must still equal it
+    cfg = SimConfig(ArrivalSpec("deterministic", rate), ServiceSpec("deterministic", mu),
+                    discipline=discipline, loss_p=loss_p, retransmit=retransmit,
+                    horizon=5000, seed=3)
+    run, loop = simulate(cfg), queuesim._simulate_events(cfg)
+    run.meta = {k: run.meta[k] for k in loop.meta}
+    assert _same_run(run, loop)
+
+
+def test_dyadic_grid_reaches_both_paths():
+    def fast(rate, mu, retransmit):
+        cfg = SimConfig(ArrivalSpec("deterministic", rate), ServiceSpec("deterministic", mu),
+                        loss_p=0.25, retransmit=retransmit, horizon=5000, seed=3)
+        return queuesim._simulate_busy_periods(cfg) is not None
+    assert fast(2.0, 4.0, False)
+    # a retransmission ends at the next arrival, and an equal rate ties
+    # every completion with an arrival
+    assert not fast(2.0, 4.0, True)
+    assert not fast(2.0, 2.0, False)
+
+
+def test_lcfs1_hands_back_a_run_with_one_discard():
+    # at seed 14 one of 200 arrivals finds a packet waiting: FCFS queues
+    # it second in line, lcfs1 discards the one waiting
+    cfg = SimConfig(ArrivalSpec("deterministic", 1.0), ServiceSpec("exponential", 2.0),
+                    discipline="lcfs1", horizon=200, seed=14)
+    fcfs = queuesim._simulate_busy_periods(replace(cfg, discipline="fcfs", loss_p=0.1))
+    assert fcfs.meta["max_waiting"] == 2
+    assert queuesim._simulate_busy_periods(cfg) is None
+    assert simulate(cfg).meta["discarded"] == 1
+
+
+def _scalar_departures(release, svc):
+    out, prev = [], -np.inf
+    for r, s in zip(release.tolist(), svc.tolist()):
+        prev = max(r, prev) + s
+        out.append(prev)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("start, k, release", [
+    # seven services of 0.1 from 1.0 end at 1.7000000000000006, but the
+    # Lindley guess reads 1.7: a release at 1.7000000000000002 looks like
+    # a busy-period start and is not
+    (1.0, 7, 1.7000000000000002),
+    # ten from 100.1 end at 101.09999999999994 and the guess reads 101.1:
+    # a release at 101.09999999999997 starts a period the guess misses
+    (100.1, 10, 101.09999999999997),
+])
+def test_departures_repair_a_misplaced_busy_period_start(start, k, release):
+    rel = np.array([start] * k + [release, release, 200.0, 200.0])
+    svc = np.full(len(rel), 0.1)
+    assert busy_periods.departures(rel, svc, max_repairs=0) is None
+    assert np.array_equal(busy_periods.departures(rel, svc), _scalar_departures(rel, svc))
+
+
+def _paths(monkeypatch):
+    """Record which of simulate's three paths produced each run."""
+    taken = []
+    for name, label in (("_simulate_fcfs_lindley", "lindley"),
+                        ("_simulate_busy_periods", "vector"),
+                        ("_simulate_events", "events")):
+        def spy(cfg, real=getattr(queuesim, name), label=label):
+            run = real(cfg)
+            if run is not None:
+                taken.append(label)
+            return run
+        monkeypatch.setattr(queuesim, name, spy)
+    return taken
+
+
+# the golden configs the busy-period path runs; the loss-free fcfs ones
+# with exogenous arrivals and an infinite buffer take the Lindley path
+# and every other one the event loop
+VECTOR_GOLDEN = {
+    "poisson/fcfs/cap=None/loss", "poisson/fcfs/cap=None/retx",
+    "deterministic/fcfs/cap=None/loss", "deterministic/fcfs/cap=None/retx",
+    "offset/events", "bottleneck/0.3/lcfs1", "bottleneck/0.3/retx",
+    "bottleneck/0.8/fcfs", "bottleneck/0.8/lcfs1",
+}
+
+
+def test_golden_configs_take_their_pinned_path(monkeypatch):
+    configs = _golden_sim_configs()
+    taken = _paths(monkeypatch)
+    for name, cfg in configs.items():
+        simulate(cfg)
+        want = "lindley" if cfg.lindley else "vector" if name in VECTOR_GOLDEN else "events"
+        assert taken.pop() == want, name
+
+
+def test_benchmark_sweeps_take_their_pinned_path(monkeypatch):
+    # the event-sweep workload's points: 12 rates from 1.5 to 46 Hz into
+    # 130 kbit/s (15.36 packets/s) per discipline, and a Poisson sweep
+    # into a capacity-5 buffer
+    model = ChannelModel(bandwidth_bps=130_000.0, packet_bytes=1058)
+    rates = geometric_rates(1.5, 46.0, 12)
+    taken = _paths(monkeypatch)
+    bottleneck_sweep(model, rates, horizon=15_000, seed=0)
+    # loss-free below the loss onset
+    assert taken == ["vector" if model.loss_for_rate(r) else "lindley" for r in rates]
+    assert taken.count("lindley") == 6
+    taken.clear()
+    bottleneck_sweep(model, rates, horizon=15_000, seed=0, retransmit=True)
+    assert taken == ["vector"] * 12
+    taken.clear()
+    bottleneck_sweep(model, rates, horizon=15_000, seed=0, discipline="lcfs1")
+    # lcfs1 discards above the bottleneck's capacity
+    assert taken == ["vector" if r < model.capacity_hz else "events" for r in rates]
+    assert taken.count("events") == 4
+    taken.clear()
+    sweep_rate(mm1(1.0, n=20_000, capacity=5), [0.5, 0.8, 0.95, 1.1, 1.5, 2.0])
+    assert taken == ["events"] * 6
 
 
 # ------------------------------------------------------------ golden digests
