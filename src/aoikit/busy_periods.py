@@ -1,8 +1,8 @@
 """Busy periods in numpy: the queue simulator's path for poisson or
 deterministic arrivals into an infinite buffer, which never drops a
 packet for room. It runs FCFS with loss and/or retransmission, and
-lcfs1 while no arrival finds a packet already waiting, so that it
-serves as FCFS does.
+lcfs1 at load up to 1 while no arrival finds a packet already waiting,
+so that it serves as FCFS does.
 
 Each completion is computed as the event loop computes it,
 t_k = max(A_k, t_{k-1}) + S_k over service attempts, as an in-order
@@ -25,9 +25,6 @@ from .trace import AgeTrace
 # busy periods of up to this many attempts are summed one rank per pass,
 # longer ones by a cumulative sum each
 _SHORT_PERIOD = 64
-# busy-period starts the Lindley guess may misplace before a run falls
-# back to the event loop
-_MAX_REPAIRS = 8
 
 
 def _sum_periods(t: np.ndarray, release: np.ndarray, starts: np.ndarray) -> None:
@@ -53,44 +50,29 @@ def _sum_periods(t: np.ndarray, release: np.ndarray, starts: np.ndarray) -> None
         t[idx] += t[idx - 1]
 
 
-def departures(release: np.ndarray, svc: np.ndarray,
-               max_repairs: int = _MAX_REPAIRS) -> Optional[np.ndarray]:
+def departures(release: np.ndarray, svc: np.ndarray) -> Optional[np.ndarray]:
     """Completion times of a single server's service attempts, in the
     event loop's floats: t_k = max(release_k, t_{k-1}) + svc_k, where a
     release of -inf marks an attempt that follows the one before it (a
     retransmission). Busy-period starts are guessed from the Lindley
     form, whose sums run in another order, then checked against the
-    exact times; the first misplaced start is flipped and its period
-    summed again. Returns None after `max_repairs` repairs."""
+    exact times. Returns None if the guess misplaces a start."""
     t = np.cumsum(svc)
     guess = np.subtract(t, svc)
     np.subtract(release, guess, out=guess)
     np.maximum.accumulate(guess, out=guess)
     guess += t
-    n = len(svc)
-    starts = np.empty(n, dtype=bool)
+    starts = np.empty(len(svc), dtype=bool)
     starts[0] = True
     np.greater(release[1:], guess[:-1], out=starts[1:])
     del guess
     t[:] = svc
     _sum_periods(t, release, starts)
-    k = repairs = 0
-    while True:
-        # attempt j > k starts a busy period iff it is released after
-        # attempt j - 1 completes
-        wrong = np.flatnonzero(starts[k + 1:] != (release[k + 1:] > t[k:-1]))
-        if not len(wrong):
-            return t
-        if repairs == max_repairs:
-            return None
-        repairs += 1
-        k += 1 + int(wrong[0])
-        starts[k] = not starts[k]
-        rest = starts[k + 1:]
-        end = k + 1 + int(rest.argmax()) if rest.any() else n
-        t[k:end] = svc[k:end]
-        t[k] += release[k] if starts[k] else t[k - 1]
-        np.cumsum(t[k:end], out=t[k:end])
+    # attempt k > 0 starts a busy period iff it is released after
+    # attempt k - 1 completes
+    if (starts[1:] != (release[1:] > t[:-1])).any():
+        return None
+    return t
 
 
 def simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
@@ -98,7 +80,7 @@ def simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
     an infinite buffer, as the event loop makes it, or None for the loop
     to run: on an lcfs1 discard, on an arrival at exactly a completion
     time (the loop's tie order then sets `max_waiting`), or when the
-    busy-period guess needs too many repairs."""
+    Lindley guess misplaces a busy-period start."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n, loss_p = cfg.horizon, cfg.loss_p
     arr = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))

@@ -16,12 +16,13 @@ on a given platform.
   part of its trace;
 - busy periods in numpy (`busy_periods`): the other configs with
   poisson or deterministic arrivals and an infinite buffer, that is
-  FCFS with loss or retransmission and lcfs1. It sums in the event
-  loop's order and equals the loop bit for bit, and it hands the run to
-  the loop on an lcfs1 discard or an arrival at exactly a completion
-  time;
+  FCFS with loss or retransmission and lcfs1 at load up to 1. It sums
+  in the event loop's order and equals the loop bit for bit, and it
+  hands the run to the loop on an lcfs1 discard, an arrival at exactly
+  a completion time, or a busy-period start its guess misplaces;
 - the event loop (`_simulate_events`): at-will and zero-wait arrivals,
-  a finite `capacity`, and the runs the busy-period path hands over.
+  a finite `capacity`, lcfs1 above load 1, and the runs the
+  busy-period path hands over.
 """
 
 from __future__ import annotations
@@ -231,9 +232,14 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
 
 def _simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
     """`busy_periods.simulate_busy_periods` for a config with poisson or
-    deterministic arrivals and an infinite buffer; None, for the event
-    loop to run, for any other config or a run that path hands back."""
+    deterministic arrivals and an infinite buffer, unless it is lcfs1
+    above capacity; None, for the event loop to run, for any other
+    config or a run that path hands back."""
     if cfg.arrival.kind not in ("poisson", "deterministic") or cfg.capacity is not None:
+        return None
+    # lcfs1 above capacity discards in all but the shortest runs, and
+    # the path would hand it back only after computing it
+    if cfg.discipline == "lcfs1" and cfg.load > 1.0:
         return None
     # imported here, so that no other run or command compiles it
     from .busy_periods import simulate_busy_periods

@@ -9,11 +9,20 @@ lcfs1 where both are deterministic), loss 0, 0.1 and 0.3 with and
 without retransmission, with and without a delivery offset, loads from
 0.3 to 3, and bottleneck sweeps of each discipline and of
 retransmission at 130 kbit/s from 1.5 Hz up to 46 Hz, three times the
-bottleneck's capacity. A config the busy-period
-path hands back to the loop (an lcfs1 discard, or an arrival at exactly
-a completion time) is counted, not compared. Exits 1 on any mismatch or
-if fewer than 500 configs were compared. pytest does not collect this
-file; CI runs it as a step of the tests job.
+bottleneck's capacity. A config the busy-period path leaves to the loop
+(lcfs1 above capacity, an lcfs1 discard, an arrival at exactly a
+completion time, or a misplaced busy-period start) is counted, not
+compared.
+
+It then times the event loop alone, which still runs at-will and
+finite-capacity configs and every run handed back, at 25,000 and
+100,000 arrivals of a lossy 46 Hz sampler into the 130 kbit/s
+bottleneck, whose queue grows with the run. A linear loop reads a
+4n/n ratio near 4 and a quadratic one near 16.
+
+Exits 1 on any mismatch, if fewer than 500 configs were compared, or
+if the loop's ratio is above 4.5. pytest does not collect this file;
+CI runs it as a step of the tests job.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from helpers import sha256_of
 
 HORIZON = 20_000
 MIN_COMPARED = 500
+SCALING_ARRIVALS = 25_000
+MAX_SCALING_RATIO = 4.5
 
 
 def configs():
@@ -64,6 +75,28 @@ def digest(run) -> str:
     return sha256_of(run.trace.gen_ns, run.trace.recv_ns, run.meta_lines())
 
 
+def loop_scaling() -> float:
+    """The lowest of five 4n/n ratios of the event loop's time, each of
+    the fastest of three interleaved runs at n and at 4n arrivals, so
+    that a busy machine does not read as a super-linear loop."""
+    model = ChannelModel(bandwidth_bps=130_000.0)
+
+    def timed(n: int) -> float:
+        cfg = model.sim_config(46.0, n, 0)
+        start = time.perf_counter()
+        queuesim._simulate_events(cfg)
+        return time.perf_counter() - start
+
+    ratios = []
+    for _ in range(5):
+        small, large = [], []
+        for _ in range(3):
+            small.append(timed(SCALING_ARRIVALS))
+            large.append(timed(4 * SCALING_ARRIVALS))
+        ratios.append(min(large) / min(small))
+    return min(ratios)
+
+
 def main() -> int:
     start = time.perf_counter()
     compared = handed_back = lindley = 0
@@ -83,11 +116,18 @@ def main() -> int:
         print(f"mismatch: {name}")
     print(f"compared={compared} handed_back={handed_back} lindley={lindley} "
           f"mismatches={len(mismatches)} seconds={time.perf_counter() - start:.1f}")
+    ratio = loop_scaling()
+    print(f"event loop 4n/n at n={SCALING_ARRIVALS}: {ratio:.2f}")
+    failed = bool(mismatches)
     if compared < MIN_COMPARED:
         print(f"error: only {compared} configs took the busy-period path, "
               f"fewer than {MIN_COMPARED}")
-        return 1
-    return 1 if mismatches else 0
+        failed = True
+    if ratio > MAX_SCALING_RATIO:
+        print(f"error: the event loop's time grew {ratio:.2f} times from "
+              f"n to 4n, above {MAX_SCALING_RATIO}")
+        failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -322,9 +322,10 @@ def test_busy_period_path_equals_the_event_loop(arrival, service, load, discipli
     loop = queuesim._simulate_events(cfg)
     fast = queuesim._simulate_busy_periods(cfg)
     if fast is None:
-        # only an lcfs1 discard or an exact tie hands a run back; ties
-        # need both times on a grid
-        assert loop.meta["discarded"] > 0 or arrival == service == "deterministic"
+        # only lcfs1 above capacity, an lcfs1 discard or an exact tie
+        # hands a run back; ties need both times on a grid
+        assert (discipline == "lcfs1" and cfg.load > 1.0 or loop.meta["discarded"] > 0
+                or arrival == service == "deterministic")
     else:
         assert _same_run(fast, loop)
 
@@ -367,6 +368,14 @@ def test_lcfs1_hands_back_a_run_with_one_discard():
     assert simulate(cfg).meta["discarded"] == 1
 
 
+def test_lcfs1_above_capacity_takes_the_event_loop_at_once():
+    # even a run too short to discard; fcfs at the same load does not
+    cfg = SimConfig(ArrivalSpec("deterministic", 3.0), ServiceSpec("deterministic", 2.0),
+                    discipline="lcfs1", loss_p=0.1, horizon=1)
+    assert queuesim._simulate_busy_periods(cfg) is None
+    assert queuesim._simulate_busy_periods(replace(cfg, discipline="fcfs")) is not None
+
+
 def _scalar_departures(release, svc):
     out, prev = [], -np.inf
     for r, s in zip(release.tolist(), svc.tolist()):
@@ -384,11 +393,34 @@ def _scalar_departures(release, svc):
     # a release at 101.09999999999997 starts a period the guess misses
     (100.1, 10, 101.09999999999997),
 ])
-def test_departures_repair_a_misplaced_busy_period_start(start, k, release):
+def test_departures_refuse_a_misplaced_busy_period_start(start, k, release):
     rel = np.array([start] * k + [release, release, 200.0, 200.0])
     svc = np.full(len(rel), 0.1)
-    assert busy_periods.departures(rel, svc, max_repairs=0) is None
+    assert busy_periods.departures(rel, svc) is None
+    # released well clear of the completion before it, the same attempts
+    # are summed as the scalar recurrence sums them
+    rel[k:k + 2] = 150.0
     assert np.array_equal(busy_periods.departures(rel, svc), _scalar_departures(rel, svc))
+
+
+def test_a_misplaced_busy_period_start_runs_the_event_loop(monkeypatch):
+    # arrivals a few ulps slower than a fixed service: the Lindley guess
+    # misplaces a busy-period start, and the loop runs the config
+    cfg = SimConfig(ArrivalSpec("deterministic", 3.0 * (1 - 1e-14)),
+                    ServiceSpec("deterministic", 3.0), loss_p=0.1, horizon=200, seed=1)
+    loop, real, refused = queuesim._simulate_events(cfg), busy_periods.departures, []
+
+    def departures(release, svc):
+        t = real(release, svc)
+        refused.append(t is None)
+        return t
+    monkeypatch.setattr(busy_periods, "departures", departures)
+    taken = _paths(monkeypatch)
+    run = simulate(cfg)
+    assert refused == [True]
+    assert taken == ["events"]
+    run.meta = {k: run.meta[k] for k in loop.meta}
+    assert _same_run(run, loop)
 
 
 def _paths(monkeypatch):
