@@ -12,7 +12,10 @@ import numpy as np
 
 from .trace import _HEADER_LINE, _I64_MAX, _LOST
 
-WRITE_CHUNK = 8192  # rows formatted per write; bounds the writer's memory
+# rows formatted per write; bounds the writer's memory, which holds
+# about 16 bytes a word of a block at its peak (an intp index, the
+# words taken and their bytes), near 0.7 MB for rows of 11 words
+WRITE_CHUNK = 4096
 
 
 # The writer spells a field as four-byte words: the field's last three
@@ -51,13 +54,15 @@ _ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
 def write_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The rows of four int64 columns as CSV text in blocks of
     `WRITE_CHUNK` rows. Values are non-negative but for _LOST in the
-    third column, written as an empty field."""
+    third column, written as an empty field. Only one block's arrays
+    are alive at a time."""
     table = _words()
     for lo in range(0, len(columns[0]), WRITE_CHUNK):
         block = [c[lo:lo + WRITE_CHUNK] for c in columns]
         # chunks of four digits above the last three (none for _LOST)
         uppers = [len(str(int(c.max()))) // 4 for c in block]
-        # a row of indices into the table per word, the rows' words in order
+        # a row of indices into the table per word, the rows' words in
+        # order; contiguous, so `take` reads it without a copy
         index = np.empty((sum(uppers) + 4, len(block[0])), dtype=np.intp)
         at = 0
         for col, (values, k) in enumerate(zip(block, uppers)):
@@ -68,16 +73,18 @@ def write_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
             upper = values // 1000
             last = index[at + k]
             np.subtract(values, upper * 1000, out=last)
-            last += (_NEWLINE_LAST if col == 3 else _COMMA_LAST) + 1000 * (upper == 0)
+            last += _NEWLINE_LAST if col == 3 else _COMMA_LAST
+            np.add(last, 1000, out=last, where=upper == 0)
             if lost is not None:
                 last[lost] = _EMPTY_FIELD
             for row in range(at + k - 1, at - 1, -1):
                 higher = upper // _CHUNK
                 np.subtract(upper, higher * _CHUNK, out=index[row])
-                index[row] += _CHUNK * (higher == 0)
+                np.add(index[row], _CHUNK, out=index[row], where=higher == 0)
                 upper = higher
             at += k + 1
-        yield table.take(index.T).tobytes().translate(None, b" ")
+        yield table.take(index).T.tobytes().translate(None, b" ")
+        del index  # before the next block's
 
 
 def _eight_digits(words: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -69,10 +69,19 @@ def _delivered_or_raise(trace: AgeTrace) -> tuple[np.ndarray, np.ndarray]:
     return gen, recv
 
 
+def _difference(end: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """`end - start` of int64 nanosecond stamps as float: the int64
+    loop writes straight into the float array, a buffer at a time, so
+    each difference is exact before its one rounding and no integer
+    difference array is made."""
+    out = np.empty(len(end))
+    return np.subtract(end, start, out=out, dtype=np.int64, casting="unsafe")
+
+
 def _span_s(end: np.ndarray, start: np.ndarray) -> np.ndarray:
     """`end - start` of int64 nanosecond stamps in float seconds,
-    divided in place: one float array beside the integer difference."""
-    span = (end - start).astype(float)
+    divided in place: the one array it makes is its result."""
+    span = _difference(end, start)
     span /= 1e9
     return span
 
@@ -106,8 +115,10 @@ def average_age_by_reception(trace: AgeTrace) -> float:
     reception."""
     gen, recv = _delivered_or_raise(trace)
     gap = _span_s(recv[1:], recv[:-1])
-    beta = _span_s(recv[:-1], gen[:-1])
-    area = float(np.sum(gap * beta) + np.sum(gap * gap) / 2.0)
+    strips = _span_s(recv[:-1], gen[:-1])
+    strips *= gap
+    gap *= gap
+    area = float(np.sum(strips) + np.sum(gap) / 2.0)
     return area / _window_s(recv)
 
 
@@ -116,13 +127,14 @@ def average_age_by_generation(trace: AgeTrace) -> float:
     window-edge triangles so the value equals the exact time average
     over [first reception, last reception]."""
     gen, recv = _delivered_or_raise(trace)
-    x = _span_s(gen[1:], gen[:-1])
+    # trapezoid k: the ages just before reception k + 1 and just after
+    # it, summed, times the generation gap gen[k + 1] - gen[k]
     theta = _span_s(recv[1:], gen[:-1])
-    y = _span_s(recv, gen)
-    theta += y[1:]
-    theta *= x
+    theta += _span_s(recv[1:], gen[1:])
+    theta *= _span_s(gen[1:], gen[:-1])
     trapezoids = float(np.sum(theta) / 2.0)
-    edges = (float(y[-1]) ** 2 - float(y[0]) ** 2) / 2.0
+    first_delay, last_delay = _span_s(recv[[0, -1]], gen[[0, -1]])
+    edges = (float(last_delay) ** 2 - float(first_delay) ** 2) / 2.0
     return (trapezoids + edges) / _window_s(recv)
 
 
@@ -139,7 +151,7 @@ def mean_delay(trace: AgeTrace) -> float:
     gen, recv = trace.delivered()
     if len(gen) == 0:
         raise InsufficientDataError("no deliveries")
-    return float(np.mean((recv - gen).astype(float))) / 1e9
+    return float(np.mean(_difference(recv, gen))) / 1e9
 
 
 def _finite_sum(areas: np.ndarray, recv: np.ndarray) -> float:

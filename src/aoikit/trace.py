@@ -195,13 +195,18 @@ class AgeTrace:
 
         A packet whose generation stamp does not exceed that of every
         earlier delivery cannot reduce age and is dropped. The arrays
-        are read-only; where nothing is filtered they are views of the
-        trace's own columns.
+        are read-only. Where nothing is filtered, or only a tail of
+        undelivered rows (the packets still in flight when a run
+        ended), they are views of the leading rows of the trace's own
+        columns; any other loss, reordering or obsolete packet copies.
         """
         if self._delivered_cache is None:
             gen, recv = self.gen_ns, self.recv_ns
             got = recv != _LOST
-            if not got.all():
+            k = int(np.count_nonzero(got))
+            if got[:k].all():  # the k delivered rows lead
+                gen, recv = gen[:k], recv[:k]
+            else:
                 gen, recv = gen[got], recv[got]
             del got
             if np.any(recv[1:] < recv[:-1]):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -229,7 +230,7 @@ def estimate_offset(
     offsets under the symmetric-delay assumption."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.settimeout(timeout_s)
-    samples: list[tuple[int, int, float]] = []
+    send_ns, peer_ns, rtt_samples = array("q"), array("d"), array("d")
     try:
         for k in range(n_pings):
             got = False
@@ -247,7 +248,9 @@ def estimate_offset(
                         except MalformedPacketError:
                             continue
                         if pkt.msg_type == wire.MSG_TIME_RESPONSE and pkt.id == k:
-                            samples.append((send_wall, pkt.extra_ts_ns, rtt_s))
+                            send_ns.append(send_wall)
+                            peer_ns.append(pkt.extra_ts_ns)
+                            rtt_samples.append(rtt_s)
                             got = True
                             break
                 except socket.timeout:
@@ -259,4 +262,4 @@ def estimate_offset(
             time.sleep(spacing_s)
     finally:
         sock.close()
-    return offset_from_exchanges(samples)
+    return offset_from_exchanges(send_ns, peer_ns, rtt_samples)

@@ -90,6 +90,98 @@ def reference_median_age(trace: AgeTrace, grid_s: float) -> float:
     return float(np.median(ages))
 
 
+def closed_loop_trace(n: int) -> AgeTrace:
+    """A trace shaped like a closed-loop run's: ids 0..n-1 of size 0,
+    stamps of a few hundred seconds, every packet delivered in order
+    but the last three, still in flight when the run ended."""
+    gen = np.arange(n, dtype=np.int64) * 6_000_000 + 1_000
+    recv = gen + 5_000_000 + np.arange(n, dtype=np.int64) % 7 * 1_000
+    recv[-3:] = -1  # trace._LOST
+    return AgeTrace.from_arrays(np.arange(n), gen, recv,
+                                t_start_ns=0, t_end_ns=int(gen[-1]) + 10**9)
+
+
+def statistics_trace(rng: np.random.Generator, n: int, kind: str) -> AgeTrace:
+    """A trace of `n` packets of one `kind`: "in-order", "reordered",
+    "lossy", "in-flight tail" (in order, the last three lost) or "wide"
+    (stamps near 2**62 ns and spans above 2**53 ns, where a float
+    subtraction of stamps would round differently from an int64 one)."""
+    if kind == "in-order":
+        return random_inorder_trace(rng, n)
+    if kind == "reordered":
+        return random_reordered_trace(rng, n)
+    if kind == "lossy":
+        return random_reordered_trace(rng, n, loss_p=0.3)
+    if kind == "in-flight tail":
+        trace = random_inorder_trace(rng, n + 3)
+        recv = trace.recv_ns.copy()
+        recv[-3:] = -1  # trace._LOST
+        return AgeTrace.from_arrays(trace.ids, trace.gen_ns, recv)
+    assert kind == "wide" and n <= 500
+    gen = np.cumsum(rng.integers(2**53, 2**62 // n, n, dtype=np.int64))
+    recv = gen + rng.integers(0, 2**58, n, dtype=np.int64)
+    return AgeTrace.from_arrays(np.arange(n), gen, recv)
+
+
+def reference_delivered(trace: AgeTrace) -> tuple[np.ndarray, np.ndarray]:
+    """`AgeTrace.delivered` as first written: mask, stable sort,
+    running maximum, each a copy."""
+    mask = trace.recv_ns != -1  # trace._LOST
+    gen, recv = trace.gen_ns[mask], trace.recv_ns[mask]
+    order = np.argsort(recv, kind="stable")
+    gen, recv = gen[order], recv[order]
+    if not len(gen):
+        return gen, recv
+    prev = np.concatenate([[np.iinfo(np.int64).min], np.maximum.accumulate(gen)[:-1]])
+    keep = gen > prev
+    return gen[keep], recv[keep]
+
+
+def _reference_span_s(end: np.ndarray, start: np.ndarray) -> np.ndarray:
+    span = (end - start).astype(float)  # the int64 difference, then float
+    span /= 1e9
+    return span
+
+
+def reference_summary(trace: AgeTrace, spec=None) -> dict[str, float]:
+    """`metrics.summary` as first written, every statistic from whole
+    difference and product arrays: the reference `summary` must equal
+    exactly, value for value. Raises InsufficientDataError or
+    RangeError where `summary` must."""
+    from aoikit.errors import InsufficientDataError, RangeError
+
+    gen, recv = reference_delivered(trace)
+    if len(gen) < 2:
+        raise InsufficientDataError("need >= 2 deliveries")
+    window = float(int(recv[-1]) - int(recv[0]))
+    if window <= 0:
+        raise InsufficientDataError("observation window has zero length")
+    window /= 1e9
+    gap = _reference_span_s(recv[1:], recv[:-1])
+    beta = _reference_span_s(recv[:-1], gen[:-1])
+    x = _reference_span_s(gen[1:], gen[:-1])
+    theta = _reference_span_s(recv[1:], gen[:-1])
+    y = _reference_span_s(recv, gen)
+    trapezoids = (theta + y[1:]) * x
+    out = {
+        "avg_age_recv_form_s":
+            float(np.sum(gap * beta) + np.sum(gap * gap) / 2.0) / window,
+        "avg_age_gen_form_s": (float(np.sum(trapezoids) / 2.0)
+                               + (float(y[-1]) ** 2 - float(y[0]) ** 2) / 2.0) / window,
+        "peak_age_s": float(np.mean(theta)),
+        "mean_delay_s": float(np.mean((recv - gen).astype(float))) / 1e9,
+        "loss_count": float(np.count_nonzero(trace.recv_ns == -1)),
+        "obsolete_count": float(np.count_nonzero(trace.recv_ns != -1) - len(gen)),
+    }
+    if spec is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(spec.F(theta) - spec.F(beta)))
+        if not math.isfinite(total):
+            raise RangeError("penalty is not finite")
+        out["penalty_avg"] = total / window
+    return out
+
+
 def parse_seconds(text: str) -> float:
     """'12.5ms' -> 0.0125 through the CLI's one number parser; bare
     numbers are seconds."""
@@ -232,6 +324,32 @@ def run_child(*args: str) -> subprocess.CompletedProcess:
                           timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+# Linux starts a child's ru_maxrss at its parent's resident size when it
+# forked, so a child started from the test run would count the test
+# run's memory, heap that earlier tests freed but the allocator kept
+# included. This launcher, a small process, starts the child and prints
+# its exit code and peak, under a CPU-time limit it passes on.
+_PEAK_LAUNCHER = """\
+import os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_CPU, (int(sys.argv[1]),) * 2)
+proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def own_peak_rss_mb(*args: str, cpu_s: int = 120) -> float:
+    """Run `python *args` under child_env(), at most `cpu_s` seconds of
+    CPU time; it must exit 0. Its own peak resident memory in MB."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, str(cpu_s),
+                           sys.executable, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(peak_kb) / 1024  # kilobytes on Linux
 
 
 def imported_by(*args: str) -> set[str]:

@@ -10,7 +10,7 @@ from aoikit.cli import POLICY_KEYS, main, parse_emulated, read_policy_config
 from aoikit.emulate import run_rate_policy
 from aoikit.errors import ConfigError
 from aoikit.policies import SENDERS, QAgent
-from helpers import child_env, imported_by, parse_seconds
+from helpers import child_env, imported_by, own_peak_rss_mb, parse_seconds
 
 GOLDEN_TWO_PACKET = (
     "id,gen_ns,recv_ns,size_bytes\n"
@@ -1038,21 +1038,9 @@ def test_only_a_channel_that_draws_loads_numpy_random(tmp_path, argv, draws):
 def test_million_step_qlearn_child_stays_small(tmp_path):
     # the step log streams to its file: no line per step is held, so a
     # run at the step bound peaks near a short one
-    import resource
-    import subprocess
-    import sys
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
-
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "aoikit.cli", "policy", "--name", "qlearn",
-         "--emulated", "fixed_delay=1s", "--iters", "1000000",
-         "--out", str(tmp_path / "q")],
-        stdout=subprocess.DEVNULL, env=child_env(), preexec_fn=limit_cpu)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
+    peak_mb = own_peak_rss_mb("-m", "aoikit.cli", "policy", "--name", "qlearn",
+                              "--emulated", "fixed_delay=1s", "--iters", "1000000",
+                              "--out", str(tmp_path / "q"))
     with open(tmp_path / "q.decisions.csv", "rb") as f:
         assert sum(1 for _ in f) == 1_000_001
-    assert usage.ru_maxrss / 1024 < 80  # kilobytes on Linux
+    assert peak_mb < 80

@@ -224,7 +224,7 @@ def test_offset_bias_equals_half_leg_asymmetry():
 
 def test_offset_requires_ten_pings():
     with pytest.raises(ConfigError):
-        offset_from_exchanges([(0, 0, 0.01)] * 9)
+        offset_from_exchanges([0] * 9, [0.0] * 9, [0.01] * 9)
 
 
 def test_offset_variance_shrinks_like_one_over_n():

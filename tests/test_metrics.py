@@ -15,11 +15,19 @@ from aoikit.metrics import (
     peak_age,
     penalty_average,
     penalty_bias,
+    summary,
 )
 from aoikit.trace import AgeTrace
 
 from gridcheck import grid_average_age, grid_peak_age, grid_penalty_average
-from helpers import periodic_trace, random_inorder_trace, trace_from_seconds
+from helpers import (
+    closed_loop_trace,
+    periodic_trace,
+    random_inorder_trace,
+    reference_summary,
+    statistics_trace,
+    trace_from_seconds,
+)
 
 S = 1_000_000_000  # ns per second
 
@@ -293,3 +301,45 @@ def test_average_age_exceeds_mean_delay_on_long_stationary_traces():
     for _ in range(10):
         trace = random_inorder_trace(rng, 2000)
         assert average_age_by_reception(trace) >= mean_delay(trace)
+
+
+# --------------------------------------------------- in-place statistics
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+       kind=st.sampled_from(["in-order", "reordered", "lossy", "in-flight tail", "wide"]),
+       penalty=st.sampled_from([None, ("linear", 0.5), ("exponential", 0.01),
+                                ("logarithmic", 2.0)]))
+def test_summary_equals_the_reference_bit_for_bit(seed, n, kind, penalty):
+    # the same float operations in the same order: every value equal,
+    # also where spans exceed 2**53 ns and a float subtraction of the
+    # stamps would round differently
+    trace = statistics_trace(np.random.default_rng(seed), n, kind)
+    spec = None if penalty is None else PenaltySpec(*penalty)
+    try:
+        want = reference_summary(trace, spec)
+    except (InsufficientDataError, RangeError) as exc:
+        with pytest.raises(type(exc)):
+            summary(trace, spec)
+        return
+    assert summary(trace, spec) == want
+
+
+def test_summary_makes_no_column_sized_copy():
+    import tracemalloc
+
+    summary(closed_loop_trace(100))  # numpy's first-call set-up
+    n = 200_000
+    trace = closed_loop_trace(n)
+    tracemalloc.start()
+    try:
+        summary(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the delivered stamps are views of the leading rows and each
+    # statistic holds at most two float arrays of the n - 1 intervals;
+    # whole copies of the stamps, integer differences or product arrays
+    # took 6 columns
+    assert peak < 2.5 * 8 * n

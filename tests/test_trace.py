@@ -12,7 +12,7 @@ from aoikit.errors import RangeError, TraceFormatError
 from aoikit.csvcodec import WRITE_CHUNK
 from aoikit.trace import AgeTrace, _read_plain, _read_rows, read_csv
 
-from helpers import random_reordered_trace
+from helpers import closed_loop_trace, random_reordered_trace, reference_delivered
 
 
 def test_csv_round_trip_with_losses():
@@ -474,24 +474,14 @@ def test_empty_trace_writes_only_the_header(tmp_path):
                 assert_same_trace(back, trace)
 
 
-def _reference_delivered(trace):
-    # the filter as first written: mask, stable sort, running maximum
-    mask = trace.recv_ns != trace_module._LOST
-    gen, recv = trace.gen_ns[mask], trace.recv_ns[mask]
-    order = np.argsort(recv, kind="stable")
-    gen, recv = gen[order], recv[order]
-    if not len(gen):
-        return gen, recv
-    prev = np.concatenate([[np.iinfo(np.int64).min], np.maximum.accumulate(gen)[:-1]])
-    keep = gen > prev
-    return gen[keep], recv[keep]
-
-
 @pytest.mark.parametrize("recv, shared", [
     # in order and nothing lost: the trace's own columns
     ([10, 20, 30, 40], True),
     ([10, 20, 20, 40], True),
     ([10, None, 30, 40], False),
+    # only a tail undelivered: views of the leading rows
+    ([10, 20, None, None], True),
+    ([None, 20, 30, 40], False),
     ([25, 20, 30, 40], False),  # reordered: packet 0 turns obsolete
     ([None, None, None, None], False),
     ([], False),
@@ -500,12 +490,29 @@ def test_delivered_copies_only_what_it_filters(recv, shared):
     gen = [0, 5, 10, 15][:len(recv)]
     trace = AgeTrace.from_arrays(range(len(recv)), gen, recv, t_start_ns=0, t_end_ns=50)
     got = trace.delivered()
-    want = _reference_delivered(trace)
+    want = reference_delivered(trace)
     for a, b in zip(got, want):
         assert a.dtype == np.int64 and a.tolist() == b.tolist()
         assert not a.flags.writeable
     assert np.shares_memory(got[0], trace.gen_ns) == shared
     assert trace.gen_ns.flags.writeable  # only the returned views are read-only
+
+
+def test_write_csv_holds_one_block_at_a_time(tmp_path):
+    import tracemalloc
+
+    trace = closed_loop_trace(200_000)
+    trace.write_csv(tmp_path / "first.csv")  # loads the codec, builds its table
+    tracemalloc.start()
+    try:
+        trace.write_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    # rows of 11 four-byte words: one block's index, words and bytes;
+    # two blocks' worth, or a copy of the index, took about 2 MB
+    assert peak < 1_200_000
 
 
 def test_from_seconds_rounds_each_stamp_as_seconds_to_ns():
