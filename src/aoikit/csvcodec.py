@@ -1,7 +1,8 @@
 """The array paths of the trace CSV format: rows written in blocks
-through a table of four-byte words, and plain input read in one
-separator scan. `aoikit.trace` imports this module on its first write
-or read, so a command that touches no trace CSV does not load it."""
+through a table of four-byte words, and plain input read in blocks,
+one separator scan a block. `aoikit.trace` imports this module on its
+first write or read, so a command that touches no trace CSV does not
+load it."""
 
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ from .trace import _HEADER_LINE, _I64_MAX, _LOST
 # about 16 bytes a word of a block at its peak (an intp index, the
 # words taken and their bytes), near 0.7 MB for rows of 11 words
 WRITE_CHUNK = 4096
+# bytes of rows scanned per read step; bounds the reader's memory
+# beside its columns, under 1 MB of separator offsets, words and
+# masks for rows of 38 bytes
+READ_BLOCK = 256 * 1024
 
 
 # The writer spells a field as four-byte words: the field's last three
@@ -109,33 +114,49 @@ def read_columns(data: bytes) -> Optional[list[np.ndarray]]:
     by newline-terminated rows of four decimal fields, only `recv_ns`
     possibly empty (_LOST); otherwise None.
 
-    Every byte below "0" ends a field, so one scan finds the fields;
-    each converts from the words that end at its separator. A field of
-    more than 19 digits, or one above 2**63 - 1, is refused."""
+    The rows are read in blocks of about `READ_BLOCK` bytes, each
+    ending at a newline, into columns made for every row at the start.
+    Every byte below "0" ends a field, so one scan of a block finds its
+    fields; each converts from the words that end at its separator. A
+    field of more than 19 digits, or one above 2**63 - 1, is refused."""
     header = _HEADER_LINE.encode("ascii")
     if not data.startswith(header) or not data.endswith(b"\n"):
         return None
-    # no byte above "9", and each below "0" a separator in its place:
-    # digits, three commas and a newline a row
-    body = np.frombuffer(data, np.uint8)[len(header):]
-    if body.max(initial=0) > ord("9"):
-        return None
-    ends = np.flatnonzero(body < ord("0"))
-    if len(ends) % 4 or not (body[ends].view("<u4") == _ROW_SEPARATORS).all():
-        return None
-    ends += len(header)
-    fields = ends.reshape(-1, 4)
-    # each field starts after the separator before it: the previous
-    # row's newline (the header's for the first row), then its own commas
-    row_starts = np.roll(fields[:, 3], 1)
-    row_starts[:1] = len(header) - 1
+    rows = data.count(b"\n", len(header))
+    columns = [np.empty(rows, dtype=np.int64) for _ in range(4)]
     # the eight bytes that start at each offset (the header precedes
     # every field, so no word starts before the data)
     words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
-    columns = [_read_column(words, fields[:, col], before, col == 2)
-               for col, before in enumerate([row_starts, *fields[:, :3].T])]
-    del ends, fields, row_starts  # the columns are all that stays
-    return None if any(column is None for column in columns) else columns
+    start, row = len(header), 0
+    while start < len(data):
+        # the last newline in the block, or the one that ends a row
+        # longer than a block
+        end = data.rfind(b"\n", start, start + READ_BLOCK)
+        if end < 0:
+            end = data.index(b"\n", start + READ_BLOCK)
+        end += 1
+        # no byte above "9", and each below "0" a separator in its
+        # place: digits, three commas and a newline a row
+        body = np.frombuffer(data, np.uint8, end - start, start)
+        if body.max() > ord("9"):
+            return None
+        ends = np.flatnonzero(body < ord("0"))
+        if len(ends) % 4 or not (body[ends].view("<u4") == _ROW_SEPARATORS).all():
+            return None
+        ends += start
+        fields = ends.reshape(-1, 4)
+        # each field starts after the separator before it: the previous
+        # row's newline (the one before the block for its first row),
+        # then its own commas
+        row_starts = np.roll(fields[:, 3], 1)
+        row_starts[:1] = start - 1
+        for col, before in enumerate([row_starts, *fields[:, :3].T]):
+            values = _read_column(words, fields[:, col], before, col == 2)
+            if values is None:
+                return None
+            columns[col][row:row + len(fields)] = values
+        start, row = end, row + len(fields)
+    return columns
 
 
 def _read_column(words: np.ndarray, end: np.ndarray, before: np.ndarray,

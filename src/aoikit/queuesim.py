@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
@@ -41,6 +42,10 @@ from .trace import AgeTrace, seconds_to_ns
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
 SERVICE_KINDS = ("exponential", "deterministic")
 DISCIPLINES = ("fcfs", "lcfs1")
+# generated packets per run: far beyond any run that finishes in
+# reasonable time. A run keeps two float columns of this length, and a
+# million-arrival event-loop `sim` peaks near 81 MB
+MAX_ARRIVALS = 10**9
 
 
 def _rate_ok(rate: float) -> bool:
@@ -108,6 +113,9 @@ class SimConfig:
             raise ConfigError("loss probability must be in [0, 1)")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.horizon > MAX_ARRIVALS:
+            raise ConfigError(f"{self.horizon} arrivals are more than the bound "
+                              f"of {MAX_ARRIVALS} per run")
 
     @property
     def load(self) -> Optional[float]:
@@ -270,17 +278,29 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     scheduled before the pending arrival, which is all that rule needs.
     Exponential services and loss coins are drawn `_DRAW_BLOCK` at a
     time from their own streams through `_draws`, so every trace equals
-    the one drawn a value per event."""
+    the one drawn a value per event.
+
+    Every run generates exactly `horizon` packets, so it keeps two typed
+    columns of that length from the start. With poisson or deterministic
+    arrivals the generation column is the cumulative sum of the
+    interarrival draws, which the loop reads `_DRAW_BLOCK` values at a
+    time; an at-will source's `array('d')` column takes each generation
+    time as the source schedules it. Receptions go to an `array('d')`,
+    nan until delivered, and the trace converts both columns in place."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n = cfg.horizon
     inf = math.inf
     exogenous = cfg.arrival.kind in ("poisson", "deterministic")
     if exogenous:
-        times = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng)).tolist()
+        gen = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))
+        times = itertools.chain.from_iterable(
+            gen[lo:lo + _DRAW_BLOCK].tolist() for lo in range(0, n, _DRAW_BLOCK))
     else:
         # the first update at 0, each later one when the channel goes idle
+        gen = array("d", [0.0]) * n
         times = [0.0]
     next_arrival = itertools.chain(times, itertools.repeat(inf)).__next__
+    recv = array("d", [math.nan]) * n  # nan until delivered
     hook = cfg.arrival.hook if cfg.arrival.kind == "at-will" else None
     scale = 1.0 / cfg.service.mu
     if cfg.service.kind == "exponential":
@@ -292,16 +312,14 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     capacity = inf if cfg.capacity is None else cfg.capacity
     loss_p, retransmit, offset = cfg.loss_p, cfg.retransmit, cfg.delivery_offset_s
 
-    gen_times: list[float] = []
-    recv_times: list[float] = []  # nan until delivered
-    gen_append, recv_append = gen_times.append, recv_times.append
     queue: deque[int] = deque()  # FCFS waiting line, or [freshest] for lcfs1
     q_append, q_popleft = queue.append, queue.popleft
     in_service: Optional[int] = None
     t_arr = next_arrival()
     t_dep = inf
     dep_first = False
-    generated = 1
+    arrived = 0
+    generated = 1  # at-will generations scheduled, the first at 0
     delivered = lost_channel = lost_overflow = discarded = 0
     retransmissions = max_waiting = 0
 
@@ -316,7 +334,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
                     continue
                 lost_channel += 1
             else:
-                recv_times[in_service] = now + offset
+                recv[in_service] = now + offset
                 delivered += 1
             if not exogenous and generated < n:
                 # the channel is idle again; let the source decide when
@@ -326,6 +344,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
                     raise ConfigError(f"at-will hook returned a wait of {wait!r} "
                                       f"after packet {in_service}")
                 t_arr = now + max(0.0, wait)
+                gen[generated] = t_arr
                 generated += 1
             if queue:
                 in_service = q_popleft()
@@ -338,9 +357,8 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
             break
         now = t_arr
         t_arr = next_arrival()
-        idx = len(gen_times)
-        gen_append(now)
-        recv_append(math.nan)
+        idx = arrived
+        arrived += 1
         if in_service is None:
             in_service = idx
             t_dep = now + service()
@@ -358,16 +376,16 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
         if len(queue) > max_waiting:
             max_waiting = len(queue)
 
-    trace = AgeTrace.from_seconds(gen_times, recv_times)
+    trace = AgeTrace.from_seconds(gen, recv)
     total_loss = lost_channel + lost_overflow + discarded
     meta = {
-        "arrivals": len(gen_times),
+        "arrivals": arrived,
         "delivered": delivered,
         "lost_channel": lost_channel,
         "lost_overflow": lost_overflow,
         "discarded": discarded,
         "retransmissions": retransmissions,
-        "still_queued": len(gen_times) - delivered - total_loss,
+        "still_queued": arrived - delivered - total_loss,
         "loss": total_loss,
         "max_waiting": max_waiting,
     }

@@ -22,6 +22,7 @@ CSV_HEADER = ("id", "gen_ns", "recv_ns", "size_bytes")
 
 _LOST = -1  # internal sentinel for "no reception stamp"
 _I64_MAX = 2**63 - 1
+_U64_MAX = 2**64 - 1
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 
@@ -34,13 +35,21 @@ def seconds_to_ns(t_s):
     return int(round(t_s * 1e9))
 
 
+_STAMP_BLOCK = 8192  # stamps converted per step: 64 KiB of floats
+
+
 def _stamps_ns(t_s) -> np.ndarray:
     """Float-second stamps to int64 nanoseconds as `seconds_to_ns`
-    rounds them, nan to `_LOST`, through one float buffer."""
-    ns = np.multiply(np.asarray(t_s, dtype=float), 1e9)
-    ns[np.isnan(ns)] = _LOST
-    np.rint(ns, out=ns)
-    return ns.astype(np.int64)
+    rounds them, nan to `_LOST`, a block at a time, so that the int64
+    column is the only array as long as the input."""
+    t_s = np.asarray(t_s, dtype=float)
+    ns = np.empty(len(t_s), dtype=np.int64)
+    for lo in range(0, len(t_s), _STAMP_BLOCK):
+        block = np.multiply(t_s[lo:lo + _STAMP_BLOCK], 1e9)
+        block[np.isnan(block)] = _LOST
+        np.rint(block, out=block)
+        ns[lo:lo + _STAMP_BLOCK] = block
+    return ns
 
 
 class AgeTrace:
@@ -99,19 +108,23 @@ class AgeTrace:
             sizes_a = np.zeros(len(ids_a), dtype=np.int64)
         else:
             sizes_a = np.asarray(sizes, dtype=np.int64)
-        if t_start_ns is None or t_end_ns is None:
-            delivered = recv_a[recv_a != _LOST]
+        # the delivered stamps' range, read in place: a lost stamp (-1)
+        # is the largest unsigned value and below every delivered one,
+        # and `_validate` refuses a negative delivered stamp before it
+        # reads the window
         if t_start_ns is None:
             lo = [0] if len(gen_a) == 0 else [int(gen_a.min())]
-            if len(delivered):
-                lo.append(int(delivered.min()))
+            first = int(recv_a.view(np.uint64).min(initial=_U64_MAX))
+            if first != _U64_MAX:
+                lo.append(first)
             t_start_ns = min(lo)
         if t_end_ns is None:
             hi = [t_start_ns]
             if len(gen_a):
                 hi.append(int(gen_a.max()))
-            if len(delivered):
-                hi.append(int(delivered.max()))
+            last = int(recv_a.max(initial=_LOST))
+            if last != _LOST:
+                hi.append(last)
             t_end_ns = max(hi)
         return cls(
             ids_a, gen_a, recv_a, sizes_a,

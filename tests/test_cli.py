@@ -1044,3 +1044,39 @@ def test_million_step_qlearn_child_stays_small(tmp_path):
     with open(tmp_path / "q.decisions.csv", "rb") as f:
         assert sum(1 for _ in f) == 1_000_001
     assert peak_mb < 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--rate", "1"],
+    ["sim", "--rate", "1", "--capacity", "3"],
+    ["sweep", "--rates", "1,2"],
+], ids=["sim-lindley", "sim-event-loop", "sweep"])
+def test_arrivals_above_the_bound_exit_2(tmp_path, capsys, monkeypatch, argv):
+    from aoikit import queuesim
+
+    def no_run(seed):
+        raise AssertionError("a run started")
+
+    # the bound is checked when the config is built, before any draw
+    monkeypatch.setattr(queuesim, "_rngs", no_run)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--arrivals", str(2**62),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == (f"error: {2**62} arrivals are more than the bound of "
+                   f"{queuesim.MAX_ARRIVALS} per run\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_million_arrival_event_loop_child_stays_small(tmp_path):
+    # the event loop keeps two float columns and converts them a block
+    # at a time; lists of every stamp peaked near 145 MB
+    out = tmp_path / "k.csv"
+    peak_mb = own_peak_rss_mb("-m", "aoikit.cli", "sim", "--arrival", "poisson",
+                              "--rate", "1.5", "--mu", "1", "--capacity", "5",
+                              "--arrivals", "1000000", "--out", str(out))
+    meta = dict(line.split("=", 1) for line in (tmp_path / "k.csv.meta").read_text().splitlines())
+    assert meta["arrivals"] == "1000000"
+    assert int(meta["lost_overflow"]) > 0
+    assert peak_mb < 110

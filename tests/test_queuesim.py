@@ -284,6 +284,39 @@ def test_bad_configs_rejected():
             ArrivalSpec("deterministic", rate)
         with pytest.raises(ConfigError):
             ServiceSpec("deterministic", rate)
+    # more arrivals than the bound, refused before any column is made
+    arrival, service = ArrivalSpec("poisson", 1.0), ServiceSpec("exponential", 1.0)
+    SimConfig(arrival, service, horizon=queuesim.MAX_ARRIVALS)
+    for horizon in (queuesim.MAX_ARRIVALS + 1, 2**62, 2**70):
+        with pytest.raises(ConfigError, match=f"^{horizon} arrivals are more than "
+                                              f"the bound of 1000000000 per run$"):
+            SimConfig(arrival, service, capacity=3, horizon=horizon)
+
+
+@pytest.mark.parametrize("arrival,capacity", [
+    (ArrivalSpec("poisson", 2.0), 5),
+    # the golden grid's hook: waits of -0.3, 0, 0.3 and 0.6 s in turn
+    (ArrivalSpec("at-will", hook=lambda i, t: 0.3 * (i % 4 - 1)), None),
+], ids=["capacity-5", "at-will"])
+def test_event_loop_holds_few_columns(arrival, capacity):
+    import tracemalloc
+
+    n = 50_000
+    cfg = SimConfig(arrival, ServiceSpec("exponential", 1.0), capacity=capacity,
+                    loss_p=0.1, horizon=n, seed=3)
+    queuesim._simulate_events(cfg)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        run = queuesim._simulate_events(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.meta["arrivals"] == n
+    # two float columns through the loop, then the trace's ids, gen_ns
+    # and recv_ns, each converted a block at a time; lists of every
+    # arrival time and reception, and whole-column conversion
+    # temporaries, took about 12 columns
+    assert peak < 7 * 8 * n
 
 
 # ------------------------------------------------------- busy-period path

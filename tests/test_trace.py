@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoikit import csvcodec
 from aoikit import trace as trace_module
 from aoikit.errors import RangeError, TraceFormatError
 from aoikit.csvcodec import WRITE_CHUNK
@@ -233,8 +234,8 @@ def valid_traces(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(trace=valid_traces())
-def test_read_csv_matches_row_parser_on_valid_traces(trace, tmp_path_factory):
+@given(trace=valid_traces(), block=st.integers(1, 120))
+def test_read_csv_matches_row_parser_on_valid_traces(trace, block, tmp_path_factory):
     buf = io.StringIO()
     trace.write_csv(buf)
     text = buf.getvalue()
@@ -246,6 +247,13 @@ def test_read_csv_matches_row_parser_on_valid_traces(trace, tmp_path_factory):
     for back in read_through_path_and_buffer(tmp_path_factory.mktemp("t"), text, bias):
         assert_same_trace(back, expected)
         assert_same_trace(back, trace)
+    # a read block ends at its last newline, or after a row longer than
+    # the block: blocks of one row up to blocks of a few
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvcodec, "READ_BLOCK", block)
+        columns = csvcodec.read_columns(text.encode("ascii"))
+    for got, column in zip(columns, (trace.ids, trace.gen_ns, trace.recv_ns, trace.sizes)):
+        assert got.dtype == np.int64 and np.array_equal(got, column)
 
 
 PLAIN = "0,5,7,1\n2,6,,3\n9,8,20,0\n"
@@ -357,7 +365,8 @@ def test_empty_recv_in_first_and_last_rows_reads_as_lost(rows, tmp_path):
     ("0,0,1,0\n1,5,4,1", 3),               # recv before gen without bias
     ("0,0,1,0\n1,5,7,1\n2,6,7,1\n1,9,9,9", 5),  # ids decrease further down
 ])
-def test_malformed_rows_keep_their_line_number_and_message(rows, line_no, tmp_path):
+def test_malformed_rows_keep_their_line_number_and_message(rows, line_no, tmp_path,
+                                                           monkeypatch):
     text = HEADER + rows + "\n"
     with pytest.raises(TraceFormatError) as expected:
         _read_rows(io.StringIO(text), False)
@@ -369,6 +378,13 @@ def test_malformed_rows_keep_their_line_number_and_message(rows, line_no, tmp_pa
             read_csv(source)
         assert exc.value.line_no == line_no
         assert str(exc.value) == str(expected.value)
+    # read blocks end at newlines: every size puts a block edge before,
+    # after or inside the malformed row's block
+    for block in range(1, len(text) + 1):
+        monkeypatch.setattr(csvcodec, "READ_BLOCK", block)
+        with pytest.raises(TraceFormatError) as exc:
+            read_csv(io.StringIO(text))
+        assert str(exc.value) == str(expected.value), block
 
 
 @pytest.mark.parametrize("rows", [f"0,0,1,{2**63}", f"{2**63},0,1,0"])
