@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .queuesim import SimConfig, SimRun, _draw_interarrivals, _draw_services, _rngs
-from .trace import AgeTrace
+from .queuesim import SimConfig, SimRun, _arrival_times, _draw_services, _rngs, _run
 
 # busy periods of up to this many attempts are summed one rank per pass,
 # longer ones by a cumulative sum each
@@ -83,7 +82,7 @@ def simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
     Lindley guess misplaces a busy-period start."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n, loss_p = cfg.horizon, cfg.loss_p
-    arr = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))
+    arr = _arrival_times(cfg.arrival, n, arrival_rng)
     # one loss coin per completed attempt, in attempt order
     ok = loss_rng.random(n) >= loss_p if loss_p else np.ones(n, dtype=bool)
     if cfg.retransmit:
@@ -116,23 +115,9 @@ def simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
     if cfg.discipline == "lcfs1" and max_waiting > 1:
         return None
     if cfg.retransmit:
-        recv = t[last]
-    else:
-        recv = t
-        recv[~ok] = np.nan
-    if cfg.delivery_offset_s:
-        recv += cfg.delivery_offset_s
-    delivered = n if cfg.retransmit else int(np.count_nonzero(ok))
-    trace = AgeTrace.from_seconds(arr, recv)
-    meta = {
-        "arrivals": n,
-        "delivered": delivered,
-        "lost_channel": n - delivered,
-        "lost_overflow": 0,
-        "discarded": 0,
-        "retransmissions": len(t) - n,
-        "still_queued": 0,
-        "loss": n - delivered,
-        "max_waiting": max_waiting,
-    }
-    return SimRun(trace, meta)
+        return _run(cfg, arr, t[last], n, n, retransmissions=len(t) - n,
+                    max_waiting=max_waiting)
+    t[~ok] = np.nan
+    delivered = int(np.count_nonzero(ok))
+    return _run(cfg, arr, t, n, delivered, lost_channel=n - delivered,
+                max_waiting=max_waiting)

@@ -393,8 +393,10 @@ def cmd_measure_sampler(args, argv) -> int:
         aborted = False  # the emulated channel raises no socket errors
     else:
         res = udp.run_sampler(_address(args.dest, "--dest"), schedule, args.size)
-        manifest_cfg = {"dest": args.dest}
         aborted = res.aborted
+        # what the live socket saw besides the trace; stdout leaves it out
+        manifest_cfg = {"dest": args.dest, "duplicates": str(res.duplicates),
+                        "unmatched": str(res.unmatched), "aborted": str(int(aborted))}
     manifest = RunManifest("measure-sampler", argv, manifest_cfg, args.seed)
     _write_outputs(manifest, [(args.out, res.trace)])
     pairs = [("trace", args.out), ("sent", res.sent), ("received", res.received)]

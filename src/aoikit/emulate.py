@@ -525,6 +525,9 @@ def run_rate_policy(
             acked += 1
             epoch_acks += 1
             rtt = update_rtt(now - sent_at)
+            if not rtt > 0.0:  # a first ack within the send time's resolution
+                raise ConfigError(f"the smoothed round trip is {rtt:g} s at {now:g} s; "
+                                  f"closed-loop policies need a positive round trip")
             if newest_acked_send is None or sent_at > newest_acked_send:
                 newest_acked_send = sent_at
             restart = acked == 1  # the first ack starts the epochs

@@ -7,7 +7,7 @@ class AoiError(Exception):
 
 class RangeError(AoiError, ValueError):
     """A time value falls outside the valid window, or a shift would
-    produce a negative timestamp."""
+    move a stamp below 0 or past 2**63 - 1 ns."""
 
 
 class InsufficientDataError(AoiError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, RangeError
-from .trace import _LOST, AgeTrace
+from .trace import _I64_MAX, _LOST, AgeTrace
 
 PENALTY_KINDS = ("linear", "exponential", "logarithmic")
 
@@ -183,19 +183,25 @@ def penalty_average(trace: AgeTrace, spec: PenaltySpec) -> float:
 
 def apply_bias(trace: AgeTrace, bias: BiasModel) -> AgeTrace:
     """Shift every reception stamp by the clock bias; generation stamps
-    stay on the sender's clock."""
+    stay on the sender's clock. A shift that would move a reception
+    stamp below 0 or above 2**63 - 1 ns raises RangeError."""
     if bias.bias_ns == 0:
         return trace
     recv = trace.recv_ns.copy()
     mask = recv != _LOST
-    recv[mask] += bias.bias_ns
-    if np.any(recv[mask] < 0):
-        raise RangeError("bias shift would produce a negative timestamp")
     t_start = trace.t_start_ns
     t_end = trace.t_end_ns
     if np.any(mask):
-        t_start = min(t_start, int(recv[mask].min()))
-        t_end = max(t_end, int(recv[mask].max()))
+        got = recv[mask]
+        first, last = int(got.min()) + bias.bias_ns, int(got.max()) + bias.bias_ns
+        if first < 0:
+            raise RangeError("bias shift would produce a negative timestamp")
+        if last > _I64_MAX:
+            raise RangeError(f"bias shift would move a reception stamp to {last} ns, "
+                             f"past the 2**63 - 1 ns a trace can carry")
+        recv[mask] = got + bias.bias_ns
+        t_start = min(t_start, first)
+        t_end = max(t_end, last)
     return AgeTrace(
         trace.ids.copy(), trace.gen_ns.copy(), recv, trace.sizes.copy(),
         t_start, t_end, trace.initial_age_ns, bias_declared=True,

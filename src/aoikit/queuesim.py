@@ -23,6 +23,9 @@ on a given platform.
 - the event loop (`_simulate_events`): at-will and zero-wait arrivals,
   a finite `capacity`, lcfs1 above load 1, and the runs the
   busy-period path hands over.
+
+Every path returns through `_run`, which alone adds the delivery
+offset, converts the stamps and writes the `.meta` keys.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .trace import AgeTrace, seconds_to_ns
+from .trace import AgeTrace
 
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
 SERVICE_KINDS = ("exponential", "deterministic")
@@ -137,7 +140,7 @@ class SimRun:
     """Simulation output: the age trace plus bookkeeping counters."""
 
     trace: AgeTrace
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def meta_lines(self) -> str:
         """Line-oriented key=value sidecar text."""
@@ -164,12 +167,6 @@ def _rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.rando
     )
 
 
-def _draw_interarrivals(spec: ArrivalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "poisson":
-        return rng.exponential(1.0 / spec.rate, n)
-    return np.full(n, 1.0 / spec.rate)
-
-
 def _draw_services(spec: ServiceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "exponential":
         return rng.exponential(1.0 / spec.mu, n)
@@ -183,25 +180,45 @@ def simulate(cfg: SimConfig) -> SimRun:
     buffer) is permitted; the run metadata carries `unstable=1`.
     """
     if cfg.lindley:
-        run = _simulate_fcfs_lindley(cfg)
+        return _simulate_fcfs_lindley(cfg)
+    return _simulate_busy_periods(cfg) or _simulate_events(cfg)
+
+
+def _arrival_times(spec: ArrivalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Generation times of `n` poisson or deterministic arrivals: the
+    cumulative sum of their interarrival times."""
+    if spec.kind == "poisson":
+        gaps = rng.exponential(1.0 / spec.rate, n)
     else:
-        run = _simulate_busy_periods(cfg) or _simulate_events(cfg)
+        gaps = np.full(n, 1.0 / spec.rate)
+    return np.cumsum(gaps, out=gaps)
+
+
+def _run(cfg: SimConfig, gen, recv, arrivals: int, delivered: int,
+         lost_channel: int = 0, lost_overflow: int = 0, discarded: int = 0,
+         retransmissions: int = 0, max_waiting: int = 0) -> SimRun:
+    """The run of `cfg` from its generation and completion columns in
+    float seconds (nan where a packet was not delivered) and its
+    counters. Adds `cfg.delivery_offset_s` to `recv` in place and writes
+    the `.meta` keys in their fixed order: the counters, then the config."""
+    if cfg.delivery_offset_s:
+        np.add(recv, cfg.delivery_offset_s, out=np.asarray(recv))
+    loss = lost_channel + lost_overflow + discarded
     load = cfg.load
-    run.meta.update(
-        seed=cfg.seed,
-        discipline=cfg.discipline,
-        arrival=cfg.arrival.kind,
-        arrival_rate=cfg.arrival.rate,
-        service=cfg.service.kind,
+    meta = dict(
+        arrivals=arrivals, delivered=delivered, lost_channel=lost_channel,
+        lost_overflow=lost_overflow, discarded=discarded,
+        retransmissions=retransmissions, still_queued=arrivals - delivered - loss,
+        loss=loss, max_waiting=max_waiting,
+        seed=cfg.seed, discipline=cfg.discipline, arrival=cfg.arrival.kind,
+        arrival_rate=cfg.arrival.rate, service=cfg.service.kind,
         service_rate=cfg.service.mu,
         capacity="inf" if cfg.capacity is None else cfg.capacity,
-        loss_p=cfg.loss_p,
-        retransmit=int(cfg.retransmit),
-        horizon=cfg.horizon,
+        loss_p=cfg.loss_p, retransmit=int(cfg.retransmit), horizon=cfg.horizon,
         load="" if load is None else f"{load:.6g}",
         unstable=int(load is not None and load >= 1.0 and cfg.capacity is None),
     )
-    return run
+    return SimRun(AgeTrace.from_seconds(gen, recv), meta)
 
 
 def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
@@ -210,32 +227,16 @@ def _simulate_fcfs_lindley(cfg: SimConfig) -> SimRun:
     dep[i] = max(arr[i], dep[i-1]) + service[i]."""
     arrival_rng, service_rng, _ = _rngs(cfg.seed)
     n = cfg.horizon
-    arr = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))
+    arr = _arrival_times(cfg.arrival, n, arrival_rng)
     svc = _draw_services(cfg.service, n, service_rng)
     csum = np.cumsum(svc)
     dep = csum + np.maximum.accumulate(arr - (csum - svc))
-    # queue occupancy is measured at the server, before any added
-    # propagation delay
-    completed_on_arrival = np.searchsorted(dep, arr, side="right")
-    in_system = np.arange(n) - completed_on_arrival
-    if cfg.delivery_offset_s:
-        dep = dep + cfg.delivery_offset_s
-    trace = AgeTrace.from_arrays(
-        np.arange(n, dtype=np.int64), seconds_to_ns(arr), seconds_to_ns(dep),
-        t_start_ns=0,
-    )
-    meta = {
-        "arrivals": n,
-        "delivered": n,
-        "lost_channel": 0,
-        "lost_overflow": 0,
-        "discarded": 0,
-        "retransmissions": 0,
-        "still_queued": 0,
-        "loss": 0,
-        "max_waiting": int(max(0, int(in_system.max()) - 1)) if n else 0,
-    }
-    return SimRun(trace, meta)
+    # packets ahead of each arrival still at the server; the other paths
+    # count the line an arrival joins, itself included, so the `- 1`
+    # reads one short, and it stays until its fix updates every pinned
+    # Lindley `.meta` digest
+    in_system = np.arange(n) - np.searchsorted(dep, arr, side="right")
+    return _run(cfg, arr, dep, n, n, max_waiting=max(0, int(in_system.max()) - 1))
 
 
 def _simulate_busy_periods(cfg: SimConfig) -> Optional[SimRun]:
@@ -285,14 +286,14 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     arrivals the generation column is the cumulative sum of the
     interarrival draws, which the loop reads `_DRAW_BLOCK` values at a
     time; an at-will source's `array('d')` column takes each generation
-    time as the source schedules it. Receptions go to an `array('d')`,
-    nan until delivered, and the trace converts both columns in place."""
+    time as the source schedules it. Completions go to an `array('d')`,
+    nan until delivered, which `_run` offsets and converts in place."""
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n = cfg.horizon
     inf = math.inf
     exogenous = cfg.arrival.kind in ("poisson", "deterministic")
     if exogenous:
-        gen = np.cumsum(_draw_interarrivals(cfg.arrival, n, arrival_rng))
+        gen = _arrival_times(cfg.arrival, n, arrival_rng)
         times = itertools.chain.from_iterable(
             gen[lo:lo + _DRAW_BLOCK].tolist() for lo in range(0, n, _DRAW_BLOCK))
     else:
@@ -310,7 +311,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     coin = _draws(loss_rng.random).__next__
     lcfs1 = cfg.discipline == "lcfs1"
     capacity = inf if cfg.capacity is None else cfg.capacity
-    loss_p, retransmit, offset = cfg.loss_p, cfg.retransmit, cfg.delivery_offset_s
+    loss_p, retransmit = cfg.loss_p, cfg.retransmit
 
     queue: deque[int] = deque()  # FCFS waiting line, or [freshest] for lcfs1
     q_append, q_popleft = queue.append, queue.popleft
@@ -334,7 +335,7 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
                     continue
                 lost_channel += 1
             else:
-                recv[in_service] = now + offset
+                recv[in_service] = now
                 delivered += 1
             if not exogenous and generated < n:
                 # the channel is idle again; let the source decide when
@@ -376,20 +377,8 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
         if len(queue) > max_waiting:
             max_waiting = len(queue)
 
-    trace = AgeTrace.from_seconds(gen, recv)
-    total_loss = lost_channel + lost_overflow + discarded
-    meta = {
-        "arrivals": arrived,
-        "delivered": delivered,
-        "lost_channel": lost_channel,
-        "lost_overflow": lost_overflow,
-        "discarded": discarded,
-        "retransmissions": retransmissions,
-        "still_queued": arrived - delivered - total_loss,
-        "loss": total_loss,
-        "max_waiting": max_waiting,
-    }
-    return SimRun(trace, meta)
+    return _run(cfg, gen, recv, arrived, delivered, lost_channel, lost_overflow,
+                discarded, retransmissions, max_waiting)
 
 
 # ------------------------------------------------------------------ sweeps

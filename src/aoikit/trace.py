@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import RangeError, TraceFormatError
+from .errors import ConfigError, RangeError, TraceFormatError
 
 CSV_HEADER = ("id", "gen_ns", "recv_ns", "size_bytes")
 
@@ -26,13 +26,22 @@ _U64_MAX = 2**64 - 1
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 
-def seconds_to_ns(t_s):
-    """Float seconds to integer nanoseconds, rounded half to even; an
-    array gives an int64 array. Every stamp a simulated or emulated
-    run produces goes through this one conversion."""
-    if isinstance(t_s, np.ndarray):
-        return np.rint(t_s * 1e9).astype(np.int64)
-    return int(round(t_s * 1e9))
+_NS_RANGE = 2.0**63  # int64 nanoseconds: about 292 years either side of 0
+
+
+def _out_of_range(t_s) -> ConfigError:
+    return ConfigError(f"a time of {t_s!r} s is outside the int64 nanosecond "
+                       f"range of a trace (2**63 ns, about 292 years)")
+
+
+def seconds_to_ns(t_s: float) -> int:
+    """Float seconds to integer nanoseconds, rounded half to even, as
+    `AgeTrace.from_seconds` converts whole columns; nan, inf or 2**63
+    ns or more from 0 raises `ConfigError`."""
+    ns = t_s * 1e9
+    if not abs(ns) < _NS_RANGE:
+        raise _out_of_range(t_s)
+    return int(round(ns))
 
 
 _STAMP_BLOCK = 8192  # stamps converted per step: 64 KiB of floats
@@ -40,14 +49,18 @@ _STAMP_BLOCK = 8192  # stamps converted per step: 64 KiB of floats
 
 def _stamps_ns(t_s) -> np.ndarray:
     """Float-second stamps to int64 nanoseconds as `seconds_to_ns`
-    rounds them, nan to `_LOST`, a block at a time, so that the int64
-    column is the only array as long as the input."""
+    rounds and bounds them, nan to `_LOST`, a block at a time, so that
+    the int64 column is the only array as long as the input."""
     t_s = np.asarray(t_s, dtype=float)
     ns = np.empty(len(t_s), dtype=np.int64)
     for lo in range(0, len(t_s), _STAMP_BLOCK):
-        block = np.multiply(t_s[lo:lo + _STAMP_BLOCK], 1e9)
+        with np.errstate(over="ignore"):  # refused below, as inf
+            block = np.multiply(t_s[lo:lo + _STAMP_BLOCK], 1e9)
         block[np.isnan(block)] = _LOST
         np.rint(block, out=block)
+        if not -_NS_RANGE < block.min() <= block.max() < _NS_RANGE:
+            k = int(np.argmax(~(np.abs(block) < _NS_RANGE)))
+            raise _out_of_range(float(t_s[lo + k]))
         ns[lo:lo + _STAMP_BLOCK] = block
     return ns
 

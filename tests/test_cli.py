@@ -1080,3 +1080,89 @@ def test_million_arrival_event_loop_child_stays_small(tmp_path):
     assert meta["arrivals"] == "1000000"
     assert int(meta["lost_overflow"]) > 0
     assert peak_mb < 110
+
+
+@pytest.mark.parametrize("argv, time", [
+    # 20 arrivals 1e9 s apart end past 2**63 ns
+    (["sim", "--arrival", "deterministic", "--rate", "1e-9", "--arrivals", "20",
+      "--out", "OUT"], "9999999999.999998"),
+    (["measure", "sampler", "--emulated", "fixed_rtt=1e300", "--rate", "10",
+      "--duration", "1", "--out", "OUT"], "1e+300"),
+    (["measure", "sync", "--emulated", "fixed_rtt=1ms,offset=1e300", "--pings", "20"],
+     "1e+300"),
+], ids=["sim", "sampler", "sync"])
+def test_stamps_past_the_trace_range_exit_2(tmp_path, capsys, argv, time):
+    # a cast of such a stamp to int64 warned and wrapped to a negative
+    # one, and a Python int of one overflowed
+    out = str(tmp_path / "x.csv")
+    code, stdout, err = run_cli(capsys, *(out if a == "OUT" else a for a in argv))
+    assert code == 2
+    assert stdout == ""
+    assert err == (f"error: a time of {time} s is outside the int64 nanosecond "
+                   f"range of a trace (2**63 ns, about 292 years)\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bias", ["nan", "inf", "-inf", "1e300", "1e10"])
+def test_analyze_bias_past_the_trace_range_exits_2(tmp_path, capsys, bias):
+    path = tmp_path / "g.csv"
+    path.write_text(GOLDEN_TWO_PACKET)
+    code, stdout, err = run_cli(capsys, "analyze", str(path), f"--bias={bias}")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: a time of ") and err.count("\n") == 1
+
+
+def test_analyze_bias_past_the_largest_stamp_exits_3(tmp_path, capsys):
+    # a bias within range that moves the last reception of a 200 s trace
+    # past 2**63 - 1 ns, which wrapped to a negative stamp
+    path = tmp_path / "t.csv"
+    assert run_cli(capsys, "sim", "--rate", "0.5", "--arrivals", "100",
+                   "--out", str(path))[0] == 0
+    code, stdout, err = run_cli(capsys, "analyze", str(path), "--bias", "9.223372e9")
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: bias shift would move a reception stamp to ")
+    assert err.endswith(" ns, past the 2**63 - 1 ns a trace can carry\n")
+
+
+@pytest.mark.parametrize("name", ["lazy", "acp"])
+@pytest.mark.parametrize("seed, at", [(10, "0.15"), (37, "0.05")])
+def test_policy_first_round_trip_below_the_clock_resolution_exits_2(
+        tmp_path, capsys, name, seed, at):
+    # the first ack's lognormal delay is too small to move the send time,
+    # so its round trip is 0 and 1/rtt divided by zero
+    code, stdout, err = run_cli(
+        capsys, "policy", "--name", name,
+        "--emulated", "lognormal_median=1ms,lognormal_sigma=20",
+        "--duration", "2", "--seed", str(seed), "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert stdout == ""
+    assert err == (f"error: the smoothed round trip is 0 s at {at} s; "
+                   f"closed-loop policies need a positive round trip\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("aborted", [False, True])
+def test_live_sampler_counts_go_into_the_manifest(tmp_path, capsys, monkeypatch, aborted):
+    from aoikit import udp
+    from aoikit.trace import AgeTrace
+
+    trace = AgeTrace.from_arrays([0, 1, 2], [0, 10**8, 2 * 10**8],
+                                 [5 * 10**7, 15 * 10**7, None])
+
+    def live_run(dest, schedule, size):
+        return udp.SamplerResult(trace, sent=3, received=2, duplicates=4,
+                                 unmatched=5, aborted=aborted)
+
+    monkeypatch.setattr(udp, "run_sampler", live_run)
+    out = str(tmp_path / "m.csv")
+    code, stdout, _ = run_cli(capsys, "measure", "sampler", "--dest", "127.0.0.1:9",
+                              "--rate", "10", "--duration", "1", "--out", out)
+    assert code == (3 if aborted else 0)
+    # stdout keeps its keys; the counts go to the manifest alone
+    assert list(kv(stdout))[:3] == ["trace", "sent", "received"]
+    assert not {"duplicates", "unmatched", "aborted"} & set(kv(stdout))
+    config = json.loads(Path(out + ".manifest.json").read_text())["config"]
+    assert config == {"dest": "127.0.0.1:9", "duplicates": "4", "unmatched": "5",
+                      "aborted": str(int(aborted))}

@@ -223,6 +223,15 @@ def test_bias_to_negative_timestamps_rejected():
         apply_bias(two_packet_trace(), BiasModel(-10 * S))
 
 
+def test_bias_past_the_largest_stamp_rejected():
+    # the last reception, 2 s, may move up to 2**63 - 1 ns and no further
+    last = 2**63 - 1 - 2 * S
+    assert apply_bias(two_packet_trace(), BiasModel(last)).recv_ns.max() == 2**63 - 1
+    for bias_ns in (last + 1, 2**64):
+        with pytest.raises(RangeError, match="past the 2\\*\\*63 - 1 ns"):
+            apply_bias(two_packet_trace(), BiasModel(bias_ns))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

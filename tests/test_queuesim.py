@@ -409,6 +409,40 @@ def test_lcfs1_above_capacity_takes_the_event_loop_at_once():
     assert queuesim._simulate_busy_periods(replace(cfg, discipline="fcfs")) is not None
 
 
+_PATH_CONFIGS = [
+    SimConfig(ArrivalSpec("poisson", 0.8), ServiceSpec("exponential", 1.0),
+              horizon=3000, seed=2),
+    SimConfig(ArrivalSpec("poisson", 0.8), ServiceSpec("exponential", 1.0),
+              loss_p=0.2, retransmit=True, horizon=3000, seed=2),
+    SimConfig(ArrivalSpec("poisson", 1.2), ServiceSpec("exponential", 1.0),
+              capacity=2, loss_p=0.2, horizon=3000, seed=2),
+]
+
+
+def test_every_path_writes_one_meta_key_order(monkeypatch):
+    # the run's counters, then its config, as `_run` alone writes them
+    taken = _paths(monkeypatch)
+    for cfg in _PATH_CONFIGS:
+        assert list(simulate(cfg).meta) == [
+            "arrivals", "delivered", "lost_channel", "lost_overflow", "discarded",
+            "retransmissions", "still_queued", "loss", "max_waiting", "seed",
+            "discipline", "arrival", "arrival_rate", "service", "service_rate",
+            "capacity", "loss_p", "retransmit", "horizon", "load", "unstable"]
+    assert taken == ["lindley", "vector", "events"]
+
+
+@pytest.mark.parametrize("cfg", _PATH_CONFIGS, ids=["lindley", "vector", "events"])
+def test_delivery_offset_moves_each_delivery_once(cfg):
+    plain, late = simulate(cfg), simulate(replace(cfg, delivery_offset_s=0.25))
+    assert np.array_equal(plain.trace.gen_ns, late.trace.gen_ns)
+    assert plain.meta == late.meta
+    got = plain.trace.recv_ns != -1
+    assert np.array_equal(got, late.trace.recv_ns != -1)
+    shift = late.trace.recv_ns[got] - plain.trace.recv_ns[got]
+    # rounded once, from each completion plus the offset
+    assert np.abs(shift - 250_000_000).max() <= 1
+
+
 def _scalar_departures(release, svc):
     out, prev = [], -np.inf
     for r, s in zip(release.tolist(), svc.tolist()):

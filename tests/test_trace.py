@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from aoikit import csvcodec
 from aoikit import trace as trace_module
-from aoikit.errors import RangeError, TraceFormatError
+from aoikit.errors import ConfigError, RangeError, TraceFormatError
 from aoikit.csvcodec import WRITE_CHUNK
 from aoikit.trace import AgeTrace, _read_plain, _read_rows, read_csv
 
@@ -542,3 +543,33 @@ def test_from_seconds_rounds_each_stamp_as_seconds_to_ns():
         trace_module._LOST if math.isnan(t) else trace_module.seconds_to_ns(t) for t in recv]
     assert trace.loss_count == 2 and trace.sizes.tolist() == [7] * 6
     assert (trace.t_start_ns, trace.t_end_ns) == (0, trace.recv_ns[-1])
+
+
+# the largest float of seconds whose nanoseconds fit in int64, and the next
+_LAST_S = math.nextafter(2**63 / 1e9, 0)
+_PAST_S = 2**63 / 1e9
+
+
+def test_seconds_to_ns_refuses_what_int64_cannot_hold():
+    assert trace_module.seconds_to_ns(_LAST_S) == round(_LAST_S * 1e9) < 2**63
+    assert trace_module.seconds_to_ns(-_LAST_S) == -round(_LAST_S * 1e9)
+    for t in (_PAST_S, -_PAST_S, 1e300, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="outside the int64 nanosecond range"):
+            trace_module.seconds_to_ns(t)
+
+
+@pytest.mark.parametrize("bad", [_PAST_S, 1e300, math.inf, -math.inf])
+def test_from_seconds_refuses_a_stamp_past_the_range_and_keeps_nan_lost(bad):
+    from array import array
+
+    # past one conversion block, and without numpy's cast or overflow
+    # warnings, which the suite turns into errors
+    n = trace_module._STAMP_BLOCK + 5
+    recv = array("d", [1.0]) * n
+    recv[3] = math.nan
+    assert AgeTrace.from_seconds(array("d", [0.0]) * n, recv).loss_count == 1
+    recv[n - 2] = bad
+    with pytest.raises(ConfigError, match=re.escape(f"a time of {bad!r} s ")):
+        AgeTrace.from_seconds(array("d", [0.0]) * n, recv)
+    with pytest.raises(ConfigError, match=re.escape(f"a time of {bad!r} s ")):
+        AgeTrace.from_seconds(recv[n - 2:], [1.0, 2.0])
