@@ -260,8 +260,13 @@ def cmd_sim(args, argv) -> int:
                            args.seed)
     _write_outputs(manifest, [(args.out, run.trace),
                               (args.out + ".meta", run.meta_lines())])
-    stats = summary(run.trace)
-    _print_kv([("trace", args.out)] + [(k, f"{v:.9g}") for k, v in stats.items()])
+    pairs = [("trace", args.out)]
+    try:
+        stats = summary(run.trace)
+        pairs += [(k, f"{v:.9g}") for k, v in stats.items()]
+    except AoiError:
+        pairs.append(("note", "too few deliveries for age statistics"))
+    _print_kv(pairs)
     # the closed form holds only for the queue the Lindley path solves
     if args.model == "mm1" and 0 < args.rho < 1 and cfg.lindley:
         _print_kv([("analytic_avg_age_s",

@@ -120,10 +120,14 @@ class EmulatedChannelSpec:
 @dataclass(slots=True)
 class ChannelTransit:
     """Outcome of one packet through the channel, all on the sender's
-    virtual clock."""
+    virtual clock. Every dropped packet gets the one shared `_DROPPED`,
+    so no caller may change what it is given."""
 
     arrive_fwd_s: Optional[float]  # None if lost
     ack_s: Optional[float]
+
+
+_DROPPED = ChannelTransit(None, None)
 
 
 class EmulatedChannel:
@@ -146,7 +150,8 @@ class EmulatedChannel:
         self._rtts = self._jitters = self._coins = None
         delays = spec.rtt_lognorm_median_s is not None or spec.jitter_s > 0
         lossy = spec.loss_p > 0 or spec.loss_onset_load is not None
-        if not (delays or lossy):
+        self._draw_free = not (delays or lossy)
+        if self._draw_free:
             return
         from numpy.random import PCG64, Generator, SeedSequence
 
@@ -196,7 +201,7 @@ class EmulatedChannel:
                 while in_system and in_system[0] <= send_s:
                     in_system.popleft()
                 if len(in_system) > spec.buffer:
-                    return ChannelTransit(None, None)
+                    return _DROPPED
             free_at = self._server_free_at
             start = free_at if free_at > send_s else send_s
             step_at = spec.capacity_step_at_s
@@ -206,16 +211,20 @@ class EmulatedChannel:
             self._server_free_at = depart
             if in_system is not None:
                 in_system.append(depart)
+        fwd = spec.fwd_delay_s
+        if self._draw_free:
+            arrive = depart + fwd
+            return ChannelTransit(arrive, arrive + spec.bwd_delay_s)
         if loss_p > 0 and next(self._coins) < loss_p:
-            return ChannelTransit(None, None)
-        if self._rtts is not None:
-            fwd = bwd = next(self._rtts) / 2.0
+            return _DROPPED
+        rtts, jitters = self._rtts, self._jitters
+        if rtts is not None:
+            fwd = bwd = next(rtts) / 2.0
         else:
-            fwd = spec.fwd_delay_s
             bwd = spec.bwd_delay_s
-            if self._jitters is not None:
-                fwd += next(self._jitters)
-                bwd += next(self._jitters)
+            if jitters is not None:
+                fwd += next(jitters)
+                bwd += next(jitters)
         arrive = depart + fwd
         return ChannelTransit(arrive, arrive + bwd)
 
@@ -270,22 +279,22 @@ def run_sampler_emulated(
     from array import array  # loaded on first use
 
     check_schedule(schedule)
-    channel = EmulatedChannel(spec)
+    transit, nan = EmulatedChannel(spec).transit, math.nan
     send_times = array("d")
     t = 0.0
     for rate, duration in schedule:
-        k = 0
-        start = t
-        while start + (k + 1) / rate <= start + duration + 1e-12:
-            send_times.append(start + (k + 1) / rate)
+        start, k = t, 1
+        end = start + duration + 1e-12
+        while (s := start + k / rate) <= end:
+            send_times.append(s)
             k += 1
         t = start + duration
     fwd_s = array("d")  # nan where the channel dropped the packet
     ack_s = array("d")
     for s in send_times:
-        tr = channel.transit(s)
-        fwd_s.append(math.nan if tr.arrive_fwd_s is None else tr.arrive_fwd_s)
-        ack_s.append(math.nan if tr.ack_s is None else tr.ack_s)
+        tr = transit(s)
+        fwd_s.append(nan if tr.arrive_fwd_s is None else tr.arrive_fwd_s)
+        ack_s.append(nan if tr.ack_s is None else tr.ack_s)
     trace = AgeTrace.from_seconds(send_times, ack_s, size_bytes=size_bytes)
     truth = AgeTrace.from_seconds(send_times, fwd_s, size_bytes=size_bytes)
     sent = len(send_times)
@@ -401,11 +410,11 @@ def _write_rows(f, rows: Iterator[str]) -> None:
 
 
 def write_decision_csv(f, log: DecisionLog) -> None:
-    """Write the decision log as CSV to the text file `f`."""
-    _write_rows(f, (
-        f"{epoch},{action},{target:.6g},{rate:.6g},{age:.6g},{backlog}\n"
-        for epoch, (action, target, rate, age, backlog) in enumerate(zip(
-            log.action, log.target_backlog, log.rate_hz, log.avg_age_s, log.backlog), 1)))
+    """Write the decision log as CSV to the text file `f`, each row one
+    %-format of its zipped columns."""
+    _write_rows(f, map("%d,%s,%.6g,%.6g,%.6g,%d\n".__mod__, zip(
+        range(1, len(log) + 1), log.action, log.target_backlog, log.rate_hz,
+        log.avg_age_s, log.backlog)))
 
 
 def write_qlearn_csv(f, res: QTrainResult) -> None:
@@ -472,12 +481,12 @@ def run_rate_policy(
     from array import array  # loaded on first use
 
     transit = EmulatedChannel(spec).transit
-    update_rtt = EwmaEstimator(ewma_alpha).update
+    EwmaEstimator(ewma_alpha)  # refuses an alpha outside (0, 1]
     on_ack, on_epoch = sender.on_ack, sender.on_epoch
     epoch_floor_s = sender.epoch_floor_s
     max_sends = MAX_SENDS
     heappush, heappop = heapq.heappush, heapq.heappop
-    inf = math.inf
+    inf, nan = math.inf, math.nan
     # (time, insertion seq, packet index or _PROBE)
     acks: list[tuple[float, int, int]] = [(0.0, 0, _PROBE)]
     send_at = epoch_at = inf  # inf while nothing is pending
@@ -485,8 +494,9 @@ def run_rate_policy(
     seq = 1
     send_s = array("d")
     ack_s = array("d")  # nan until acknowledged
+    append_send, append_ack = send_s.append, ack_s.append
     sent = acked = epochs = 0
-    rtt: Optional[float] = None  # the smoothed rtt
+    rtt: Optional[float] = None  # the smoothed rtt, an EWMA of ewma_alpha
     newest_acked_send: Optional[float] = None
     clock = 0.0  # the integrals below run up to here
     backlog_area = epoch_backlog_area = epoch_age_area = 0.0
@@ -524,7 +534,8 @@ def run_rate_policy(
             ack_s[event] = now
             acked += 1
             epoch_acks += 1
-            rtt = update_rtt(now - sent_at)
+            # EwmaEstimator.update, in its float order
+            rtt = now - sent_at if rtt is None else rtt + ewma_alpha * (now - sent_at - rtt)
             if not rtt > 0.0:  # a first ack within the send time's resolution
                 raise ConfigError(f"the smoothed round trip is {rtt:g} s at {now:g} s; "
                                   f"closed-loop policies need a positive round trip")
@@ -541,18 +552,16 @@ def run_rate_policy(
                                   f"at {now:g} s of {duration_s:g} s")
             epochs += 1
             epoch_s = now - epoch_started
+            avg_age = epoch_age_area / epoch_s if epoch_s > 0 else 0.0
             # ewma_rtt_s, epoch_s, avg_age_epoch_s, avg_backlog_epoch, epoch_acks
-            obs = PolicyObservation(
-                rtt, epoch_s,
-                epoch_age_area / epoch_s if epoch_s > 0 else 0.0,
+            action, target, logged_rate, new_rate = on_epoch(PolicyObservation(
+                rtt, epoch_s, avg_age,
                 epoch_backlog_area / epoch_s if epoch_s > 0 else 0.0,
-                epoch_acks,
-            )
-            action, target, logged_rate, new_rate = on_epoch(obs, rate_hz)
+                epoch_acks), rate_hz)
             log_action(action)
             log_target(target)
             log_rate(logged_rate)
-            log_age(obs.avg_age_epoch_s)
+            log_age(avg_age)
             log_backlog(sent - acked)
             log_t(now)
             restart = True
@@ -563,8 +572,8 @@ def run_rate_policy(
                 raise ConfigError(f"the run reached the bound of {max_sends} sends "
                                   f"at {now:g} s of {duration_s:g} s")
             ack_at = transit(now).ack_s
-            send_s.append(now)
-            ack_s.append(math.nan)
+            append_send(now)
+            append_ack(nan)
             sent += 1
             if ack_at is not None and ack_at <= duration_s:
                 heappush(acks, (ack_at, seq, sent - 1))
@@ -602,7 +611,7 @@ def run_rate_policy(
         rate_area += rate_hz * (duration_s - rate_clock)
 
     trace = AgeTrace.from_seconds(send_s, ack_s, t_end_ns=seconds_to_ns(duration_s))
-    del send_s, ack_s  # the trace holds the stamps now
+    del send_s, ack_s, append_send, append_ack  # the trace holds the stamps now
     return PolicyRunResult(
         trace=trace,
         decisions=decisions,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,11 +25,12 @@ ACTION_DEC = "DEC"
 ACTION_MDEC = "MDEC"
 
 
-class PolicyObservation(NamedTuple):
+@dataclass(slots=True)
+class PolicyObservation:
     """What a closed-loop sender sees at an epoch end: the smoothed
     rtt, the epoch's length and acknowledgements, and its time-averaged
-    age and packets in flight. A named tuple, so that the runner builds
-    one per epoch cheaply."""
+    age and packets in flight. A slotted dataclass, not a tuple: the
+    runner builds one per epoch, and this is the cheaper kind to build."""
 
     ewma_rtt_s: Optional[float] = None
     epoch_s: float = 0.0
@@ -242,6 +243,7 @@ PAUSE_STEP_S = 0.1  # how much older a pause leaves the age
 # steps per training run, as `emulate.MAX_SENDS` bounds the sends of one
 # run; every step logs one action
 MAX_ITERATIONS = 1_000_000
+Q_BLOCK_EPSILON, Q_BLOCK = 0.01, 4096  # below this epsilon, coins come in blocks
 
 
 @dataclass
@@ -313,14 +315,33 @@ def train_pause_resume(agent: QAgent, delay_s: float,
                           f"{MAX_ITERATIONS} per run")
     next_age = (delay_s + PAUSE_STEP_S, delay_s)  # by action
     cost = [age_cost(age) for age in next_age]
-    q = agent.values
-    act, lr = agent.act, agent.lr
+    q, lr, decay, rng = agent.values, agent.lr, agent.epsilon_decay, agent.rng
+    eps = agent.epsilon
     actions = []
-    for _ in range(iterations):
-        a = act()
-        q[a] += lr * (cost[a] - q[a])
-        agent.epsilon *= agent.epsilon_decay
-        actions.append(a)
+    # each step is `agent.act()`; below Q_BLOCK_EPSILON the coins come
+    # Q_BLOCK at a time, and a step that explores rewinds the stream to
+    # just after its coin for its action draw, which ends the block
+    while len(actions) < iterations:
+        if eps >= Q_BLOCK_EPSILON:
+            saved, coins = None, [rng.random()]
+        else:
+            saved = rng.bit_generator.state
+            coins = rng.random(min(Q_BLOCK, iterations - len(actions))).tolist()
+        for j, coin in enumerate(coins, 1):
+            explores = coin < eps
+            if explores:
+                if saved is not None:
+                    rng.bit_generator.state = saved
+                    rng.random(j)
+                a = int(rng.integers(len(Q_ACTIONS)))
+            else:
+                a = 1 if q[1] < q[0] else 0  # the first minimum, as act()
+            q[a] += lr * (cost[a] - q[a])
+            eps *= decay
+            actions.append(a)
+            if explores:
+                break
+    agent.epsilon = eps
     edges = np.geomspace(Q_AGE_LO_S, Q_AGE_HI_S, agent.n_bins + 1).tolist()
     b = bisect_right(edges, delay_s, 1, agent.n_bins) - 1  # the inner edges: clamps
     return QTrainResult(iterations, b, tuple(q), next_age, actions)

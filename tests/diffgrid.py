@@ -36,7 +36,7 @@ import time
 from aoikit import queuesim
 from aoikit.queuesim import ArrivalSpec, ChannelModel, ServiceSpec, SimConfig
 
-from helpers import sha256_of
+from helpers import lowest_scaling_ratio, sha256_of
 
 HORIZON = 20_000
 MIN_COMPARED = 500
@@ -87,28 +87,6 @@ def scaling_configs():
         capacity=5, horizon=n, seed=0)
 
 
-def loop_scaling(build) -> float:
-    """The lowest of five 4n/n ratios of the event loop's time on
-    `build(n)`, each of the fastest of three interleaved runs at n and
-    at 4n arrivals, so that a busy machine does not read as a
-    super-linear loop."""
-
-    def timed(n: int) -> float:
-        cfg = build(n)
-        start = time.perf_counter()
-        queuesim._simulate_events(cfg)
-        return time.perf_counter() - start
-
-    ratios = []
-    for _ in range(5):
-        small, large = [], []
-        for _ in range(3):
-            small.append(timed(SCALING_ARRIVALS))
-            large.append(timed(4 * SCALING_ARRIVALS))
-        ratios.append(min(large) / min(small))
-    return min(ratios)
-
-
 def main() -> int:
     start = time.perf_counter()
     compared = handed_back = lindley = 0
@@ -134,7 +112,8 @@ def main() -> int:
               f"fewer than {MIN_COMPARED}")
         failed = True
     for name, build in scaling_configs():
-        ratio = loop_scaling(build)
+        ratio = lowest_scaling_ratio(lambda n: queuesim._simulate_events(build(n)),
+                                     SCALING_ARRIVALS)
         print(f"event loop 4n/n at n={SCALING_ARRIVALS}, {name}: {ratio:.2f}")
         if ratio > MAX_SCALING_RATIO:
             print(f"error: the event loop's time on {name} grew {ratio:.2f} "

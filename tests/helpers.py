@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,26 @@ def sha256_of(*parts) -> str:
     for part in parts:
         h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
+
+
+def lowest_scaling_ratio(run, n: int) -> float:
+    """The lowest of five 4n/n ratios of the time `run(n)` takes, each
+    of the fastest of three interleaved calls at n and at 4n, so that a
+    busy machine does not read as a super-linear run."""
+
+    def timed(size: int) -> float:
+        start = time.perf_counter()
+        run(size)
+        return time.perf_counter() - start
+
+    ratios = []
+    for _ in range(5):
+        small, large = [], []
+        for _ in range(3):
+            small.append(timed(n))
+            large.append(timed(4 * n))
+        ratios.append(min(large) / min(small))
+    return min(ratios)
 
 
 def reference_simulate_scheduler(cfg, frames: int, seed: int = 0):

@@ -1019,6 +1019,21 @@ def test_policy_with_too_few_deliveries_prints_a_note_in_place_of_age_statistics
     assert not {"median_age_s", "avg_age_recv_form_s", "peak_age_s"} & set(stats)
 
 
+def test_sim_with_too_few_deliveries_prints_a_note_in_place_of_age_statistics(
+        tmp_path, capsys):
+    # every arrival lands at one instant, so the one-slot queue serves a
+    # single packet: the outputs stay and stdout says why no statistics
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        capsys, "sim", "--rate", "1e300", "--mu", "1e300", "--arrivals", "50",
+        "--capacity", "1", "--out", str(out))
+    assert code == 0 and err == ""
+    assert kv(stdout) == {"trace": str(out),
+                          "note": "too few deliveries for age statistics"}
+    assert out.exists() and Path(f"{out}.meta").exists()
+    assert Path(f"{out}.manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, draws", [
     (["policy", "--name", "acp", "--emulated", "capacity_step", "--duration", "30"],
      False),

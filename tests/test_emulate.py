@@ -151,6 +151,74 @@ def test_bottleneck_sampler_sweep_is_u_shaped():
     assert ages[0] > ages[k] and ages[-1] > ages[k]
 
 
+# the emulated bottleneck against queuesim's, into 100 packets/s; sends
+# are the sampler's, k / rate for k = 1, 2, ...
+AGREEMENT_CAPACITY_HZ = 100.0
+AGREEMENT_SENDS = 20_000
+
+
+def _transits(rate_hz: float, n: int, **kw) -> list:
+    spec = EmulatedChannelSpec(capacity_hz=AGREEMENT_CAPACITY_HZ, **kw)
+    transit = EmulatedChannel(spec).transit
+    return [transit(k / rate_hz) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("rate_hz", [80.0, 137.3, 300.0, 99.99])
+def test_bottleneck_departures_equal_the_busy_period_recurrence(rate_hz):
+    # both compute t_k = max(A_k, t_{k-1}) + 1/cap in one float order
+    from aoikit.busy_periods import departures
+
+    n = AGREEMENT_SENDS
+    want = departures(np.arange(1, n + 1) / rate_hz,
+                      np.full(n, 1.0 / AGREEMENT_CAPACITY_HZ))
+    got = np.array([tr.arrive_fwd_s for tr in _transits(rate_hz, n)])
+    assert want is not None
+    assert got.tobytes() == want.tobytes()
+
+
+def _drops(rate_hz: float, k: int, n: int) -> tuple[list[int], list[int]]:
+    """The 0-based indices of the packets, of n, that a buffer of k
+    waiting slots drops: in the emulated channel, and in queuesim at
+    capacity k."""
+    from aoikit.queuesim import ArrivalSpec, ServiceSpec, SimConfig, simulate
+
+    emulated = [i for i, tr in enumerate(_transits(rate_hz, n, buffer=k))
+                if tr.arrive_fwd_s is None]
+    run = simulate(SimConfig(ArrivalSpec("deterministic", rate_hz),
+                             ServiceSpec("deterministic", AGREEMENT_CAPACITY_HZ),
+                             capacity=k, horizon=n))
+    return emulated, np.flatnonzero(run.trace.recv_ns < 0).tolist()
+
+
+@pytest.mark.parametrize("rate_hz, k, n, dropped", [
+    # 137.3 Hz first splits a tie the two ways near 50 s, at packet
+    # 6,865; 6,800 sends stop short of it
+    (137.3, 1, 6_800, 1_847),
+    (101.3, 1, AGREEMENT_SENDS, 256),
+    (199.1, 2, AGREEMENT_SENDS, 9_953),
+    (99.1, 2, AGREEMENT_SENDS, 0),  # below capacity nothing waits
+])
+def test_buffer_drops_the_packets_queuesim_drops_at_capacity(rate_hz, k, n, dropped):
+    # while no send coincides with a departure, both models drop alike
+    emulated, simulated = _drops(rate_hz, k, n)
+    assert len(emulated) == dropped
+    assert emulated == simulated
+
+
+def test_buffer_and_capacity_split_a_tie_the_opposite_ways():
+    # at 101 Hz a send lands on a departure in exact arithmetic about
+    # once a second; the two float orders put such a send on opposite
+    # sides of its departure, so the models drop neighbouring packets,
+    # as many as each other
+    emulated, simulated = _drops(101.0, 1, AGREEMENT_SENDS)
+    assert emulated[:2] == [101, 202] and simulated[:2] == [102, 203]
+    assert len(emulated) == len(simulated) == 198
+    split = sorted(set(emulated) ^ set(simulated))
+    assert len(split) == 174
+    for i, j in zip(split[::2], split[1::2]):
+        assert j == i + 1 and (i in emulated) != (j in emulated)
+
+
 def test_sampler_age_vanishes_at_high_rate_on_zero_rtt():
     spec = EmulatedChannelSpec()
     ages = [
@@ -776,4 +844,55 @@ DRAW_GOLDEN = {
         "b586a48c4ae799d03bd45c99a6e32fd6af1553840c77e8160c1a137094ea9d7e",
     "sampler/jitter-loss":
         "b2b84c212805540d3ede7a6ff9a33b048423668037e48c006bd7dc4f41be4ad3",
+}
+
+
+# the benchmark's closed-loop policy commands (bench/workloads.py) with
+# their channels and lengths; bench/golden.json pins them at seed 0 only
+BENCH_POLICY_COMMANDS = {
+    "acp": ["--name", "acp", "--emulated", "capacity_step", "--duration", "3000"],
+    "lazy": ["--name", "lazy", "--emulated", "fixed_rtt=5ms,jitter=1ms",
+             "--duration", "300"],
+    "zero-wait": ["--name", "zero-wait", "--emulated", "fixed_rtt=5ms",
+                  "--duration", "150"],
+    "qlearn": ["--name", "qlearn", "--emulated", "fixed_delay=1s", "--iters", "50000"],
+}
+
+
+def test_benchmark_policy_commands_golden_digests_past_seed_0(tmp_path, capsys,
+                                                               monkeypatch):
+    # sha256 of stdout, the trace CSV and the decision log, pinned
+    # before the decision log was formatted in one pass
+    from aoikit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for seed in (1, 2):
+        for name, argv in BENCH_POLICY_COMMANDS.items():
+            assert main(["policy", *argv, "--seed", str(seed), "--out", "p"]) == 0
+            files = ("p.decisions.csv",) if name == "qlearn" else (
+                "p.trace.csv", "p.decisions.csv")
+            got[f"{name}/seed{seed}"] = sha256_of(
+                capsys.readouterr().out, *((tmp_path / f).read_text() for f in files))
+    assert got == BENCH_POLICY_GOLDEN
+
+
+# acp's and zero-wait's channels draw nothing, so their seeds agree
+BENCH_POLICY_GOLDEN = {
+    "acp/seed1":
+        "246b5c2ed7121443b2f7990169cf6f51b5fd292b698ea5db732512475ba9f403",
+    "lazy/seed1":
+        "576f1dc2ea63bc4865a0223a23b4c7bdc0bb4c3bc5f76125106944e9bb6fcfc8",
+    "zero-wait/seed1":
+        "ab0d53f6e369725f1bef93e277f0539ba6079f34fb4474b1459eecc350f2fd04",
+    "qlearn/seed1":
+        "88d0b0b7dac0359f7eda49e4678bd62a89a741461aaf60292aa935ac106d9394",
+    "acp/seed2":
+        "246b5c2ed7121443b2f7990169cf6f51b5fd292b698ea5db732512475ba9f403",
+    "lazy/seed2":
+        "975e85ade7ed782d7f6c008b37c91a54c3585dc28b303df367e7a2a01ae617bd",
+    "zero-wait/seed2":
+        "ab0d53f6e369725f1bef93e277f0539ba6079f34fb4474b1459eecc350f2fd04",
+    "qlearn/seed2":
+        "948085ee243bf5c1431ce252ded86f09b8100a7cc97b268cdff61082c82d3018",
 }

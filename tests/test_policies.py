@@ -288,6 +288,34 @@ def test_training_values_follow_their_closed_form(seed, lr, steps):
         assert res.values[a] == pytest.approx(c + (Q_INIT - c) * (1 - lr) ** n, abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon, decay, seed, steps", [
+    (1.0, 0.995, 0, 20_000),  # the default schedule, as the benchmark runs it
+    (0.009, 1.0, 1, 30_000),  # below the block threshold throughout: 261 explorations
+    (0.02, 0.9999, 2, 20_000),  # crosses the threshold at step 6,932, then explores 78 times
+    (0.5, 0.9, 3, 9_000),
+    (0.0, 0.995, 4, 5_000),  # never explores
+    (1.0, 1.0, 5, 3_000),  # always above the threshold
+])
+def test_training_equals_one_act_per_step(epsilon, decay, seed, steps):
+    # the training loop as first written: `act()` draws each coin and
+    # any action draw from the agent's stream, one at a time
+    def reference(agent):
+        cost = [age_cost(age) for age in (1.0 + PAUSE_STEP_S, 1.0)]
+        actions = []
+        for _ in range(steps):
+            a = agent.act()
+            agent.values[a] += agent.lr * (cost[a] - agent.values[a])
+            agent.epsilon *= agent.epsilon_decay
+            actions.append(a)
+        return actions
+
+    want = QAgent(epsilon=epsilon, epsilon_decay=decay, seed=seed)
+    got = QAgent(epsilon=epsilon, epsilon_decay=decay, seed=seed)
+    assert train_pause_resume(got, 1.0, steps).action_history == reference(want)
+    assert (got.values, got.epsilon) == (want.values, want.epsilon)
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
 def test_agent_validation():
     with pytest.raises(ConfigError):
         QAgent(epsilon=1.5)
