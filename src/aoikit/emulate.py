@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,43 +32,50 @@ from .queuesim import (
     check_regime_loss_p,
     regime_loss_p,
 )
+from .records import FrozenRecord, Record
 from .trace import AgeTrace, seconds_to_ns
 
 
-@dataclass(frozen=True)
-class EmulatedChannelSpec:
+class EmulatedChannelSpec(FrozenRecord):
     """Impairments of the emulated echo path.
 
     Either give fixed per-leg propagation delays (fwd/bwd), or a
     lognormal round-trip distribution (split evenly between the legs).
-    A bottleneck is modelled as a single FIFO server of `capacity_hz`
-    packets per second with `buffer` waiting slots (None = infinite);
+    `jitter_s` adds a uniform [0, jitter) delay per leg. A bottleneck
+    is modelled as a single FIFO server of `capacity_hz` packets per
+    second with `buffer` waiting slots (None = infinite);
     `capacity_step_at_s`/`capacity_step_factor` rescale the service
     rate mid-run. `peer_offset_s` shifts the emulated peer's clock for
     time-request exchanges.
+
+    The load-threshold loss schedule (queuesim.regime_loss_p): once the
+    observed send rate passes `loss_onset_load` * capacity the channel
+    drops `busy_loss_p` of the packets, and `panicked_loss_p` at or
+    beyond capacity; loss therefore rises before queueing delay does.
     """
 
-    fwd_delay_s: float = 0.0
-    bwd_delay_s: float = 0.0
-    jitter_s: float = 0.0  # uniform [0, jitter) added per leg
-    rtt_lognorm_median_s: Optional[float] = None
-    rtt_lognorm_sigma: float = 0.5
-    capacity_hz: Optional[float] = None
-    buffer: Optional[int] = None
-    loss_p: float = 0.0
-    # load-threshold loss schedule (queuesim.regime_loss_p): once the
-    # observed send rate passes loss_onset_load * capacity the channel
-    # drops busy_loss_p of the packets, and panicked_loss_p at or
-    # beyond capacity; loss therefore rises before queueing delay does
-    loss_onset_load: Optional[float] = None
-    busy_loss_p: float = BUSY_LOSS_P
-    panicked_loss_p: float = PANICKED_LOSS_P
-    capacity_step_at_s: Optional[float] = None
-    capacity_step_factor: float = 1.0
-    peer_offset_s: float = 0.0
-    seed: int = 0
+    _fields = ("fwd_delay_s", "bwd_delay_s", "jitter_s", "rtt_lognorm_median_s",
+               "rtt_lognorm_sigma", "capacity_hz", "buffer", "loss_p", "loss_onset_load",
+               "busy_loss_p", "panicked_loss_p", "capacity_step_at_s",
+               "capacity_step_factor", "peer_offset_s", "seed")
 
-    def __post_init__(self):
+    def __init__(self, fwd_delay_s: float = 0.0, bwd_delay_s: float = 0.0,
+                 jitter_s: float = 0.0, rtt_lognorm_median_s: Optional[float] = None,
+                 rtt_lognorm_sigma: float = 0.5, capacity_hz: Optional[float] = None,
+                 buffer: Optional[int] = None, loss_p: float = 0.0,
+                 loss_onset_load: Optional[float] = None, busy_loss_p: float = BUSY_LOSS_P,
+                 panicked_loss_p: float = PANICKED_LOSS_P,
+                 capacity_step_at_s: Optional[float] = None,
+                 capacity_step_factor: float = 1.0, peer_offset_s: float = 0.0,
+                 seed: int = 0):
+        vars(self).update(
+            fwd_delay_s=fwd_delay_s, bwd_delay_s=bwd_delay_s, jitter_s=jitter_s,
+            rtt_lognorm_median_s=rtt_lognorm_median_s, rtt_lognorm_sigma=rtt_lognorm_sigma,
+            capacity_hz=capacity_hz, buffer=buffer, loss_p=loss_p,
+            loss_onset_load=loss_onset_load, busy_loss_p=busy_loss_p,
+            panicked_loss_p=panicked_loss_p, capacity_step_at_s=capacity_step_at_s,
+            capacity_step_factor=capacity_step_factor, peer_offset_s=peer_offset_s,
+            seed=seed)
         if not all(math.isfinite(d) and d >= 0
                    for d in (self.fwd_delay_s, self.bwd_delay_s, self.jitter_s)):
             raise ConfigError("delays must be finite and non-negative")
@@ -117,14 +123,18 @@ class EmulatedChannelSpec:
         return cls(fwd_delay_s=rtt_s / 2.0, bwd_delay_s=rtt_s / 2.0, **kw)
 
 
-@dataclass(slots=True)
-class ChannelTransit:
+class ChannelTransit(Record):
     """Outcome of one packet through the channel, all on the sender's
-    virtual clock. Every dropped packet gets the one shared `_DROPPED`,
-    so no caller may change what it is given."""
+    virtual clock: the forward arrival and the acknowledgement, both
+    None if the packet was lost. A slotted record with a written
+    `__init__`, built once per send. Every dropped packet gets the one
+    shared `_DROPPED`, so no caller may change what it is given."""
 
-    arrive_fwd_s: Optional[float]  # None if lost
-    ack_s: Optional[float]
+    __slots__ = _fields = ("arrive_fwd_s", "ack_s")
+
+    def __init__(self, arrive_fwd_s: Optional[float], ack_s: Optional[float]):
+        self.arrive_fwd_s = arrive_fwd_s
+        self.ack_s = ack_s
 
 
 _DROPPED = ChannelTransit(None, None)
@@ -232,12 +242,14 @@ class EmulatedChannel:
 # -------------------------------------------------------------- sampling
 
 
-@dataclass
-class EmulatedSamplerResult:
-    trace: AgeTrace  # send -> echo ack, sender clock
-    truth_trace: AgeTrace  # send -> forward delivery, common clock
-    sent: int
-    received: int
+class EmulatedSamplerResult(Record):
+    _fields = ("trace", "truth_trace", "sent", "received")
+
+    def __init__(self, trace: AgeTrace, truth_trace: AgeTrace, sent: int, received: int):
+        self.trace = trace  # send -> echo ack, sender clock
+        self.truth_trace = truth_trace  # send -> forward delivery, common clock
+        self.sent = sent
+        self.received = received
 
 
 MAX_RATE_HZ = 1e9  # a send period of 1 ns, the trace's resolution
@@ -304,12 +316,15 @@ def run_sampler_emulated(
 # ------------------------------------------------------- offset estimation
 
 
-@dataclass
-class OffsetEstimate:
-    offset_ns: int
-    rtt_samples_s: Sequence[float]  # an array('d'), one rtt per exchange
-    confidence_s: float  # sample standard deviation of the per-ping offsets
-    n: int
+class OffsetEstimate(Record):
+    _fields = ("offset_ns", "rtt_samples_s", "confidence_s", "n")
+
+    def __init__(self, offset_ns: int, rtt_samples_s: Sequence[float],
+                 confidence_s: float, n: int):
+        self.offset_ns = offset_ns
+        self.rtt_samples_s = rtt_samples_s  # an array('d'), one rtt per exchange
+        self.confidence_s = confidence_s  # sample standard deviation of the per-ping offsets
+        self.n = n
 
 
 def offset_from_exchanges(send_ns: Sequence[int], peer_ns: Sequence[float],
@@ -425,16 +440,21 @@ def write_qlearn_csv(f, res: QTrainResult) -> None:
     _write_rows(f, (f"{i}{tails[a]}" for i, a in enumerate(res.action_history, 1)))
 
 
-@dataclass
-class PolicyRunResult:
-    trace: AgeTrace
-    decisions: DecisionLog
-    mean_inflight: float
-    mean_rate_hz: float
-    final_rate_hz: float
-    median_age_s: float
-    sent: int
-    acked: int
+class PolicyRunResult(Record):
+    _fields = ("trace", "decisions", "mean_inflight", "mean_rate_hz", "final_rate_hz",
+               "median_age_s", "sent", "acked")
+
+    def __init__(self, trace: AgeTrace, decisions: DecisionLog, mean_inflight: float,
+                 mean_rate_hz: float, final_rate_hz: float, median_age_s: float,
+                 sent: int, acked: int):
+        self.trace = trace
+        self.decisions = decisions
+        self.mean_inflight = mean_inflight
+        self.mean_rate_hz = mean_rate_hz
+        self.final_rate_hz = final_rate_hz
+        self.median_age_s = median_age_s
+        self.sent = sent
+        self.acked = acked
 
 
 # what a pending event sends or does, in place of an acked packet index

@@ -10,18 +10,17 @@ agree exactly on finite traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, RangeError
+from .records import FrozenRecord
 from .trace import _I64_MAX, _LOST, AgeTrace
 
 PENALTY_KINDS = ("linear", "exponential", "logarithmic")
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
+class PenaltySpec(FrozenRecord):
     """Age penalty function selector.
 
     linear       f(t) = alpha * t
@@ -29,14 +28,14 @@ class PenaltySpec:
     logarithmic  f(t) = log(alpha * t + 1)
     """
 
-    kind: str
-    alpha: float
+    _fields = ("kind", "alpha")
 
-    def __post_init__(self):
-        if self.kind not in PENALTY_KINDS:
-            raise ConfigError(f"unknown penalty kind {self.kind!r}")
-        if not (self.alpha > 0):
+    def __init__(self, kind: str, alpha: float):
+        if kind not in PENALTY_KINDS:
+            raise ConfigError(f"unknown penalty kind {kind!r}")
+        if not (alpha > 0):
             raise ConfigError("penalty alpha must be positive")
+        vars(self).update(kind=kind, alpha=alpha)
 
     def F(self, t: np.ndarray | float) -> np.ndarray | float:
         """Antiderivative of f with F(0) = 0."""
@@ -52,12 +51,14 @@ class PenaltySpec:
         return ((at + 1.0) * np.log1p(at) - at) / a
 
 
-@dataclass(frozen=True)
-class BiasModel:
+class BiasModel(FrozenRecord):
     """Constant clock offset between the two endpoints, applied to the
     reception stamps as seen by the sender-side calculator."""
 
-    bias_ns: int
+    _fields = ("bias_ns",)
+
+    def __init__(self, bias_ns: int):
+        vars(self).update(bias_ns=bias_ns)
 
 
 def _delivered_or_raise(trace: AgeTrace) -> tuple[np.ndarray, np.ndarray]:

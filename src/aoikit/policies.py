@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, NotReadyError
+from .records import Record
 
 EWMA_ALPHA = 0.125  # classic transport smoothing constant
 EPOCH_FLOOR_S = 0.010  # closed-loop epochs are never shorter than this
@@ -25,18 +25,24 @@ ACTION_DEC = "DEC"
 ACTION_MDEC = "MDEC"
 
 
-@dataclass(slots=True)
-class PolicyObservation:
+class PolicyObservation(Record):
     """What a closed-loop sender sees at an epoch end: the smoothed
     rtt, the epoch's length and acknowledgements, and its time-averaged
-    age and packets in flight. A slotted dataclass, not a tuple: the
-    runner builds one per epoch, and this is the cheaper kind to build."""
+    age and packets in flight. A slotted record with a written
+    `__init__`, not a tuple: the runner builds one per epoch, and this
+    is the cheaper kind to build."""
 
-    ewma_rtt_s: Optional[float] = None
-    epoch_s: float = 0.0
-    avg_age_epoch_s: float = 0.0
-    avg_backlog_epoch: float = 0.0
-    epoch_acks: int = 0
+    __slots__ = _fields = ("ewma_rtt_s", "epoch_s", "avg_age_epoch_s",
+                           "avg_backlog_epoch", "epoch_acks")
+
+    def __init__(self, ewma_rtt_s: Optional[float] = None, epoch_s: float = 0.0,
+                 avg_age_epoch_s: float = 0.0, avg_backlog_epoch: float = 0.0,
+                 epoch_acks: int = 0):
+        self.ewma_rtt_s = ewma_rtt_s
+        self.epoch_s = epoch_s
+        self.avg_age_epoch_s = avg_age_epoch_s
+        self.avg_backlog_epoch = avg_backlog_epoch
+        self.epoch_acks = epoch_acks
 
 
 class EwmaEstimator:
@@ -65,8 +71,7 @@ AGE_BAND_FRAC = 0.5  # of the smoothed rtt
 BACKLOG_BAND = 0.75  # packets
 
 
-@dataclass
-class AcpState:
+class AcpState(Record):
     """The backlog-target sender and its epoch-level controller state.
 
     At each epoch end the controller compares the epoch's average age
@@ -90,25 +95,26 @@ class AcpState:
     """
 
     paced = True
+    _fields = ("kappa", "backlog_cap", "epoch_floor_s", "target_backlog", "mdec_streak",
+               "prev_age", "prev_backlog")
 
-    kappa: float = 1.0
-    backlog_cap: float = 64.0
-    epoch_floor_s: float = EPOCH_FLOOR_S
-    target_backlog: float = field(init=False)
-    mdec_streak: int = field(init=False, default=0)
-    prev_age: Optional[float] = field(init=False, default=None)
-    prev_backlog: Optional[float] = field(init=False, default=None)
-
-    def __post_init__(self):
+    def __init__(self, kappa: float = 1.0, backlog_cap: float = 64.0,
+                 epoch_floor_s: float = EPOCH_FLOOR_S):
         # an infinite rate sends every packet at one instant, and a nan
         # epoch time never ends: neither run would finish
-        if not (0 < self.kappa < math.inf):
+        if not (0 < kappa < math.inf):
             raise ConfigError("step size must be positive and finite")
-        if not (self.kappa <= self.backlog_cap < math.inf):
+        if not (kappa <= backlog_cap < math.inf):
             raise ConfigError("backlog cap must be finite and at least the step size")
-        if not (0 <= self.epoch_floor_s < math.inf):
+        if not (0 <= epoch_floor_s < math.inf):
             raise ConfigError("epoch floor must be finite and non-negative")
-        self.target_backlog = min(max(1.0, self.kappa), self.backlog_cap)
+        self.kappa = kappa
+        self.backlog_cap = backlog_cap
+        self.epoch_floor_s = epoch_floor_s
+        self.target_backlog = min(max(1.0, kappa), backlog_cap)
+        self.mdec_streak = 0
+        self.prev_age: Optional[float] = None
+        self.prev_backlog: Optional[float] = None
 
     def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:
         return self.target_backlog / ewma_rtt_s if first else None
@@ -246,8 +252,7 @@ MAX_ITERATIONS = 1_000_000
 Q_BLOCK_EPSILON, Q_BLOCK = 0.01, 4096  # below this epsilon, coins come in blocks
 
 
-@dataclass
-class QAgent:
+class QAgent(Record):
     """Pause/resume learner of the one age state every step starts in.
 
     It keeps that state's value per action, and the state's age bin
@@ -256,27 +261,25 @@ class QAgent:
     (`train_pause_resume` decays it after every step).
     """
 
-    n_bins: int = 64
-    lr: float = 0.1
-    epsilon: float = 1.0
-    epsilon_decay: float = 0.995
-    seed: int = 0
-    values: list[float] = field(init=False)  # by action
-    rng: np.random.Generator = field(init=False)
+    _fields = ("n_bins", "lr", "epsilon", "epsilon_decay", "seed", "values", "rng")
 
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
+    def __init__(self, n_bins: int = 64, lr: float = 0.1, epsilon: float = 1.0,
+                 epsilon_decay: float = 0.995, seed: int = 0):
+        if not (0.0 <= epsilon <= 1.0):
             raise ConfigError("epsilon must be in [0, 1]")
-        if not (0.0 <= self.epsilon_decay <= 1.0):  # keeps epsilon in [0, 1]
+        if not (0.0 <= epsilon_decay <= 1.0):  # keeps epsilon in [0, 1]
             raise ConfigError("epsilon decay must be in [0, 1]")
-        if not (0.0 < self.lr <= 1.0):
+        if not (0.0 < lr <= 1.0):
             raise ConfigError("learning rate must be in (0, 1]")
-        if self.n_bins < 2:
+        if n_bins < 2:
             raise ConfigError("need at least two age bins")
-        self.values = [Q_INIT] * len(Q_ACTIONS)
-        self.rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed))
-        )
+        self.n_bins = n_bins
+        self.lr = lr
+        self.epsilon = epsilon
+        self.epsilon_decay = epsilon_decay
+        self.seed = seed
+        self.values = [Q_INIT] * len(Q_ACTIONS)  # by action
+        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def act(self) -> int:
         if self.rng.random() < self.epsilon:
@@ -285,13 +288,16 @@ class QAgent:
         return values.index(min(values))  # the first minimum, as argmin
 
 
-@dataclass
-class QTrainResult:
-    iterations: int
-    resume_bin: int  # the age bin of the path delay, where every step starts
-    values: tuple[float, float]  # its value per action after the last step
-    action_ages: tuple[float, float]  # the age each action produces, by action
-    action_history: list[int]
+class QTrainResult(Record):
+    _fields = ("iterations", "resume_bin", "values", "action_ages", "action_history")
+
+    def __init__(self, iterations: int, resume_bin: int, values: tuple[float, float],
+                 action_ages: tuple[float, float], action_history: list[int]):
+        self.iterations = iterations
+        self.resume_bin = resume_bin  # the age bin of the path delay, where every step starts
+        self.values = values  # its value per action after the last step
+        self.action_ages = action_ages  # the age each action produces, by action
+        self.action_history = action_history
 
 
 def train_pause_resume(agent: QAgent, delay_s: float,

@@ -34,12 +34,12 @@ import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .records import FrozenRecord, Record
 from .trace import AgeTrace
 
 ARRIVAL_KINDS = ("poisson", "deterministic", "at-will", "zero-wait")
@@ -57,8 +57,7 @@ def _rate_ok(rate: float) -> bool:
     return 0.0 < rate < math.inf and 1.0 / rate < math.inf
 
 
-@dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(FrozenRecord):
     """Update generation process.
 
     poisson / deterministic generate at `rate` per second. at-will
@@ -68,57 +67,63 @@ class ArrivalSpec:
     zero; a wait of nan or +inf raises `ConfigError` during the run.
     """
 
-    kind: str
-    rate: float = 0.0
-    hook: Optional[Callable[[int, float], float]] = None
+    _fields = ("kind", "rate", "hook")
 
-    def __post_init__(self):
-        if self.kind not in ARRIVAL_KINDS:
-            raise ConfigError(f"unknown arrival kind {self.kind!r}")
-        if self.kind in ("poisson", "deterministic") and not _rate_ok(self.rate):
+    def __init__(self, kind: str, rate: float = 0.0,
+                 hook: Optional[Callable[[int, float], float]] = None):
+        if kind not in ARRIVAL_KINDS:
+            raise ConfigError(f"unknown arrival kind {kind!r}")
+        if kind in ("poisson", "deterministic") and not _rate_ok(rate):
             raise ConfigError("arrival rate must be positive and finite, "
                               "with a finite mean interval 1/rate")
-        if self.kind == "at-will" and self.hook is None:
+        if kind == "at-will" and hook is None:
             raise ConfigError("at-will arrivals need a policy hook")
+        vars(self).update(kind=kind, rate=rate, hook=hook)
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
-    kind: str
-    mu: float  # service rate; mean service time is 1/mu
+class ServiceSpec(FrozenRecord):
+    """Service process: `mu` is the service rate, and 1/mu the mean
+    service time."""
 
-    def __post_init__(self):
-        if self.kind not in SERVICE_KINDS:
-            raise ConfigError(f"unknown service kind {self.kind!r}")
-        if not _rate_ok(self.mu):
+    _fields = ("kind", "mu")
+
+    def __init__(self, kind: str, mu: float):
+        if kind not in SERVICE_KINDS:
+            raise ConfigError(f"unknown service kind {kind!r}")
+        if not _rate_ok(mu):
             raise ConfigError("service rate must be positive and finite, "
                               "with a finite mean service time 1/mu")
+        vars(self).update(kind=kind, mu=mu)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    arrival: ArrivalSpec
-    service: ServiceSpec
-    discipline: str = "fcfs"
-    capacity: Optional[int] = None  # waiting slots; None = infinite
-    loss_p: float = 0.0  # i.i.d. transmission-loss probability
-    retransmit: bool = False  # lost packets re-enter service (TCP-like)
-    delivery_offset_s: float = 0.0  # propagation added to every delivery
-    horizon: int = 1000  # number of generated packets
-    seed: int = 0
+class SimConfig(FrozenRecord):
+    """One simulated queue run. `capacity` counts waiting slots (None =
+    infinite), `loss_p` is the i.i.d. transmission-loss probability,
+    with `retransmit` lost packets re-enter service (TCP-like),
+    `delivery_offset_s` is the propagation added to every delivery and
+    `horizon` the number of generated packets."""
 
-    def __post_init__(self):
-        if self.discipline not in DISCIPLINES:
-            raise ConfigError(f"unknown discipline {self.discipline!r}")
-        if self.capacity is not None and self.capacity < 0:
+    _fields = ("arrival", "service", "discipline", "capacity", "loss_p", "retransmit",
+               "delivery_offset_s", "horizon", "seed")
+
+    def __init__(self, arrival: ArrivalSpec, service: ServiceSpec, discipline: str = "fcfs",
+                 capacity: Optional[int] = None, loss_p: float = 0.0,
+                 retransmit: bool = False, delivery_offset_s: float = 0.0,
+                 horizon: int = 1000, seed: int = 0):
+        if discipline not in DISCIPLINES:
+            raise ConfigError(f"unknown discipline {discipline!r}")
+        if capacity is not None and capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        if not (0.0 <= self.loss_p < 1.0):
+        if not (0.0 <= loss_p < 1.0):
             raise ConfigError("loss probability must be in [0, 1)")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        if self.horizon > MAX_ARRIVALS:
-            raise ConfigError(f"{self.horizon} arrivals are more than the bound "
+        if horizon > MAX_ARRIVALS:
+            raise ConfigError(f"{horizon} arrivals are more than the bound "
                               f"of {MAX_ARRIVALS} per run")
+        vars(self).update(arrival=arrival, service=service, discipline=discipline,
+                          capacity=capacity, loss_p=loss_p, retransmit=retransmit,
+                          delivery_offset_s=delivery_offset_s, horizon=horizon, seed=seed)
 
     @property
     def load(self) -> Optional[float]:
@@ -135,12 +140,14 @@ class SimConfig:
                 and self.loss_p == 0.0 and not self.retransmit)
 
 
-@dataclass
-class SimRun:
+class SimRun(Record):
     """Simulation output: the age trace plus bookkeeping counters."""
 
-    trace: AgeTrace
-    meta: dict
+    _fields = ("trace", "meta")
+
+    def __init__(self, trace: AgeTrace, meta: dict):
+        self.trace = trace
+        self.meta = meta
 
     def meta_lines(self) -> str:
         """Line-oriented key=value sidecar text."""
@@ -263,8 +270,8 @@ def _draws(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
     """The values of `draw(size)` one at a time, drawn `_DRAW_BLOCK` at
     a time. PCG64 bulk draws equal successive scalar draws, so a stream
     that makes only this one kind of draw keeps its sequence."""
-    while True:
-        yield from draw(_DRAW_BLOCK).tolist()
+    return itertools.chain.from_iterable(
+        map(np.ndarray.tolist, map(draw, itertools.repeat(_DRAW_BLOCK))))
 
 
 def _simulate_events(cfg: SimConfig) -> SimRun:
@@ -384,13 +391,13 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
 # ------------------------------------------------------------------ sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    rate_hz: float
-    avg_age_s: float
-    peak_age_s: float
-    loss: int
-    avg_delay_s: float
+class SweepRow(FrozenRecord):
+    _fields = ("rate_hz", "avg_age_s", "peak_age_s", "loss", "avg_delay_s")
+
+    def __init__(self, rate_hz: float, avg_age_s: float, peak_age_s: float, loss: int,
+                 avg_delay_s: float):
+        vars(self).update(rate_hz=rate_hz, avg_age_s=avg_age_s, peak_age_s=peak_age_s,
+                          loss=loss, avg_delay_s=avg_delay_s)
 
 
 SWEEP_HEADER = "rate_hz,avg_age_s,peak_age_s,loss,avg_delay_s"
@@ -423,8 +430,8 @@ def _sweep(rates, seed: int, point: Callable[[float, int], SimConfig]) -> list[S
 
 def sweep_rate(cfg: SimConfig, rates) -> list[SweepRow]:
     """Sweep the arrival rate of `cfg`; every other field is kept."""
-    return _sweep(rates, cfg.seed, lambda rate, child: replace(
-        cfg, arrival=replace(cfg.arrival, rate=rate), seed=child))
+    return _sweep(rates, cfg.seed, lambda rate, child: cfg.replace(
+        arrival=cfg.arrival.replace(rate=rate), seed=child))
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -463,27 +470,27 @@ def regime_loss_p(load: float, loss_onset_load: float,
     return busy_loss_p if load < 1.0 else panicked_loss_p
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(FrozenRecord):
     """Load-regime model of a bottleneck path (see `regime_loss_p`):
     loss steps up to busy_loss_p at loss_onset_load and to
     panicked_loss_p at load 1, where queueing delay starts to grow.
     The ordering loss-before-delay is contractual; the particular
     loss values are free parameters."""
 
-    base_rtt_s: float = 0.0
-    bandwidth_bps: float = 130_000.0
-    packet_bytes: int = 1058
-    loss_onset_load: float = 0.6
-    busy_loss_p: float = BUSY_LOSS_P
-    panicked_loss_p: float = PANICKED_LOSS_P
+    _fields = ("base_rtt_s", "bandwidth_bps", "packet_bytes", "loss_onset_load",
+               "busy_loss_p", "panicked_loss_p")
 
-    def __post_init__(self):
-        if not (0.0 < self.loss_onset_load <= 1.0):
+    def __init__(self, base_rtt_s: float = 0.0, bandwidth_bps: float = 130_000.0,
+                 packet_bytes: int = 1058, loss_onset_load: float = 0.6,
+                 busy_loss_p: float = BUSY_LOSS_P, panicked_loss_p: float = PANICKED_LOSS_P):
+        if not (0.0 < loss_onset_load <= 1.0):
             raise ConfigError("loss onset load must be in (0, 1]")
-        if self.bandwidth_bps <= 0 or self.packet_bytes <= 0:
+        if bandwidth_bps <= 0 or packet_bytes <= 0:
             raise ConfigError("bandwidth and packet size must be positive")
-        check_regime_loss_p(self.busy_loss_p, self.panicked_loss_p)
+        check_regime_loss_p(busy_loss_p, panicked_loss_p)
+        vars(self).update(base_rtt_s=base_rtt_s, bandwidth_bps=bandwidth_bps,
+                          packet_bytes=packet_bytes, loss_onset_load=loss_onset_load,
+                          busy_loss_p=busy_loss_p, panicked_loss_p=panicked_loss_p)
 
     @property
     def capacity_hz(self) -> float:

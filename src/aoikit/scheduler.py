@@ -10,13 +10,13 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     from .trace import AgeTrace
@@ -24,40 +24,47 @@ if TYPE_CHECKING:
 POLICIES = ("round-robin", "greedy", "max-weight")
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    n_sources: int
-    success_prob: tuple[float, ...]
-    frame_s: float = 1.0
-    policy: str = "round-robin"
-    # weight exponent w in p_i * age_i**w for max-weight (and age_i**w
-    # for greedy); exposed because the right exponent is a modelling
-    # choice, not a fixed convention
-    weight_exponent: float = 1.0
+class SchedulerConfig(FrozenRecord):
+    """`weight_exponent` is the w in p_i * age_i**w for max-weight (and
+    age_i**w for greedy); exposed because the right exponent is a
+    modelling choice, not a fixed convention."""
 
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.n_sources < 1 or len(self.success_prob) != self.n_sources:
+    _fields = ("n_sources", "success_prob", "frame_s", "policy", "weight_exponent")
+
+    def __init__(self, n_sources: int, success_prob: tuple[float, ...],
+                 frame_s: float = 1.0, policy: str = "round-robin",
+                 weight_exponent: float = 1.0):
+        if policy not in POLICIES:
+            raise ConfigError(f"unknown policy {policy!r}")
+        if n_sources < 1 or len(success_prob) != n_sources:
             raise ConfigError("need one success probability per source")
-        if any(not (0.0 < p <= 1.0) for p in self.success_prob):
+        if any(not (0.0 < p <= 1.0) for p in success_prob):
             raise ConfigError("success probabilities must be in (0, 1]")
-        if not (0.0 < self.frame_s < math.inf):
+        if not (0.0 < frame_s < math.inf):
             raise ConfigError("frame must be positive and finite")
-        if not (0.0 <= self.weight_exponent < math.inf):
+        if not (0.0 <= weight_exponent < math.inf):
             raise ConfigError("weight exponent must be finite and non-negative")
+        vars(self).update(n_sources=n_sources, success_prob=success_prob, frame_s=frame_s,
+                          policy=policy, weight_exponent=weight_exponent)
 
 
-@dataclass
-class SchedulerRun:
-    config: SchedulerConfig
-    frames: int
-    seed: int
-    avg_age_per_source: list[float]  # exact time averages, seconds
-    polls: list[int]
-    successes: list[int]
-    # each source's successful frames, in order
-    delivery_frames: list[np.ndarray] = field(repr=False, compare=False)
+class SchedulerRun(Record):
+    """One polling run. `avg_age_per_source` holds exact time averages
+    in seconds, and `delivery_frames` each source's successful frames,
+    in order; `repr` and `==` leave the frames out."""
+
+    _fields = ("config", "frames", "seed", "avg_age_per_source", "polls", "successes")
+
+    def __init__(self, config: SchedulerConfig, frames: int, seed: int,
+                 avg_age_per_source: list[float], polls: list[int], successes: list[int],
+                 delivery_frames: list[np.ndarray]):
+        self.config = config
+        self.frames = frames
+        self.seed = seed
+        self.avg_age_per_source = avg_age_per_source
+        self.polls = polls
+        self.successes = successes
+        self.delivery_frames = delivery_frames
 
     @cached_property
     def traces(self) -> list[AgeTrace]:

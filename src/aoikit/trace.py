@@ -8,7 +8,6 @@ counted as losses.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import os
@@ -306,6 +305,8 @@ def _read_plain(data: bytes, bias_declared: bool) -> Optional[AgeTrace]:
 def _read_rows(f, bias_declared: bool) -> AgeTrace:
     """Parse CSV lines one at a time, raising TraceFormatError with the
     number of the first malformed line."""
+    import csv  # loaded on first use
+
     reader = csv.reader(f)
     try:
         header = next(reader)

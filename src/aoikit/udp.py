@@ -14,13 +14,13 @@ import socket
 import threading
 import time
 from array import array
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .emulate import OffsetEstimate, check_schedule, offset_from_exchanges
 from .errors import AoiError, MalformedPacketError
+from .records import Record
 from .trace import AgeTrace, seconds_to_ns
 from . import wire
 
@@ -108,14 +108,17 @@ class EchoServer:
         self.sock.close()
 
 
-@dataclass
-class SamplerResult:
-    trace: AgeTrace
-    sent: int
-    received: int
-    duplicates: int
-    unmatched: int
-    aborted: bool = False
+class SamplerResult(Record):
+    _fields = ("trace", "sent", "received", "duplicates", "unmatched", "aborted")
+
+    def __init__(self, trace: AgeTrace, sent: int, received: int, duplicates: int,
+                 unmatched: int, aborted: bool = False):
+        self.trace = trace
+        self.sent = sent
+        self.received = received
+        self.duplicates = duplicates
+        self.unmatched = unmatched
+        self.aborted = aborted
 
 
 class _TraceSink:

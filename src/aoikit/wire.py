@@ -19,9 +19,9 @@ in length:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .errors import ConfigError, MalformedPacketError
+from .records import FrozenRecord
 
 MAGIC = b"AOI1"
 HEADER = struct.Struct(">4sBQQQH")
@@ -40,23 +40,20 @@ DEFAULT_DATA_SIZE = 1058  # total datagram bytes, headers included
 _U64_MAX = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class WirePacket:
-    msg_type: int
-    id: int
-    gen_ts_ns: int
-    extra_ts_ns: int = 0
-    payload: bytes = b""
+class WirePacket(FrozenRecord):
+    _fields = ("msg_type", "id", "gen_ts_ns", "extra_ts_ns", "payload")
 
-    def __post_init__(self):
-        if self.msg_type not in MSG_TYPES:
-            raise ConfigError(f"unknown message type {self.msg_type:#x}")
-        for name, v in (("id", self.id), ("gen_ts", self.gen_ts_ns),
-                        ("extra_ts", self.extra_ts_ns)):
+    def __init__(self, msg_type: int, id: int, gen_ts_ns: int, extra_ts_ns: int = 0,
+                 payload: bytes = b""):
+        if msg_type not in MSG_TYPES:
+            raise ConfigError(f"unknown message type {msg_type:#x}")
+        for name, v in (("id", id), ("gen_ts", gen_ts_ns), ("extra_ts", extra_ts_ns)):
             if not (0 <= v <= _U64_MAX):
                 raise ConfigError(f"{name} out of unsigned 64-bit range")
-        if len(self.payload) > 0xFFFF:
+        if len(payload) > 0xFFFF:
             raise ConfigError("payload too large")
+        vars(self).update(msg_type=msg_type, id=id, gen_ts_ns=gen_ts_ns,
+                          extra_ts_ns=extra_ts_ns, payload=payload)
 
     def encode(self) -> bytes:
         return HEADER.pack(

@@ -45,7 +45,22 @@ assert [m for m in sys.modules if m.startswith("aoikit.")] == []
 def test_importing_one_module_loads_only_what_it_uses():
     loaded = imported_by("-c", "from aoikit import scheduler")
     assert {m for m in loaded if m.startswith("aoikit.")} == {
-        "aoikit.errors", "aoikit.scheduler"}
+        "aoikit.errors", "aoikit.records", "aoikit.scheduler"}
+
+
+def test_importing_the_cli_compiles_no_generated_code():
+    # numpy and argparse first: only what aoikit itself compiles counts
+    run_child("-c", """
+import sys
+import argparse, numpy
+generated = []
+sys.addaudithook(lambda event, args: generated.append(args[1])
+                 if event == "compile" and args[1] == "<string>" else None)
+import aoikit.cli
+assert generated == [], f"{len(generated)} compiles of generated source"
+""")
+    assert imported_by("-m", "aoikit.cli", "--version") & {"dataclasses", "json", "csv"} == set()
+    assert "dataclasses" not in imported_by("-c", "from aoikit import scheduler")
 
 
 def test_readme_library_snippet_runs_as_written():

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,7 +394,7 @@ def test_lcfs1_hands_back_a_run_with_one_discard():
     # it second in line, lcfs1 discards the one waiting
     cfg = SimConfig(ArrivalSpec("deterministic", 1.0), ServiceSpec("exponential", 2.0),
                     discipline="lcfs1", horizon=200, seed=14)
-    fcfs = queuesim._simulate_busy_periods(replace(cfg, discipline="fcfs", loss_p=0.1))
+    fcfs = queuesim._simulate_busy_periods(cfg.replace(discipline="fcfs", loss_p=0.1))
     assert fcfs.meta["max_waiting"] == 2
     assert queuesim._simulate_busy_periods(cfg) is None
     assert simulate(cfg).meta["discarded"] == 1
@@ -406,7 +405,7 @@ def test_lcfs1_above_capacity_takes_the_event_loop_at_once():
     cfg = SimConfig(ArrivalSpec("deterministic", 3.0), ServiceSpec("deterministic", 2.0),
                     discipline="lcfs1", loss_p=0.1, horizon=1)
     assert queuesim._simulate_busy_periods(cfg) is None
-    assert queuesim._simulate_busy_periods(replace(cfg, discipline="fcfs")) is not None
+    assert queuesim._simulate_busy_periods(cfg.replace(discipline="fcfs")) is not None
 
 
 _PATH_CONFIGS = [
@@ -433,7 +432,7 @@ def test_every_path_writes_one_meta_key_order(monkeypatch):
 
 @pytest.mark.parametrize("cfg", _PATH_CONFIGS, ids=["lindley", "vector", "events"])
 def test_delivery_offset_moves_each_delivery_once(cfg):
-    plain, late = simulate(cfg), simulate(replace(cfg, delivery_offset_s=0.25))
+    plain, late = simulate(cfg), simulate(cfg.replace(delivery_offset_s=0.25))
     assert np.array_equal(plain.trace.gen_ns, late.trace.gen_ns)
     assert plain.meta == late.meta
     got = plain.trace.recv_ns != -1
