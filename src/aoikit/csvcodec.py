@@ -32,19 +32,43 @@ _NEWLINE_LAST = _COMMA_LAST + 2000  # the same, ending the row
 _EMPTY_FIELD = _NEWLINE_LAST + 2000  # "   ,", a lost packet's recv_ns
 
 
+def digit_table(width: int, blank_leading: bool = False) -> np.ndarray:
+    """The ASCII digits of every number below 10**width, in order, one
+    row of `width` columns each: "%0*d" of the number, or "%*d" where
+    `blank_leading` (spaces for leading zeros; the units digit always
+    shows). Built by broadcasting each column's ten digits."""
+    chars = np.empty((10,) * width + (width,), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    for j in range(width):
+        chars[..., j] = digits.reshape([10 if k == j else 1 for k in range(width)])
+    chars = chars.reshape(-1, width)
+    if blank_leading:
+        for j in range(width - 1):  # the numbers below 10**(width - 1 - j)
+            chars[:10 ** (width - 1 - j), j] = ord(" ")
+    return chars
+
+
 @functools.cache  # built once, on the first write
 def _words() -> np.ndarray:
     """Every word the writer uses, as uint32, at the indices above:
     inner chunks "%04d" from 0, then a blank chunk above the leading
     one, and the leading chunks "%4d" from 1."""
-    text = b"".join([
-        b"%04d" * _CHUNK % tuple(range(_CHUNK)),
-        b"    ",
-        b"%4d" * (_CHUNK - 1) % tuple(range(1, _CHUNK)),
-        *(fmt * 1000 % tuple(range(1000)) for fmt in (b"%03d,", b"%3d,", b"%03d\n", b"%3d\n")),
-        b"   ,",
+    lasts = []
+    for separator in b",\n":  # "%03d," and "%3d,", then the two ending a row
+        for blank in (False, True):
+            last = np.full((1000, 4), separator, dtype=np.uint8)
+            last[:, :3] = digit_table(3, blank)
+            lasts.append(last)
+    chars = np.concatenate([
+        digit_table(4),
+        np.frombuffer(b"    ", np.uint8)[None],
+        digit_table(4, True)[1:],
+        *lasts,
+        np.frombuffer(b"   ,", np.uint8)[None],
     ])
-    return np.frombuffer(text, np.uint32)  # read-only: shared by every write
+    table = chars.view(np.uint32).ravel()
+    table.flags.writeable = False  # shared by every write
+    return table
 
 
 # The reader converts a field from the little-endian 64-bit words that
@@ -65,7 +89,7 @@ def write_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     for lo in range(0, len(columns[0]), WRITE_CHUNK):
         block = [c[lo:lo + WRITE_CHUNK] for c in columns]
         # chunks of four digits above the last three (none for _LOST)
-        uppers = [len(str(int(c.max()))) // 4 for c in block]
+        uppers = [upper_chunks(c) for c in block]
         # a row of indices into the table per word, the rows' words in
         # order; contiguous, so `take` reads it without a copy
         index = np.empty((sum(uppers) + 4, len(block[0])), dtype=np.intp)
@@ -75,21 +99,50 @@ def write_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
             if col == 2:
                 lost = values == _LOST
                 values = np.where(lost, 0, values)
-            upper = values // 1000
-            last = index[at + k]
-            np.subtract(values, upper * 1000, out=last)
-            last += _NEWLINE_LAST if col == 3 else _COMMA_LAST
-            np.add(last, 1000, out=last, where=upper == 0)
+            field_words(values, index[at:at + k + 1],
+                        _NEWLINE_LAST if col == 3 else _COMMA_LAST)
             if lost is not None:
-                last[lost] = _EMPTY_FIELD
-            for row in range(at + k - 1, at - 1, -1):
-                higher = upper // _CHUNK
-                np.subtract(upper, higher * _CHUNK, out=index[row])
-                np.add(index[row], _CHUNK, out=index[row], where=higher == 0)
-                upper = higher
+                index[at + k][lost] = _EMPTY_FIELD
             at += k + 1
         yield table.take(index).T.tobytes().translate(None, b" ")
         del index  # before the next block's
+
+
+def upper_chunks(values: np.ndarray) -> int:
+    """The chunks of four digits above the last three that the largest
+    of the non-negative `values` needs: the words a field of the column
+    takes, less one."""
+    return len(str(int(values.max()))) // 4
+
+
+def field_words(values: np.ndarray, rows: np.ndarray, last_base: int) -> None:
+    """Fill `rows`, an index row per word of a field, with the indices
+    of the words that spell the non-negative `values`: the upper chunks,
+    most significant first, then the last three digits and a separator,
+    from `last_base` (_COMMA_LAST or _NEWLINE_LAST). Chunks above a
+    value's leading one are blank."""
+    upper = values // 1000
+    last = rows[-1]
+    np.subtract(values, upper * 1000, out=last)
+    last += last_base
+    np.add(last, 1000, out=last, where=upper == 0)
+    for row in rows[-2::-1]:
+        higher = upper // _CHUNK
+        np.subtract(upper, higher * _CHUNK, out=row)
+        np.add(row, _CHUNK, out=row, where=higher == 0)
+        upper = higher
+
+
+def int_words(values: np.ndarray, separator: bytes) -> np.ndarray:
+    """The four-byte words spelling each of the non-negative `values`,
+    the last ending with `separator` (b"," or b"\n"), and a blank one
+    after them where needed for whole eight-byte words: a row of those,
+    as uint64, per value."""
+    words = upper_chunks(values) + 1
+    index = np.empty((words + words % 2, len(values)), dtype=np.intp)
+    field_words(values, index[:words], _NEWLINE_LAST if separator == b"\n" else _COMMA_LAST)
+    index[words:] = _CHUNK  # "    "
+    return _words().take(index.T).view(np.uint64)
 
 
 def _eight_digits(words: np.ndarray, mask: np.ndarray) -> np.ndarray:

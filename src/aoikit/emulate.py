@@ -10,7 +10,6 @@ milliseconds regardless of the emulated duration.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from typing import Iterator, Optional, Sequence
@@ -425,11 +424,14 @@ def _write_rows(f, rows: Iterator[str]) -> None:
 
 
 def write_decision_csv(f, log: DecisionLog) -> None:
-    """Write the decision log as CSV to the text file `f`, each row one
-    %-format of its zipped columns."""
-    _write_rows(f, map("%d,%s,%.6g,%.6g,%.6g,%d\n".__mod__, zip(
-        range(1, len(log) + 1), log.action, log.target_backlog, log.rate_hz,
-        log.avg_age_s, log.backlog)))
+    """Write the decision log as CSV to the text file `f`, a block of
+    rows at a time, each row as the %-format `logcodec.DECISION_ROW` of
+    its columns would spell it."""
+    from .logcodec import decision_blocks  # loaded on first use
+
+    f.write(DECISION_HEADER + "\n")
+    for block in decision_blocks(log):
+        f.write(block)
 
 
 def write_qlearn_csv(f, res: QTrainResult) -> None:
@@ -482,10 +484,15 @@ def run_rate_policy(
     than `MAX_SENDS` epochs, is refused when it reaches the bound.
 
     Only acknowledgements can overtake each other (under jitter or
-    lognormal delay), so only they, and the probes, wait in a heap; the
-    one pending send and the one pending epoch are (time, sequence)
-    slots. Every event takes the next insertion sequence number when it
-    is scheduled, and equal times fire in that order.
+    lognormal delay), so only on such a channel do they wait in a heap;
+    elsewhere they come back in send order and wait in a FIFO. The one
+    pending send, the one pending epoch and the one pending probe, whose
+    time may run ahead of later acks, are (time, sequence) slots. Every
+    event takes the next insertion sequence number when it is scheduled,
+    and equal times fire in that order.
+
+    A sender whose `observes` is false (Lazy, which reads none of it)
+    gets None in place of each epoch's `PolicyObservation`.
     """
     if not 0 < duration_s < math.inf:
         raise ConfigError(f"duration must be positive and finite, not {duration_s:g}")
@@ -503,14 +510,23 @@ def run_rate_policy(
     transit = EmulatedChannel(spec).transit
     EwmaEstimator(ewma_alpha)  # refuses an alpha outside (0, 1]
     on_ack, on_epoch = sender.on_ack, sender.on_epoch
+    observes = getattr(sender, "observes", True)
     epoch_floor_s = sender.epoch_floor_s
     max_sends = MAX_SENDS
-    heappush, heappop = heapq.heappush, heapq.heappop
     inf, nan = math.inf, math.nan
-    # (time, insertion seq, packet index or _PROBE)
-    acks: list[tuple[float, int, int]] = [(0.0, 0, _PROBE)]
+    # (time, insertion seq, packet index), taken by push(acks, ack) and
+    # pop(acks). Without jitter or lognormal draws every packet takes the
+    # same legs after the FIFO bottleneck, so acks come back in send order;
+    # the FIFO takes about 6% off the runner time of ACP's 3,000 s `capacity_step` run
+    if spec.jitter_s == 0 and spec.rtt_lognorm_median_s is None:
+        acks, push, pop = deque(), deque.append, deque.popleft
+    else:
+        import heapq  # loaded on first use
+
+        acks, push, pop = [], heapq.heappush, heapq.heappop
     send_at = epoch_at = inf  # inf while nothing is pending
     send_seq = epoch_seq = 0
+    probe_at, probe_seq = 0.0, 0
     seq = 1
     send_s = array("d")
     ack_s = array("d")  # nan until acknowledged
@@ -535,10 +551,12 @@ def run_rate_policy(
             now, event, event_seq = send_at, _SEND, send_seq
         else:
             now, event, event_seq = epoch_at, _EPOCH, epoch_seq
+        if probe_at < now or (probe_at == now and probe_seq < event_seq):
+            now, event, event_seq = probe_at, _PROBE, probe_seq
         if acks:
             top = acks[0]
             if top[0] < now or (top[0] == now and top[1] < event_seq):
-                now, _, event = heappop(acks)
+                now, _, event = pop(acks)
         if now > duration_s:
             break
         dt = now - clock
@@ -577,7 +595,7 @@ def run_rate_policy(
             action, target, logged_rate, new_rate = on_epoch(PolicyObservation(
                 rtt, epoch_s, avg_age,
                 epoch_backlog_area / epoch_s if epoch_s > 0 else 0.0,
-                epoch_acks), rate_hz)
+                epoch_acks) if observes else None, rate_hz)
             log_action(action)
             log_target(target)
             log_rate(logged_rate)
@@ -586,8 +604,10 @@ def run_rate_policy(
             log_t(now)
             restart = True
         else:  # a send; probes stop once the first ack is in
-            if event == _PROBE and acked:
-                continue
+            if event == _PROBE:
+                probe_at = inf
+                if acked:
+                    continue
             if sent == max_sends:
                 raise ConfigError(f"the run reached the bound of {max_sends} sends "
                                   f"at {now:g} s of {duration_s:g} s")
@@ -596,11 +616,11 @@ def run_rate_policy(
             append_ack(nan)
             sent += 1
             if ack_at is not None and ack_at <= duration_s:
-                heappush(acks, (ack_at, seq, sent - 1))
+                push(acks, (ack_at, seq, sent - 1))
                 seq += 1
             if event == _PROBE:
                 if paced and sent < _MAX_PROBES:
-                    heappush(acks, (now + _PROBE_SPACING_S, seq, _PROBE))
+                    probe_at, probe_seq = now + _PROBE_SPACING_S, seq
                     seq += 1
             elif paced:
                 send_at, send_seq = now + 1.0 / rate_hz, seq
@@ -644,28 +664,86 @@ def run_rate_policy(
     )
 
 
-_MEDIAN_CHUNK = 8_192  # grid points per chunk
+_MEDIAN_CHUNK = 8_192  # deliveries per step of the median's passes
 
 
 def _median_age(trace: AgeTrace, grid_s: float) -> float:
     """Median of the age sampled every `grid_s` from the first to the
-    last delivery, equal to `np.median` of the float ages. It holds one
-    int64 age per grid point: the ages are filled in chunks, and only
-    the middle rank or two are converted to seconds, which keeps their
-    order."""
+    last delivery, equal to `np.median` of the float ages, without the
+    grid: it holds two int64 values per delivery that owns a grid point.
+
+    A grid point takes its age from the newest delivery at or before it,
+    so each delivery owns a run of consecutive points, whose ages rise
+    by the grid step `step` from the first. Age a lies in bucket
+    a // step, and a run gives one age to each of its buckets. The
+    bucket of a rank is the last with at most that rank of ages below
+    it, found by bisection on those counts, and the age within it is the
+    runs' that cover it, in order. Only the middle rank or two are
+    converted to seconds, which keeps their order."""
     gen, recv = trace.delivered()
     if len(gen) < 2:
         return float("nan")
     t0, t1 = int(recv[0]), int(recv[-1])
     step = max(1, seconds_to_ns(grid_s))
     n = (t1 - t0) // step + 1
-    ages = np.empty(n, dtype=np.int64)
-    for i in range(0, n, _MEDIAN_CHUNK):
-        ts = t0 + step * np.arange(i, min(i + _MEDIAN_CHUNK, n), dtype=np.int64)
-        ages[i:i + len(ts)] = ts - gen[np.searchsorted(recv, ts, side="right") - 1]
+    # each owner's first age and its count of points, in chunks
+    size = min(len(recv), n)  # a delivery kept owns a point
+    first_age, count = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    kept = 0
+    for lo in range(0, len(recv), _MEDIAN_CHUNK):
+        hi = lo + _MEDIAN_CHUNK
+        # the first grid point of each delivery and of the next one,
+        # ceil((recv - t0) / step), or the grid's end after the last
+        first = recv[lo:hi + 1] - (t0 + 1)
+        first //= step
+        first += 1
+        if hi >= len(recv):
+            first = np.append(first, n)
+        owned = first[1:] - first[:-1]
+        owns = owned > 0
+        k = kept + int(np.count_nonzero(owns))
+        age = first_age[kept:k]
+        np.multiply(first[:-1][owns], step, out=age)
+        age += t0
+        age -= gen[lo:hi][owns]
+        count[kept:k] = owned[owns]
+        kept = k
+    first_age, count = first_age[:kept], count[:kept]
+    chunks = [slice(lo, lo + _MEDIAN_CHUNK) for lo in range(0, kept, _MEDIAN_CHUNK)]
+    buckets = np.empty(min(kept, _MEDIAN_CHUNK), dtype=np.int64)
+
+    def first_buckets(c: slice) -> np.ndarray:
+        return np.floor_divide(first_age[c], step, out=buckets[:len(first_age[c])])
+
+    def below(bucket: int) -> int:
+        """The count of ages in buckets below `bucket`."""
+        total = 0
+        for c in chunks:
+            owned = np.subtract(bucket, first_buckets(c), out=buckets[:len(first_age[c])])
+            total += int(np.minimum(np.maximum(owned, 0, out=owned), count[c], out=owned).sum())
+        return total
+
+    lowest = int(first_age.min()) // step
+    highest = max(int((first_buckets(c) + count[c]).max()) for c in chunks)
+
+    def rank(k: int) -> int:
+        """The age of rank k, 0-based."""
+        lo, hi = lowest, highest  # no age lies below lo, more than k below hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid) <= k:
+                lo = mid
+            else:
+                hi = mid
+        k -= below(lo)
+        ages = []  # in bucket lo: each covering run's age after lo - q steps
+        for c in chunks:
+            steps = lo - first_buckets(c)
+            covers = (steps >= 0) & (steps < count[c])
+            ages.append(first_age[c][covers] + steps[covers] * step)
+        return int(np.partition(np.concatenate(ages), k)[k])
+
     mid = n // 2
     if n % 2:
-        ages.partition(mid)
-        return float(ages[mid] / 1e9)
-    ages.partition((mid - 1, mid))
-    return float((ages[mid - 1] / 1e9 + ages[mid] / 1e9) / 2)
+        return rank(mid) / 1e9
+    return (rank(mid - 1) / 1e9 + rank(mid) / 1e9) / 2

@@ -29,8 +29,8 @@ class PolicyObservation(Record):
     """What a closed-loop sender sees at an epoch end: the smoothed
     rtt, the epoch's length and acknowledgements, and its time-averaged
     age and packets in flight. A slotted record with a written
-    `__init__`, not a tuple: the runner builds one per epoch, and this
-    is the cheaper kind to build."""
+    `__init__`, not a tuple: the runner builds one per epoch for a
+    sender that observes, and this is the cheaper kind to build."""
 
     __slots__ = _fields = ("ewma_rtt_s", "epoch_s", "avg_age_epoch_s",
                            "avg_backlog_epoch", "epoch_acks")
@@ -186,9 +186,10 @@ def acp_epoch_update(
 # `emulate.run_rate_policy` drives any of these without knowing which.
 # A `paced` sender probes until the first ack, then sends at its rate;
 # an unpaced one sends only when nothing is in flight. `on_ack` returns
-# a new rate or None; `on_epoch` returns (action, target backlog, rate
-# to log, new rate or None). None keeps the rate, and its time
-# integral, as it is. `AcpState` above is the third sender.
+# a new rate or None; `on_epoch` takes the epoch's `PolicyObservation`,
+# or None for a sender whose `observes` is false, and returns (action,
+# target backlog, rate to log, new rate or None). None keeps the rate,
+# and its time integral, as it is. `AcpState` above is the third sender.
 
 
 class Lazy:
@@ -196,6 +197,7 @@ class Lazy:
     every ack; epochs only log it."""
 
     paced = True
+    observes = False  # its epochs read no observation
     epoch_floor_s = EPOCH_FLOOR_S
 
     def on_ack(self, ewma_rtt_s: float, first: bool) -> Optional[float]:

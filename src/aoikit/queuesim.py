@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections import deque
 from typing import Callable, Iterator, Optional
 
@@ -295,6 +294,8 @@ def _simulate_events(cfg: SimConfig) -> SimRun:
     time; an at-will source's `array('d')` column takes each generation
     time as the source schedules it. Completions go to an `array('d')`,
     nan until delivered, which `_run` offsets and converts in place."""
+    from array import array  # loaded on first use
+
     arrival_rng, service_rng, loss_rng = _rngs(cfg.seed)
     n = cfg.horizon
     inf = math.inf

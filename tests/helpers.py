@@ -329,6 +329,16 @@ def decision_text(log) -> str:
     return f.getvalue()
 
 
+def reference_decision_text(log) -> str:
+    """A decision log's CSV text as first written, one %-format of the
+    zipped columns a row: the text `write_decision_csv` must equal."""
+    from aoikit.emulate import DECISION_HEADER
+
+    return DECISION_HEADER + "\n" + "".join(map("%d,%s,%.6g,%.6g,%.6g,%d\n".__mod__, zip(
+        range(1, len(log) + 1), log.action, log.target_backlog, log.rate_hz,
+        log.avg_age_s, log.backlog)))
+
+
 def child_env() -> dict:
     """Environment for a `python -m aoikit.cli` child that imports the
     same aoikit as this test run, installed or not."""

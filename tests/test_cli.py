@@ -933,12 +933,13 @@ def test_measure_echo_server_lifecycle():
                                   ["-c", "import aoikit.cli"]])
 def test_cli_loads_no_socket_layer_outside_measure(args):
     # only the live measure commands import udp, and with it socket and
-    # selectors; nothing in the CLI uses the scheduler, and the trace CSV
-    # codec loads on a trace's first write or read
+    # selectors; nothing in the CLI uses the scheduler, the trace CSV
+    # codec loads on a trace's first write or read, and the log codec on
+    # a closed-loop log's first write
     loaded = imported_by(*args)
     assert "aoikit.emulate" in loaded  # the report lists the CLI's imports
     assert loaded & {"aoikit.udp", "aoikit.scheduler", "aoikit.csvcodec",
-                     "socket", "selectors"} == set()
+                     "aoikit.logcodec", "socket", "selectors"} == set()
 
 
 def test_measure_echo_server_bind_failure_exits_3(capsys):

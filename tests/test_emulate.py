@@ -1,12 +1,13 @@
 import math
 from array import array
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoikit import emulate
+from aoikit import emulate, logcodec
 from aoikit.cli import parse_emulated
 from aoikit.emulate import (
     MAX_SENDS,
@@ -22,10 +23,10 @@ from aoikit.emulate import (
 )
 from aoikit.errors import ConfigError
 from aoikit.metrics import age_floor, average_age_by_reception, mean_delay
-from aoikit.policies import SENDERS, AcpState, Lazy, ZeroWait
+from aoikit.policies import SENDERS, AcpState, Lazy, PolicyObservation, ZeroWait
 from aoikit.trace import AgeTrace
 
-from helpers import decision_text, reference_median_age, sha256_of
+from helpers import decision_text, reference_decision_text, reference_median_age, sha256_of
 
 
 def test_zero_impairment_channel_is_transparent():
@@ -367,6 +368,66 @@ def test_acp_rate_positive_and_finite_after_init():
         assert 1.0 <= target_backlog <= 64.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["acp", "lazy", "zero-wait"]),
+       capacity=st.one_of(st.none(), st.floats(5.0, 500.0)),
+       buffer=st.one_of(st.none(), st.integers(0, 4)),
+       step=st.one_of(st.none(), st.tuples(st.floats(0.0, 2.0), st.floats(0.5, 10.0))),
+       onset=st.one_of(st.none(), st.floats(0.1, 1.0)), loss_p=st.floats(0.0, 0.5),
+       fwd=st.floats(0.001, 0.1), bwd=st.floats(0.001, 0.1))
+def test_runner_fifo_takes_acks_in_time_order(name, capacity, buffer, step, onset, loss_p,
+                                              fwd, bwd):
+    # without jitter or lognormal draws the runner keeps acks in a FIFO,
+    # which pops them as the heap would only if each is pushed after the
+    # ones before it in (time, sequence) order
+    if capacity is None:
+        buffer = step = onset = None
+    if name == "zero-wait":
+        loss_p, onset = 0.0, None
+    at, factor = step or (None, 1.0)
+    spec = EmulatedChannelSpec(
+        fwd_delay_s=fwd, bwd_delay_s=bwd, capacity_hz=capacity, buffer=buffer,
+        loss_p=loss_p, loss_onset_load=onset, capacity_step_at_s=at,
+        capacity_step_factor=factor, seed=3)
+    pushed = []
+
+    class CheckedFifo(deque):
+        def append(self, item):
+            if isinstance(item, tuple):  # an ack; the channel's queue holds floats
+                assert not pushed or pushed[-1] < item[:2]
+                pushed.append(item[:2])
+            super().append(item)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emulate, "deque", CheckedFifo)
+        run_rate_policy(SENDERS[name](), spec, 5.0)
+
+
+def test_only_senders_that_observe_get_observations():
+    seen = []
+
+    class Recording(Lazy):
+        def on_epoch(self, obs, rate_hz):
+            seen.append(obs)
+            return super().on_epoch(obs, rate_hz)
+
+    class Observing(Recording):
+        observes = True
+
+    class Plain:  # a sender of its own that names no `observes`
+        paced, epoch_floor_s, on_ack = True, Lazy.epoch_floor_s, Lazy().on_ack
+        on_epoch = Recording().on_epoch
+
+    spec = EmulatedChannelSpec.fixed_rtt(0.05, jitter_s=0.01, seed=4)
+    runs = [run_rate_policy(sender, spec, 5.0) for sender in (Recording(), Observing(), Plain())]
+    third = len(seen) // 3
+    assert third and seen[:third] == [None] * third
+    assert all(isinstance(obs, PolicyObservation) for obs in seen[third:])
+    # what the sender is handed changes no output
+    assert len({sha256_of(r.trace.gen_ns, r.trace.recv_ns, decision_text(r.decisions))
+                for r in runs}) == 1
+
+
 def test_decision_log_holds_typed_columns():
     res = run_rate_policy(Lazy(), EmulatedChannelSpec.fixed_rtt(0.05), 2.0)
     log = res.decisions
@@ -406,6 +467,84 @@ def test_decision_log_is_written_a_block_at_a_time(tmp_path):
     # one block of rows and its joined text take well under 2 MB
     assert len(text) > 8_000_000
     assert peak < 2_000_000
+
+
+# nan, both infinities, zeros of both signs, subnormals and 1e300 come
+# from st.floats(); the other draws lie where "%.6g" has its fixed form
+LOG_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(1e-4, 1e6),
+    st.builds(lambda m, e: m / 10.0**e, st.integers(1, 999_999), st.integers(0, 9)),
+    st.integers(1, 999_999).map(float),
+)
+LOG_ROWS = st.lists(st.tuples(
+    st.one_of(st.sampled_from(["INC", "DEC", "MDEC", "RATE", "SEND-ON-ACK"]), st.text()),
+    LOG_FLOATS, LOG_FLOATS, LOG_FLOATS,
+    st.one_of(st.integers(0, 2**63 - 1), st.integers(-2**63, 2**63 - 1))), min_size=1)
+
+
+def decision_log(rows) -> emulate.DecisionLog:
+    log = emulate.DecisionLog()
+    for action, target, rate, age, backlog in rows:
+        log.action.append(action)
+        log.target_backlog.append(target)
+        log.rate_hz.append(rate)
+        log.avg_age_s.append(age)
+        log.backlog.append(backlog)
+    return log
+
+
+# rounding ties and near-ties of six digits, the fixed form's ends, and
+# values that round across them
+@pytest.mark.parametrize("value", [0.1234565, 99999.95, 999999.5, 9.999995e-05, 1e-05,
+                                   123456.5])
+def test_log_floats_the_tables_cannot_tell_go_to_percent(value):
+    assert logcodec._float_rows(np.array([value])) is None
+    assert logcodec._float_rows(np.array([0.0001, 999999.0, 0.5])) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=LOG_ROWS, block=st.integers(1, 8))
+@example(rows=[("RATE", v, 1.0, v, 0) for v in (
+    0.1234565, 99999.95, 999999.5, 9.999995e-05, 0.0001, 1e-05, 123456.5)], block=1)
+@example(rows=[("INC", 0.0001, 0.0001, 0.0001, 7)], block=1)
+@example(rows=[("A B", 1.0, 1.0, 1.0, 1), ("MDEC", -0.0, math.nan, math.inf, -1)], block=1)
+def test_decision_log_equals_its_percent_rows(rows, block):
+    # blocks of one to eight rows, so that every draw spans several, and
+    # blocks the tables spell sit beside blocks written with "%"
+    log = decision_log(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logcodec, "WRITE_CHUNK", block)
+        assert decision_text(log) == reference_decision_text(log)
+
+
+def test_decision_rows_of_every_exponent_take_the_tables():
+    # six significant digits at each decimal exponent of the fixed form,
+    # trailing zeros included: no block may fall back to "%"
+    m = np.concatenate([np.arange(100_000, 1_000_000, 997), [100_000, 120_000, 999_999]])
+    for x in range(-4, 6):
+        values = (m * 10.0 ** (x - 5)).tolist()
+        rows = [("MDEC" if i % 3 else "INC", v, v, v, i) for i, v in enumerate(values)]
+        log = decision_log(rows)
+        spelt = logcodec._decision_block(0, log.action, [np.array(values)] * 3,
+                                         np.arange(len(rows)))
+        assert spelt is not None
+        assert emulate.DECISION_HEADER + "\n" + spelt == reference_decision_text(log)
+
+
+def test_decision_logs_of_the_benchmark_senders_take_the_tables(monkeypatch):
+    fell_back = []
+    spell = logcodec._decision_block
+    monkeypatch.setattr(logcodec, "_decision_block",
+                        lambda *a: fell_back.append(a[0]) if (t := spell(*a)) is None else t)
+    for name, channel, duration in (("acp", "capacity_step", 3000),
+                                    ("lazy", "fixed_rtt=5ms,jitter=1ms", 300),
+                                    ("zero-wait", "fixed_rtt=5ms", 150)):
+        log = run_rate_policy(SENDERS[name](), parse_emulated(channel, 0, name),
+                              duration).decisions
+        assert len(log) > logcodec.WRITE_CHUNK
+        assert decision_text(log) == reference_decision_text(log)
+    assert fell_back == []
 
 
 def test_offset_refuses_more_pings_than_the_send_bound(monkeypatch):
@@ -556,6 +695,26 @@ def test_median_age_equals_reference(packets, step_ns):
         assert math.isnan(got) and math.isnan(want)
     else:
         assert got == want
+
+
+def test_median_age_holds_no_grid():
+    import tracemalloc
+
+    # 30,000 s with a delivery every 10 s: the 10 ms grid has 3,000,001
+    # points, 24 MB as int64 ages alone
+    n = 3001
+    gen = np.arange(n, dtype=np.int64) * 10**10
+    recv = gen + 3 * 10**7 + np.arange(n) % 5 * 10**6
+    trace = AgeTrace.from_arrays(np.arange(n), gen, recv)
+    tracemalloc.start()
+    try:
+        median = _median_age(trace, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # half the points of each 10 s gap are at least 5.03-5.04 s old
+    assert 5.0 < median < 5.05
 
 
 def test_median_age_equals_reference_on_random_traces():

@@ -159,6 +159,8 @@ def test_rate_policy_senders():
     assert SENDERS == {"lazy": Lazy, "acp": AcpState, "zero-wait": ZeroWait}
     lazy, acp, zero_wait = Lazy(), AcpState(), ZeroWait()
     assert (lazy.paced, acp.paced, zero_wait.paced) == (True, True, False)
+    # only lazy reads no observation, and the runner hands it None
+    assert lazy.observes is False and lazy.on_epoch(None, 10.0) == ("RATE", 1.0, 10.0, None)
     assert lazy.epoch_floor_s == acp.epoch_floor_s == zero_wait.epoch_floor_s == EPOCH_FLOOR_S
     assert AcpState(epoch_floor_s=0.02).epoch_floor_s == 0.02
     # lazy follows 1/rtt on every ack and only logs its rate at epochs

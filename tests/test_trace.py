@@ -462,6 +462,23 @@ def test_writer_matches_per_row_reference_on_digit_count_edges(tmp_path):
     assert_same_trace(read_csv(io.StringIO(text), bias_declared=True), trace)
 
 
+def test_writer_word_table_equals_its_percent_spelling():
+    # the table is built by broadcasting digits; "%" spells it as first
+    # written: inner chunks, a blank chunk, leading chunks, then the last
+    # three digits with a comma or a newline, and the empty field
+    chunk = 10**4
+    spelt = b"".join([
+        b"%04d" * chunk % tuple(range(chunk)),
+        b"    ",
+        b"%4d" * (chunk - 1) % tuple(range(1, chunk)),
+        *(fmt * 1000 % tuple(range(1000)) for fmt in (b"%03d,", b"%3d,", b"%03d\n", b"%3d\n")),
+        b"   ,",
+    ])
+    table = csvcodec._words()
+    assert table.dtype == np.uint32 and not table.flags.writeable
+    assert table.tobytes() == spelt
+
+
 def test_writer_matches_per_row_reference_with_lost_rows_at_every_boundary(tmp_path):
     # each block is spelt at the width of its own largest values, so the
     # blocks here differ in width; lost rows sit at both ends of the
