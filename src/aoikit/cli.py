@@ -10,6 +10,7 @@ is used when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -646,5 +647,19 @@ def main(argv=None) -> int:
         return 0
 
 
+def entry() -> int:
+    """The process entry of `python -m aoikit.cli` and the `aoikit`
+    console script: `main()` after `gc.freeze()`, once this module's
+    imports have loaded. The freeze moves every object the cyclic
+    collector tracks, numpy's and aoikit's module state, into a
+    permanent generation that no later collection scans, the one at
+    exit included; none of it is garbage yet, so nothing is kept that
+    would have been freed. `main()` itself does not freeze: a caller
+    that runs it many times in one process would keep each run's
+    garbage."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

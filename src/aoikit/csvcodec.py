@@ -83,11 +83,15 @@ _ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
 def write_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The rows of four int64 columns as CSV text in blocks of
     `WRITE_CHUNK` rows. Values are non-negative but for _LOST in the
-    third column, written as an empty field. Only one block's arrays
-    are alive at a time."""
+    third column, written as an empty field; a first column of None
+    writes the row numbers. Only one block's arrays are alive at a
+    time."""
     table = _words()
-    for lo in range(0, len(columns[0]), WRITE_CHUNK):
-        block = [c[lo:lo + WRITE_CHUNK] for c in columns]
+    n = len(columns[1])
+    for lo in range(0, n, WRITE_CHUNK):
+        hi = min(n, lo + WRITE_CHUNK)
+        block = [np.arange(lo, hi, dtype=np.int64) if c is None else c[lo:hi]
+                 for c in columns]
         # chunks of four digits above the last three (none for _LOST)
         uppers = [upper_chunks(c) for c in block]
         # a row of indices into the table per word, the rows' words in

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientDataError
 from .records import FrozenRecord, Record
 from .trace import AgeTrace
 
@@ -407,7 +407,8 @@ SWEEP_HEADER = "rate_hz,avg_age_s,peak_age_s,loss,avg_delay_s"
 def _sweep(rates, seed: int, point: Callable[[float, int], SimConfig]) -> list[SweepRow]:
     """One independent run per rate, each starting from an empty queue:
     `point(rate, child_seed)` builds the run's config, with the child
-    seed derived from (seed, point index)."""
+    seed derived from (seed, point index). A point with fewer than two
+    deliveries raises InsufficientDataError naming its index and rate."""
     from .metrics import average_age_by_reception, mean_delay, peak_age
 
     rates = list(rates)
@@ -417,10 +418,15 @@ def _sweep(rates, seed: int, point: Callable[[float, int], SimConfig]) -> list[S
     for k, rate in enumerate(rates):
         child = int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
         run = simulate(point(rate, child))
+        try:
+            avg_age_s = average_age_by_reception(run.trace)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(
+                f"sweep point {k} at {rate:.10g} Hz: {exc}") from None
         rows.append(
             SweepRow(
                 rate_hz=rate,
-                avg_age_s=average_age_by_reception(run.trace),
+                avg_age_s=avg_age_s,
                 peak_age_s=peak_age(run.trace),
                 loss=int(run.meta["loss"]),
                 avg_delay_s=mean_delay(run.trace),

@@ -76,7 +76,7 @@ class SchedulerRun(Record):
         frame_ns = seconds_to_ns(self.config.frame_s)
         if self.frames * frame_ns > np.iinfo(np.int64).max:
             raise ConfigError("trace stamps would pass the int64 nanosecond range")
-        return [AgeTrace.from_arrays(np.arange(len(ks)), ks * frame_ns, (ks + 1) * frame_ns,
+        return [AgeTrace.from_arrays(None, ks * frame_ns, (ks + 1) * frame_ns,
                                      t_start_ns=0, t_end_ns=self.frames * frame_ns)
                 for ks in self.delivery_frames]
 

@@ -68,12 +68,13 @@ class AgeTrace:
     """An ordered packet trace plus its observation window.
 
     The substrate of every age statistic. Stored column-wise so that
-    million-packet traces stay cheap.
+    million-packet traces stay cheap. A trace whose ids are its row
+    numbers 0..n-1 (`ids` None when built) keeps no ids column.
     """
 
     def __init__(
         self,
-        ids: np.ndarray,
+        ids: Optional[np.ndarray],
         gen_ns: np.ndarray,
         recv_ns: np.ndarray,
         sizes: np.ndarray,
@@ -82,7 +83,7 @@ class AgeTrace:
         initial_age_ns: int = 0,
         bias_declared: bool = False,
     ):
-        self.ids = ids
+        self._ids = ids
         self.gen_ns = gen_ns
         self.recv_ns = recv_ns  # _LOST where the packet never arrived
         self.sizes = sizes
@@ -99,7 +100,7 @@ class AgeTrace:
     @classmethod
     def from_arrays(
         cls,
-        ids: Sequence[int] | np.ndarray,
+        ids: Sequence[int] | np.ndarray | None,
         gen_ns: Sequence[int] | np.ndarray,
         recv_ns: Sequence[Optional[int]] | np.ndarray,
         sizes: Sequence[int] | np.ndarray | None = None,
@@ -108,7 +109,9 @@ class AgeTrace:
         initial_age_ns: int = 0,
         bias_declared: bool = False,
     ) -> "AgeTrace":
-        ids_a = np.asarray(ids, dtype=np.int64)
+        """A trace of the given columns; `ids` None numbers the rows
+        0..n-1 and `sizes` None makes every size 0."""
+        ids_a = None if ids is None else np.asarray(ids, dtype=np.int64)
         gen_a = np.asarray(gen_ns, dtype=np.int64)
         if isinstance(recv_ns, np.ndarray) and recv_ns.dtype == np.int64:
             recv_a = recv_ns
@@ -117,7 +120,7 @@ class AgeTrace:
                 [_LOST if r is None else int(r) for r in recv_ns], dtype=np.int64
             )
         if sizes is None:
-            sizes_a = np.zeros(len(ids_a), dtype=np.int64)
+            sizes_a = np.zeros(len(gen_a), dtype=np.int64)
         else:
             sizes_a = np.asarray(sizes, dtype=np.int64)
         # the delivered stamps' range, read in place: a lost stamp (-1)
@@ -154,12 +157,11 @@ class AgeTrace:
         """Trace with ids 0..n-1 of `size_bytes` each, observed from time
         0, from float-second stamps, nan marking a lost packet,
         converted as `seconds_to_ns` converts them. An `array('d')` or
-        float array is read in place, and the sizes column is one
-        read-only value broadcast to every row."""
-        n = len(recv_s)
+        float array is read in place, the ids are row numbers, and the
+        sizes column is one read-only value broadcast to every row."""
         return cls.from_arrays(
-            np.arange(n, dtype=np.int64), _stamps_ns(gen_s), _stamps_ns(recv_s),
-            np.broadcast_to(np.int64(size_bytes), n),
+            None, _stamps_ns(gen_s), _stamps_ns(recv_s),
+            np.broadcast_to(np.int64(size_bytes), len(recv_s)),
             t_start_ns=0, t_end_ns=t_end_ns,
         )
 
@@ -167,13 +169,16 @@ class AgeTrace:
         """Refuse what the trace CSV cannot carry, among the rest: every
         column the same length, every value non-negative (an empty
         recv_ns aside) and at most 2**63 - 1."""
-        n = len(self.ids)
-        if not len(self.gen_ns) == len(self.recv_ns) == len(self.sizes) == n:
+        n = len(self.gen_ns)
+        ids = self._ids
+        if not len(self.recv_ns) == len(self.sizes) == n or (
+                ids is not None and len(ids) != n):
             raise ValueError("ids, gen_ns, recv_ns and sizes must have equal length")
-        if n and np.any(self.ids[1:] <= self.ids[:-1]):
-            raise ValueError("packet ids must be strictly increasing")
-        if n and self.ids[0] < 0:  # the smallest, as ids increase
-            raise RangeError("negative packet id")
+        if ids is not None and n:  # row numbers pass both id checks
+            if np.any(ids[1:] <= ids[:-1]):
+                raise ValueError("packet ids must be strictly increasing")
+            if ids[0] < 0:  # the smallest, as ids increase
+                raise RangeError("negative packet id")
         if n and int(self.sizes.min()) < 0:
             raise RangeError("negative packet size")
         if n and int(self.gen_ns.min()) < 0:
@@ -200,7 +205,16 @@ class AgeTrace:
     # -- views -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.gen_ns)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The packet ids; row numbers are built on each read, read-only."""
+        if self._ids is not None:
+            return self._ids
+        ids = np.arange(len(self.gen_ns), dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     @property
     def loss_count(self) -> int:
@@ -258,7 +272,7 @@ class AgeTrace:
 
         blocks = itertools.chain(
             [_HEADER_LINE.encode("ascii")],
-            write_blocks((self.ids, self.gen_ns, self.recv_ns, self.sizes)))
+            write_blocks((self._ids, self.gen_ns, self.recv_ns, self.sizes)))
         if isinstance(path_or_file, (str, bytes, os.PathLike)):
             with open(path_or_file, "wb") as f:
                 f.writelines(blocks)

@@ -209,7 +209,7 @@ def run_sampler(
     gen = sink.gen_ns
     recv = [sink.recv_ns.get(i) for i in range(len(gen))]
     trace = AgeTrace.from_arrays(
-        np.arange(len(gen), dtype=np.int64), gen, recv,
+        None, gen, recv,
         np.full(len(gen), size_bytes, dtype=np.int64),
     )
     return SamplerResult(

@@ -2,6 +2,7 @@
 example."""
 
 import contextlib
+import gc
 import io
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import aoikit
 from helpers import imported_by, run_child
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def test_every_exported_name_resolves():
@@ -63,6 +65,47 @@ assert generated == [], f"{len(generated)} compiles of generated source"
     assert imported_by("-m", "aoikit.cli", "--version") & {
         "dataclasses", "json", "csv", "heapq", "array"} == set()
     assert "dataclasses" not in imported_by("-c", "from aoikit import scheduler")
+
+
+def test_the_process_entry_freezes_what_the_imports_loaded():
+    # a module run as __main__, as `python -m aoikit.cli` runs it; the
+    # hook reads the count after the entry's `sys.exit`
+    proc = run_child("-c", """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+sys.argv = ["aoikit", "--version"]
+runpy.run_module("aoikit.cli", run_name="__main__")
+""")
+    assert proc.stdout.splitlines()[0] == aoikit.__version__
+    assert int(proc.stdout.split("frozen")[1]) > 0
+    # the import alone freezes nothing
+    run_child("-c", "import gc, aoikit.cli; assert gc.get_freeze_count() == 0")
+
+
+def test_the_console_script_names_the_freezing_entry():
+    scripts = PYPROJECT.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    module, _, name = re.match(r'aoikit = "(.+)"\n', scripts).group(1).partition(":")
+    assert (module, name) == ("aoikit.cli", "entry")
+    proc = run_child("-c", """
+import gc, sys
+from aoikit.cli import entry
+sys.argv = ["aoikit", "--version"]
+assert entry() == 0
+print(gc.get_freeze_count())
+""")
+    assert int(proc.stdout.split()[-1]) > 0
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(tmp_path):
+    # a caller that runs main() many times keeps none of its garbage
+    from aoikit import cli
+
+    before = gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--version"]) == 0
+        assert cli.main(["sim", "--model", "mm1", "--rho", "0.5", "--arrivals", "100",
+                         "--out", str(tmp_path / "t.csv")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_readme_library_snippet_runs_as_written():

@@ -297,6 +297,24 @@ def test_sweep_bottleneck_refuses_capacity_and_loss(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,point", [
+    (["--rates", "1,2", "--arrivals", "1"], "sweep point 0 at 1 Hz"),
+    (["--rates", "0.5,1e300", "--mu", "1e300", "--capacity", "1", "--arrivals", "50"],
+     "sweep point 1 at 1e+300 Hz"),
+    (["--bottleneck-kbps", "130", "--rates", "3,4", "--arrivals", "1"],
+     "sweep point 0 at 3 Hz"),
+])
+def test_sweep_point_with_too_few_deliveries_names_itself(tmp_path, capsys, argv, point):
+    # a sweep row needs age statistics, so unlike `sim` it writes nothing
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert err.splitlines() == [f"error: {point}: need >= 2 deliveries "
+                                "after obsolete filtering, have 1"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_measure_sampler_emulated(tmp_path, capsys):
     out = str(tmp_path / "m.csv")
     code, stdout, _ = run_cli(

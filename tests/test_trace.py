@@ -498,6 +498,28 @@ def test_writer_matches_per_row_reference_with_lost_rows_at_every_boundary(tmp_p
     assert_same_trace(read_csv(io.StringIO(text)), trace)
 
 
+def test_row_numbered_traces_keep_no_ids_column(tmp_path):
+    # ids 0..n-1 stay implicit: the writer spells each block's ids from
+    # its row range, and reading `ids` builds the column
+    n = 2 * WRITE_CHUNK + 3
+    gen_s = np.arange(n) * 0.25 + 1.0
+    recv_s = gen_s + 0.125
+    recv_s[[0, WRITE_CHUNK - 1, WRITE_CHUNK, n - 1]] = np.nan
+    trace = AgeTrace.from_seconds(gen_s, recv_s, size_bytes=9)
+    assert trace._ids is None and len(trace) == n
+    assert trace.ids.tolist() == list(range(n))
+    assert trace.ids.dtype == np.int64 and not trace.ids.flags.writeable
+    explicit = AgeTrace.from_arrays(range(n), trace.gen_ns, trace.recv_ns, trace.sizes,
+                                    t_start_ns=0, t_end_ns=trace.t_end_ns)
+    text = written(trace, tmp_path)
+    assert text == written(explicit, tmp_path) == write_rows_reference(trace)
+    back = read_csv(io.StringIO(text))
+    assert back._ids is not None  # a read trace keeps its ids
+    assert back.ids.tolist() == list(range(n))
+    assert AgeTrace.from_arrays(None, [], [])._ids is None
+    assert written(AgeTrace.from_arrays(None, [], []), tmp_path) == HEADER
+
+
 def test_empty_trace_writes_only_the_header(tmp_path):
     trace = AgeTrace.from_arrays([], [], [])
     assert written(trace, tmp_path) == HEADER
